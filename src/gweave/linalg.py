@@ -84,16 +84,18 @@ def hermitian_extremes(m, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
     The input is symmetrized as ``(M + M*) / 2`` before decomposition;
-    asymmetry beyond ``eq_atol`` is rejected rather than silently averaged
-    away.
+    asymmetry beyond ``eq_atol * max(1, max|M|)`` is rejected rather than
+    silently averaged away.  The limit is relative so that the rounding
+    drift of large Gram sums passes at any scale.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     drift = float(np.max(np.abs(m - m.conj().T)))
-    if drift > tol.eq_atol:
+    limit = tol.eq_atol * max(1.0, float(np.max(np.abs(m))))
+    if drift > limit:
         raise ValueError(
-            f"matrix is not Hermitian within eq_atol ({drift:.3e} > {tol.eq_atol:.3e})"
+            f"matrix is not Hermitian within eq_atol ({drift:.3e} > {limit:.3e})"
         )
     w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     return float(w[0]), float(w[-1])

@@ -36,6 +36,7 @@ from .weaving import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     GFrameFamily,
+    _gram_tensor,
 )
 
 __all__ = [
@@ -53,6 +54,11 @@ __all__ = [
 # Pure floating-point-noise slack for the exact-mode scalar comparison; it
 # perturbs the certified bound by far less than any stated test tolerance.
 _GAP_SLACK = 1e-12
+
+# log2 of the subsets per chunk of the minimal_k sweep.  Of 2**6 .. 2**12,
+# 2**8 ran fastest on the certify benchmark shapes (n = 3); memory per
+# chunk grows with its size.
+_K_CHUNK_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -188,32 +194,72 @@ class ScaledDualReport:
         }
 
 
-def _max_ratio(d_mat: np.ndarray, m_mat: np.ndarray, tol: Tolerance) -> float | None:
-    """Largest generalized eigenvalue of (D, M) on the complement of ker M.
+def _max_ratios(
+    d_sym: np.ndarray, m_sym: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest generalized eigenvalue of each (D, M) pair on the complement of ker M.
 
-    Returns None when D does not vanish on the kernel of M (no finite
-    constant dominates).  Both inputs are Hermitian PSD.
+    ``d_sym`` has shape (rows, 1, n, n) and ``m_sym`` (rows, k, n, n): each
+    row's D is paired with each of its k Hermitian PSD matrices M.  Returns
+    the (rows, k) ratios and a mask of the pairs where D does not vanish on
+    the kernel of M (no finite constant dominates); the ratios of masked
+    pairs are meaningless.  Kernel columns are zeroed rather than sliced
+    away, so every pair shares one shape.
     """
-    d_sym = (d_mat + d_mat.conj().T) / 2.0
-    m_sym = (m_mat + m_mat.conj().T) / 2.0
     w, v = np.linalg.eigh(m_sym)
     w = np.clip(w, 0.0, None)
-    w_max = float(w[-1]) if w.size else 0.0
-    keep = w > tol.rank_rtol * w_max * len(w)
-    if not keep.all():
-        v_ker = v[:, ~keep]
-        kernel_mass = float(
-            np.linalg.eigvalsh(v_ker.conj().T @ d_sym @ v_ker)[-1]
-        )
-        d_scale = max(float(np.linalg.eigvalsh(d_sym)[-1]), 0.0)
-        if kernel_mass > tol.eq_atol * max(1.0, d_scale):
-            return None
-    if not keep.any():
-        return 0.0
-    basis = v[:, keep] / np.sqrt(w[keep])
-    reduced = basis.conj().T @ d_sym @ basis
-    top = float(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2.0)[-1])
-    return max(top, 0.0)
+    keep = w > tol.rank_rtol * w[..., -1:] * w.shape[-1]
+    ker = ~keep.all(axis=-1)
+    infeasible = np.zeros(ker.shape, dtype=bool)
+    if ker.any():
+        v_ker = v[ker] * ~keep[ker][:, None, :]
+        d_ker = np.broadcast_to(d_sym, v.shape)[ker]
+        kernel_mass = np.linalg.eigvalsh(_herm_t(v_ker) @ d_ker @ v_ker)[:, -1]
+        d_scale = np.maximum(np.linalg.eigvalsh(d_ker)[:, -1], 0.0)
+        infeasible[ker] = kernel_mass > tol.eq_atol * np.maximum(1.0, d_scale)
+    # Dividing (not multiplying by the reciprocal) keeps the kept columns
+    # equal to the per-matrix computation bit for bit; kernel columns -> 0.
+    basis = v
+    basis /= np.sqrt(np.where(keep, w, np.inf))[..., None, :]
+    reduced = _herm_t(basis) @ d_sym @ basis
+    top = np.linalg.eigvalsh(_make_hermitian(reduced))[..., -1]
+    return np.maximum(top, 0.0), infeasible
+
+
+def _herm_t(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _make_hermitian(a: np.ndarray) -> np.ndarray:
+    """Replace each matrix of a stack by ``(A + A*) / 2``, in place."""
+    a += _herm_t(a)
+    a /= 2.0
+    return a
+
+
+def _chunk_ratios(table, terms, high, pairs, tol):
+    """Ratios and infeasibility flags of one chunk of subsets.
+
+    Row ``r`` of the chunk is the subset with code ``high * len(table) + r``:
+    its low indices come from ``table`` and the high indices set in
+    ``high`` are added one at a time in increasing order.  Both results
+    have shape (subsets, pairs, 2), ordered as (subset, pair, member).
+    """
+    low = len(table).bit_length() - 1
+    m = terms.shape[1] - len(pairs)
+    sym = table.copy()
+    for i in range(low, len(terms)):
+        if high >> (i - low) & 1:
+            sym += terms[i]
+    _make_hermitian(sym)
+    shape = (len(sym), len(pairs), 2)
+    ratios = np.empty(shape)
+    infeasible = np.empty(shape, dtype=bool)
+    # One pair at a time keeps the stacks at 2 matrices per subset for any m.
+    for p, (j, l) in enumerate(pairs):
+        ratios[:, p], infeasible[:, p] = _max_ratios(sym[:, m + p, None], sym[:, [j, l]], tol)
+    return ratios, infeasible
 
 
 def minimal_k(
@@ -229,6 +275,12 @@ def minimal_k(
     generalized eigenvalue; the certificate reports the maximum over all
     constraints, or infeasibility when some kernel carries difference
     energy.
+
+    Subsets are swept in chunks of ``2**_K_CHUNK_BITS`` consecutive codes,
+    each solved as one stack of eigenproblems.  Every sum adds its terms in
+    increasing index order, and constraints are scanned in (subset code,
+    pair, member) order, so the certificate, its witness and its first-
+    occurrence tie-break match a one-subset-at-a-time loop exactly.
     """
     big_n, m = fam.n_indices, fam.m
     if 2**big_n > budget:
@@ -236,35 +288,44 @@ def minimal_k(
             f"subset sweep needs 2^{big_n} = {2 ** big_n} subsets, budget is {budget}"
         )
     n = fam.ambient_dim
-    grams = np.empty((big_n, m, n, n), dtype=np.complex128)
-    for j, fr in enumerate(fam.frames):
-        for i, b in enumerate(fr.blocks):
-            grams[i, j] = b.conj().T @ b
     pairs = [(j, l) for j in range(m) for l in range(j + 1, m)]
-    diff_grams = {}
-    for j, l in pairs:
-        for i in range(big_n):
-            d = fam.frames[j].blocks[i] - fam.frames[l].blocks[i]
-            diff_grams[(i, j, l)] = d.conj().T @ d
+    # Per index: the m member Grams, then one difference Gram per pair.
+    terms = np.empty((big_n, m + len(pairs), n, n), dtype=np.complex128)
+    terms[:, :m] = _gram_tensor(fam)
+    for p, (j, l) in enumerate(pairs):
+        for i, (a, b) in enumerate(zip(fam.frames[j].blocks, fam.frames[l].blocks)):
+            d = a - b
+            terms[i, m + p] = d.conj().T @ d
+
+    # Sums over every subset of the low indices, built by doubling so that
+    # each adds its terms in increasing index order.
+    low = min(_K_CHUNK_BITS, big_n)
+    table = np.zeros((2**low,) + terms.shape[1:], dtype=np.complex128)
+    for i in range(low):
+        table[2**i : 2 ** (i + 1)] = table[: 2**i] + terms[i]
 
     k_best = 0.0
-    worst = None
-    for code in range(1, 2**big_n):
-        subset = [i for i in range(big_n) if code >> i & 1]
-        for j, l in pairs:
-            d_sum = np.zeros((n, n), dtype=np.complex128)
-            for i in subset:
-                d_sum += diff_grams[(i, j, l)]
-            for member in (j, l):
-                m_sum = grams[subset, member].sum(axis=0)
-                ratio = _max_ratio(d_sum, m_sum, tol)
-                if ratio is None:
-                    return _k_certificate(fam, False, None, subset, (j, l))
-                if ratio > k_best:
-                    k_best = ratio
-                    worst = (subset, (j, l))
-    subset, pair = worst if worst is not None else ([], None)
-    return _k_certificate(fam, True, k_best, subset, pair)
+    worst = (0, None)
+    for high in range(2 ** (big_n - low)):
+        # Row 0 of the first chunk is the empty subset: its D is exactly 0,
+        # so it is neither infeasible nor above k_best.
+        ratios, infeasible = _chunk_ratios(table, terms, high, pairs, tol)
+        base = high << low
+        if infeasible.any():
+            row, p, _ = np.unravel_index(np.argmax(infeasible), ratios.shape)
+            return _k_certificate(fam, False, None, _subset_of(base + row, big_n), pairs[p])
+        top = int(np.argmax(ratios))
+        if ratios.flat[top] > k_best:
+            k_best = float(ratios.flat[top])
+            row, p, _ = np.unravel_index(top, ratios.shape)
+            worst = (base + row, pairs[p])
+    code, pair = worst
+    return _k_certificate(fam, True, k_best, _subset_of(code, big_n), pair)
+
+
+def _subset_of(code: int, big_n: int) -> list[int]:
+    """Zero-based indices whose bits are set in ``code``."""
+    return [i for i in range(big_n) if code >> i & 1]
 
 
 def _k_certificate(fam, feasible, k, subset, pair) -> KCertificate:

@@ -229,10 +229,13 @@ def certify_woven(
     verdict is ``universal_lower > frame_rtol * universal_upper``.  Sampled
     mode draws ``budget`` partitions from a seeded generator and can only
     falsify: it returns ``not-woven`` with a witness, or the explicitly
-    weaker ``sampled-no-counterexample``.
+    weaker ``sampled-no-counterexample``.  A ``budget`` below one is
+    rejected with ``ValueError``.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     grams = _gram_tensor(fam)
     m, big_n = fam.m, fam.n_indices
 

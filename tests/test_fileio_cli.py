@@ -211,6 +211,17 @@ class TestWeaveCommand:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_sampled_budget_below_one_exit_2(self, copies_family_file, capsys, budget):
+        code = main([
+            "weave", str(copies_family_file), "--mode", "sampled",
+            "--budget", budget, "--seed", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "budget must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_sampled_determinism(self, swapped_family_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["weave", str(swapped_family_file), "--mode", "sampled",

@@ -75,6 +75,25 @@ class TestHermitianExtremes:
         with pytest.raises(ValueError, match="finite"):
             hermitian_extremes(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_accepts_rounding_drift_at_any_scale(self, scale):
+        # Each b* b product is Hermitian only up to rounding, and that drift
+        # grows with the entries; the check must not depend on the scale.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            m = np.zeros((5, 5), dtype=np.complex128)
+            for _ in range(40):
+                b = scale * (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
+                m += b.conj().T @ b
+            lo, hi = hermitian_extremes(m)
+            w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+            assert (lo, hi) == (w[0], w[-1])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_extremes(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestSingularExtremes:
     def test_identity(self):

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gweave import (
     GFrame,
@@ -18,6 +20,8 @@ from gweave import (
     synthesis_matrix,
 )
 from gweave.generate import GenSpec, generate
+from gweave.linalg import DEFAULT_TOL
+from gweave.perturb import _k_certificate
 
 from _support import noisy_family, onb_frame, random_frame, rotation, swapped_onb_family
 
@@ -94,6 +98,149 @@ class TestMinimalK:
         cert = minimal_k(scaled_pair(1.2))
         assert cert.worst_pair == (1, 2)
         assert cert.worst_subset is not None
+
+
+def _max_ratio_reference(d_mat, m_mat, tol):
+    """One (D, M) constraint at a time, slicing the kernel of M away."""
+    d_sym = (d_mat + d_mat.conj().T) / 2.0
+    m_sym = (m_mat + m_mat.conj().T) / 2.0
+    w, v = np.linalg.eigh(m_sym)
+    w = np.clip(w, 0.0, None)
+    w_max = float(w[-1]) if w.size else 0.0
+    keep = w > tol.rank_rtol * w_max * len(w)
+    if not keep.all():
+        v_ker = v[:, ~keep]
+        kernel_mass = float(
+            np.linalg.eigvalsh(v_ker.conj().T @ d_sym @ v_ker)[-1]
+        )
+        d_scale = max(float(np.linalg.eigvalsh(d_sym)[-1]), 0.0)
+        if kernel_mass > tol.eq_atol * max(1.0, d_scale):
+            return None
+    if not keep.any():
+        return 0.0
+    basis = v[:, keep] / np.sqrt(w[keep])
+    reduced = basis.conj().T @ d_sym @ basis
+    top = float(np.linalg.eigvalsh((reduced + reduced.conj().T) / 2.0)[-1])
+    return max(top, 0.0)
+
+
+def _minimal_k_reference(fam, tol=DEFAULT_TOL):
+    """The subset sweep as a plain loop: one subset, pair and member at a time."""
+    big_n, m = fam.n_indices, fam.m
+    n = fam.ambient_dim
+    grams = np.empty((big_n, m, n, n), dtype=np.complex128)
+    for j, fr in enumerate(fam.frames):
+        for i, b in enumerate(fr.blocks):
+            grams[i, j] = b.conj().T @ b
+    pairs = [(j, l) for j in range(m) for l in range(j + 1, m)]
+    diff_grams = {}
+    for j, l in pairs:
+        for i in range(big_n):
+            d = fam.frames[j].blocks[i] - fam.frames[l].blocks[i]
+            diff_grams[(i, j, l)] = d.conj().T @ d
+
+    k_best = 0.0
+    worst = None
+    for code in range(1, 2**big_n):
+        subset = [i for i in range(big_n) if code >> i & 1]
+        for j, l in pairs:
+            d_sum = np.zeros((n, n), dtype=np.complex128)
+            for i in subset:
+                d_sum += diff_grams[(i, j, l)]
+            for member in (j, l):
+                m_sum = grams[subset, member].sum(axis=0)
+                ratio = _max_ratio_reference(d_sum, m_sum, tol)
+                if ratio is None:
+                    return _k_certificate(fam, False, None, subset, (j, l))
+                if ratio > k_best:
+                    k_best = ratio
+                    worst = (subset, (j, l))
+    subset, pair = worst if worst is not None else ([], None)
+    return _k_certificate(fam, True, k_best, subset, pair)
+
+
+def _noisy_at(base: GFrame, index: int, seed: int, noise: float) -> GFrameFamily:
+    """Base frame paired with a copy whose block ``index`` (zero-based) is perturbed."""
+    rng = np.random.default_rng(seed)
+    blocks = list(base.blocks)
+    b = blocks[index]
+    blocks[index] = b + noise * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
+    return GFrameFamily((base, GFrame(base.ambient_dim, tuple(blocks))))
+
+
+class TestMinimalKMatchesReferenceLoop:
+    """The chunked sweep (2**8 subsets per chunk) against the plain loop.
+
+    Equality is exact: same k to the last bit, same witness and verdict.
+    """
+
+    @pytest.mark.parametrize("big_n", [9, 10, 11])
+    def test_several_chunks(self, big_n):
+        fam = noisy_family(3, (3,) * big_n, 2, seed=big_n, noise=1e-2)
+        cert = minimal_k(fam)
+        assert cert.feasible
+        assert cert == _minimal_k_reference(fam)
+
+    def test_first_infeasible_subset_in_a_later_chunk(self):
+        # Only block 10 differs, and singleton blocks are rank one, so the
+        # first infeasible subset is {10}: code 512, the third chunk.
+        fam = _noisy_at(random_frame(3, (1,) * 10, seed=4), 9, seed=4, noise=0.05)
+        cert = minimal_k(fam)
+        assert not cert.feasible
+        assert cert.worst_subset == (10,)
+        assert cert == _minimal_k_reference(fam)
+
+    def test_three_members(self):
+        fam = noisy_family(3, (3,) * 9, 3, seed=2, noise=1e-2)
+        cert = minimal_k(fam)
+        assert cert.feasible
+        assert cert == _minimal_k_reference(fam)
+
+    def test_thin_blocks_take_the_kernel_branch(self):
+        # Rank-one block Grams: every subset smaller than n has a kernel.
+        f = onb_frame(9)
+        scaled = GFrameFamily((f, apply_operator(f, 1.2 * np.eye(9))))
+        assert minimal_k(scaled) == _minimal_k_reference(scaled)
+        rng = np.random.default_rng(7)
+        thin = random_frame(3, (1,) * 9, seed=7)
+        scales = 1.0 + rng.uniform(-0.1, 0.1, 9)
+        fam = GFrameFamily((thin, GFrame(3, tuple(c * b for c, b in zip(scales, thin.blocks)))))
+        cert = minimal_k(fam)
+        assert cert.feasible
+        assert cert == _minimal_k_reference(fam)
+
+    def test_identical_members(self):
+        fam = noisy_family(3, (1,) * 9, 2, seed=1, noise=0.0)
+        cert = minimal_k(fam)
+        assert cert.k == 0.0 and cert.worst_subset is None
+        assert cert == _minimal_k_reference(fam)
+
+
+def _unitary(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(2, 3),
+    modulus=st.floats(0.05, 20.0),
+    sign=st.sampled_from([1.0, -1.0, 1j, -1j]),
+)
+def test_k_invariant_under_common_scaling_and_unitary(seed, m, modulus, sign):
+    # D and M change by the same congruence (|c|^2 U* . U), which leaves
+    # every generalized eigenvalue, hence K, where it was.
+    fam = noisy_family(2, (2, 2, 2, 2), m, seed=seed, noise=0.05)
+    c = modulus * sign
+    u = _unitary(2, seed)
+    moved = GFrameFamily(tuple(
+        GFrame(2, tuple(c * b @ u for b in fr.blocks)) for fr in fam.frames
+    ))
+    base, cert = minimal_k(fam), minimal_k(moved)
+    assert base.feasible and cert.feasible
+    assert cert.k == pytest.approx(base.k, rel=1e-9)
 
 
 class TestPerturbationCertificate:

@@ -167,6 +167,13 @@ class TestCertifyWoven:
         with pytest.raises(BudgetExceededError, match="2\\^4 = 16"):
             certify_woven(fam, budget=8)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_rejects_budget_below_one(self, mode, budget):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=0)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            certify_woven(fam, mode=mode, budget=budget, seed=1)
+
     def test_sampled_finds_counterexample(self):
         rep = certify_woven(swapped_onb_family(), mode="sampled", budget=500, seed=3)
         assert rep.status == "not-woven"
