@@ -216,7 +216,7 @@ def _max_ratios(
         d_ker = np.broadcast_to(d_sym, v.shape)[ker]
         kernel_mass = np.linalg.eigvalsh(_herm_t(v_ker) @ d_ker @ v_ker)[:, -1]
         d_scale = np.maximum(np.linalg.eigvalsh(d_ker)[:, -1], 0.0)
-        infeasible[ker] = kernel_mass > tol.eq_atol * np.maximum(1.0, d_scale)
+        infeasible[ker] = kernel_mass > tol.eq_atol * d_scale
     # Dividing (not multiplying by the reciprocal) keeps the kept columns
     # equal to the per-matrix computation bit for bit; kernel columns -> 0.
     basis = v

@@ -204,15 +204,70 @@ def _decode_codes(codes: np.ndarray, m: int, big_n: int) -> np.ndarray:
     return out
 
 
+def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
+    """Frame operators over the leading ``labels0.shape[1]`` indices of each row.
+
+    Terms are added one index at a time in increasing order, the order of
+    ``grams[arange(k), labels0].sum(axis=1)``, without materialising that
+    ``(rows, k, n, n)`` gather.
+    """
+    s = grams[0, labels0[:, 0]]
+    for i in range(1, labels0.shape[1]):
+        s += grams[i, labels0[:, i]]
+    return s
+
+
 def _weaving_spectra(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
     """Eigenvalues of the weaving frame operators for a batch of label rows."""
-    big_n = grams.shape[0]
-    s = grams[np.arange(big_n), labels0].sum(axis=1)
-    return np.linalg.eigvalsh(s)
+    return np.linalg.eigvalsh(_frame_operators(grams, labels0))
+
+
+def _exhaustive_spectra(grams: np.ndarray, m: int):
+    """Yield ``(first_code, spectra)`` for all ``m**N`` weavings in code order.
+
+    A chunk holds the ``m**low`` consecutive codes that share their leading
+    ``high = N - low`` labels (``low`` is the largest with ``m**low <=
+    _CHUNK``).  The shared prefix is summed once; each later index then
+    extends every partial sum by each of its ``m`` terms.  Terms are added
+    in increasing index order, so every frame operator equals the
+    sequential sum over its labels bit for bit, at about two ``n x n`` adds
+    per weaving.
+    """
+    big_n, n = grams.shape[0], grams.shape[-1]
+    low = 0
+    while low < big_n and m ** (low + 1) <= _CHUNK:
+        low += 1
+    high = big_n - low
+    for h in range(m**high):
+        if high:
+            level = _frame_operators(grams, _decode_codes(np.array([h]), m, high))
+        else:  # one chunk: start from the m terms of index 0
+            level = grams[0]
+        for i in range(max(high, 1), big_n):
+            level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
+        yield h * m**low, np.linalg.eigvalsh(level)
 
 
 def _partition_of(labels0) -> Partition:
     return Partition(tuple(int(x) + 1 for x in labels0))
+
+
+def _fold_extremes(best: tuple, w: np.ndarray, key) -> tuple:
+    """Fold one chunk of spectra into ``best = (low, low_at, up, up_at)``.
+
+    ``low_at`` and ``up_at`` are ``(key, row)`` of the first weaving that
+    attains each bound: ``argmin``/``argmax`` return the first occurrence
+    and a later chunk must be strictly better, so ties keep the earliest
+    weaving in enumeration order.
+    """
+    low, low_at, up, up_at = best
+    i = int(np.argmin(w[:, 0]))
+    if w[i, 0] < low:
+        low, low_at = float(w[i, 0]), (key, i)
+    i = int(np.argmax(w[:, -1]))
+    if w[i, -1] > up:
+        up, up_at = float(w[i, -1]), (key, i)
+    return low, low_at, up, up_at
 
 
 def certify_woven(
@@ -239,10 +294,7 @@ def certify_woven(
     grams = _gram_tensor(fam)
     m, big_n = fam.m, fam.n_indices
 
-    best_low = np.inf
-    best_up = -np.inf
-    wit_low = None
-    wit_up = None
+    best = (np.inf, None, -np.inf, None)
 
     if mode == "exhaustive":
         total = m**big_n
@@ -251,16 +303,12 @@ def certify_woven(
                 f"exhaustive certification needs {m}^{big_n} = {total} weavings, "
                 f"budget is {budget}"
             )
-        for start in range(0, total, _CHUNK):
-            codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            labels0 = _decode_codes(codes, m, big_n)
-            w = _weaving_spectra(grams, labels0)
-            i = int(np.argmin(w[:, 0]))
-            if w[i, 0] < best_low:
-                best_low, wit_low = float(w[i, 0]), labels0[i].copy()
-            i = int(np.argmax(w[:, -1]))
-            if w[i, -1] > best_up:
-                best_up, wit_up = float(w[i, -1]), labels0[i].copy()
+        for first, w in _exhaustive_spectra(grams, m):
+            best = _fold_extremes(best, w, first)
+        best_low, (first_low, i_low), best_up, (first_up, i_up) = best
+        wit_low, wit_up = _decode_codes(
+            np.array([first_low + i_low, first_up + i_up]), m, big_n
+        )
         checked = total
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
@@ -272,14 +320,12 @@ def certify_woven(
             labels0 = rng.integers(0, m, size=(take, big_n))
             w = _weaving_spectra(grams, labels0)
             bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
-            stop = int(np.argmax(bad)) + 1 if bad.any() else take
-            for i in range(stop):
-                if w[i, 0] < best_low:
-                    best_low, wit_low = float(w[i, 0]), labels0[i].copy()
-                if w[i, -1] > best_up:
-                    best_up, wit_up = float(w[i, -1]), labels0[i].copy()
-            checked += stop
             failed = bool(bad.any())
+            stop = int(np.argmax(bad)) + 1 if failed else take
+            best = _fold_extremes(best, w[:stop], labels0)
+            checked += stop
+        best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
+        wit_low, wit_up = rows_low[i_low], rows_up[i_up]
         status = "not-woven" if failed else "sampled-no-counterexample"
 
     return WeavingReport(
@@ -313,15 +359,12 @@ def span_criterion(
             f"span check needs {m}^{big_n} = {total} weavings, budget is {budget}"
         )
     maxdim = max(fam.ambient_dim, fam.coeff_dim)
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        labels0 = _decode_codes(codes, m, big_n)
-        w = _weaving_spectra(grams, labels0)
+    for first, w in _exhaustive_spectra(grams, m):
         s = np.sqrt(np.clip(w, 0.0, None))
         bad = s[:, 0] <= tol.rank_rtol * s[:, -1] * maxdim
         if bad.any():
-            i = int(np.argmax(bad))
-            return False, _partition_of(labels0[i])
+            code = first + int(np.argmax(bad))
+            return False, _partition_of(_decode_codes(np.array([code]), m, big_n)[0])
     return True, None
 
 

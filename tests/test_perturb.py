@@ -99,6 +99,19 @@ class TestMinimalK:
         assert cert.worst_pair == (1, 2)
         assert cert.worst_subset is not None
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e3])
+    def test_kernel_verdict_does_not_depend_on_scale(self, scale):
+        # Rank-one blocks with independent noise: D has mass on ker M, so no
+        # finite K exists at any scale.  An absolute floor on the kernel-mass
+        # threshold once reported this family feasible below scale 1e-3.
+        fam = noisy_family(2, (1, 1, 1), 2, seed=5, noise=0.02)
+        moved = GFrameFamily(tuple(
+            GFrame(2, tuple(scale * b for b in fr.blocks)) for fr in fam.frames
+        ))
+        cert = minimal_k(moved)
+        assert not cert.feasible
+        assert cert.k is None
+
 
 def _max_ratio_reference(d_mat, m_mat, tol):
     """One (D, M) constraint at a time, slicing the kernel of M away."""
@@ -114,7 +127,7 @@ def _max_ratio_reference(d_mat, m_mat, tol):
             np.linalg.eigvalsh(v_ker.conj().T @ d_sym @ v_ker)[-1]
         )
         d_scale = max(float(np.linalg.eigvalsh(d_sym)[-1]), 0.0)
-        if kernel_mass > tol.eq_atol * max(1.0, d_scale):
+        if kernel_mass > tol.eq_atol * d_scale:
             return None
     if not keep.any():
         return 0.0

@@ -23,7 +23,17 @@ from gweave import (
     scaled_family,
     span_criterion,
 )
-from gweave.weaving import _decode_codes
+from gweave.linalg import DEFAULT_TOL
+from gweave.weaving import (
+    DEFAULT_BUDGET,
+    WeavingReport,
+    _decode_codes,
+    _exhaustive_spectra,
+    _frame_operators,
+    _gram_tensor,
+    _partition_of,
+    _weaving_spectra,
+)
 
 from _support import (
     brute_universal_bounds,
@@ -433,3 +443,210 @@ class TestTransport:
         t_inv_norm = op_norm(np.linalg.inv(t))
         assert rep.universal_lower >= base.universal_lower / t_inv_norm**2 - 1e-8
         assert rep.universal_upper <= base.universal_upper * op_norm(t) ** 2 + 1e-8
+
+
+# The weaving sweep as it was before prefix sums: every chunk of 8192 codes
+# is decoded, gathered into a (rows, N, n, n) tensor, summed, and reduced
+# row by row.  The engine must reproduce it exactly.
+_REFERENCE_CHUNK = 8192
+
+
+def _reference_spectra(grams, labels0):
+    s = grams[np.arange(grams.shape[0]), labels0].sum(axis=1)
+    return np.linalg.eigvalsh(s)
+
+
+def _certify_reference(fam, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None, tol=DEFAULT_TOL):
+    grams = _gram_tensor(fam)
+    m, big_n = fam.m, fam.n_indices
+    best_low, best_up = np.inf, -np.inf
+    wit_low = wit_up = None
+    if mode == "exhaustive":
+        total = m**big_n
+        for start in range(0, total, _REFERENCE_CHUNK):
+            codes = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
+            labels0 = _decode_codes(codes, m, big_n)
+            w = _reference_spectra(grams, labels0)
+            i = int(np.argmin(w[:, 0]))
+            if w[i, 0] < best_low:
+                best_low, wit_low = float(w[i, 0]), labels0[i].copy()
+            i = int(np.argmax(w[:, -1]))
+            if w[i, -1] > best_up:
+                best_up, wit_up = float(w[i, -1]), labels0[i].copy()
+        checked = total
+        status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
+    else:
+        rng = np.random.default_rng(seed)
+        checked = 0
+        failed = False
+        while checked < budget and not failed:
+            take = min(_REFERENCE_CHUNK, budget - checked)
+            labels0 = rng.integers(0, m, size=(take, big_n))
+            w = _reference_spectra(grams, labels0)
+            bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
+            stop = int(np.argmax(bad)) + 1 if bad.any() else take
+            for i in range(stop):
+                if w[i, 0] < best_low:
+                    best_low, wit_low = float(w[i, 0]), labels0[i].copy()
+                if w[i, -1] > best_up:
+                    best_up, wit_up = float(w[i, -1]), labels0[i].copy()
+            checked += stop
+            failed = bool(bad.any())
+        status = "not-woven" if failed else "sampled-no-counterexample"
+    return WeavingReport(
+        status=status,
+        universal_lower=max(best_low, 0.0),
+        universal_upper=max(best_up, 0.0),
+        witness_lower=_partition_of(wit_low),
+        witness_upper=_partition_of(wit_up),
+        partitions_checked=checked,
+        mode=mode,
+        seed=seed,
+    )
+
+
+def _span_reference(fam, tol=DEFAULT_TOL):
+    grams = _gram_tensor(fam)
+    m, big_n = fam.m, fam.n_indices
+    total = m**big_n
+    maxdim = max(fam.ambient_dim, fam.coeff_dim)
+    for start in range(0, total, _REFERENCE_CHUNK):
+        codes = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
+        labels0 = _decode_codes(codes, m, big_n)
+        s = np.sqrt(np.clip(_reference_spectra(grams, labels0), 0.0, None))
+        bad = s[:, 0] <= tol.rank_rtol * s[:, -1] * maxdim
+        if bad.any():
+            return False, _partition_of(labels0[int(np.argmax(bad))])
+    return True, None
+
+
+def _late_failure_family(big_n: int = 15) -> GFrameFamily:
+    """Two members whose weavings fail exactly when labels start (2, 1).
+
+    Index 1 is e2 in member 1 and e1 in member 2, index 2 the other way
+    round, and every later block is a multiple of e1.  The first failing
+    code is ``2**(N-1)``, past the first chunk for ``N = 15``.
+    """
+    rng = np.random.default_rng(3)
+    members = []
+    for first, second in ((E2, E1), (E1, E2)):
+        rest = tuple(c * E1 for c in rng.uniform(0.5, 1.5, big_n - 2))
+        members.append(GFrame(2, (first, second) + rest))
+    return GFrameFamily(tuple(members))
+
+
+class TestEngineMatchesGatherReference:
+    """Prefix-sum engine against the gather-and-sum sweep: exact equality."""
+
+    @pytest.mark.parametrize(
+        "m, big_n",
+        [(2, 8), (3, 5), (2, 15), (3, 9)],
+        ids=["one-chunk-m2", "one-chunk-m3", "chunks-m2", "chunks-m3"],
+    )
+    def test_exhaustive_report(self, m, big_n):
+        fam = noisy_family(3, (1, 2) * (big_n // 2) + (1,) * (big_n % 2), m, seed=big_n, noise=0.2)
+        rep = certify_woven(fam)
+        assert rep == _certify_reference(fam)
+        assert rep.partitions_checked == m**big_n
+
+    # (2, 17) has a four-label prefix, so the prefix sum order shows.
+    @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9), (2, 17)])
+    def test_spectra_in_code_order(self, m, big_n):
+        fam = noisy_family(2, (1,) * big_n, m, seed=m + big_n, noise=0.3)
+        grams = _gram_tensor(fam)
+        firsts, spectra = zip(*_exhaustive_spectra(grams, m))
+        assert firsts == tuple(np.cumsum((0,) + tuple(map(len, spectra[:-1]))))
+        codes = np.arange(m**big_n, dtype=np.int64)
+        expected = _reference_spectra(grams, _decode_codes(codes, m, big_n))
+        assert np.array_equal(np.concatenate(spectra), expected)
+
+    def test_not_woven_witness_past_first_chunk(self):
+        fam = _late_failure_family()
+        rep = certify_woven(fam)
+        assert rep.status == "not-woven"
+        assert rep.witness_lower.labels[:2] == (2, 1)
+        assert rep == _certify_reference(fam)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_ties_keep_the_first_weaving_across_chunks(self, mode):
+        # Identical members: every weaving has the same frame operator bit
+        # for bit, so every chunk ties and the witnesses come from the first.
+        f = random_frame(2, (1,) * 15, seed=6)
+        fam = GFrameFamily((f, f))
+        rep = certify_woven(fam, mode=mode, budget=40_000, seed=1)
+        assert rep == _certify_reference(fam, mode=mode, budget=40_000, seed=1)
+        if mode == "exhaustive":
+            assert rep.witness_lower.labels == rep.witness_upper.labels == (1,) * 15
+
+    def test_span_witness_past_first_chunk(self):
+        fam = _late_failure_family()
+        holds, witness = span_criterion(fam)
+        assert not holds
+        assert witness.labels == (2, 1) + (1,) * 13
+        assert (holds, witness) == _span_reference(fam)
+
+    def test_span_holds(self):
+        fam = noisy_family(3, (1, 2) * 7, 2, seed=1, noise=0.2)
+        assert span_criterion(fam) == _span_reference(fam) == (True, None)
+
+    @pytest.mark.parametrize("seed", [4, 17])
+    def test_sampled_woven_runs_full_budget(self, seed):
+        fam = noisy_family(3, (1, 2) * 12, 2, seed=seed, noise=0.2)
+        rep = certify_woven(fam, mode="sampled", budget=20_000, seed=seed)
+        assert rep.status == "sampled-no-counterexample"
+        assert rep.partitions_checked == 20_000
+        assert rep == _certify_reference(fam, mode="sampled", budget=20_000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [4, 17])
+    def test_sampled_early_exit(self, seed):
+        fam = _late_failure_family()
+        rep = certify_woven(fam, mode="sampled", budget=50_000, seed=seed)
+        assert rep.status == "not-woven"
+        assert rep.partitions_checked < 50_000
+        assert rep.witness_lower.labels[:2] == (2, 1)
+        assert rep == _certify_reference(fam, mode="sampled", budget=50_000, seed=seed)
+
+    def test_sums_equal_gather(self):
+        fam = noisy_family(4, (2,) * 20, 3, seed=8, noise=0.2)
+        grams = _gram_tensor(fam)
+        labels0 = np.random.default_rng(8).integers(0, 3, size=(500, 20))
+        gathered = grams[np.arange(20), labels0].sum(axis=1)
+        assert np.array_equal(_frame_operators(grams, labels0), gathered)
+        assert np.array_equal(_weaving_spectra(grams, labels0), np.linalg.eigvalsh(gathered))
+
+
+def _swapped_members(fam: GFrameFamily) -> GFrameFamily:
+    return GFrameFamily(fam.frames[::-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), big_n=st.integers(2, 6))
+def test_swapping_members_relabels_witnesses(seed, big_n):
+    # S_sigma of the swapped family under the relabelled sigma adds the same
+    # terms in the same order, so the bounds agree bit for bit.
+    fam = noisy_family(2, (1,) * big_n, 2, seed=seed, noise=0.2)
+    base, swapped = certify_woven(fam), certify_woven(_swapped_members(fam))
+    assert swapped.universal_lower == base.universal_lower
+    assert swapped.universal_upper == base.universal_upper
+    assert swapped.status == base.status
+    flip = lambda p: tuple(3 - x for x in p.labels)  # noqa: E731
+    assert swapped.witness_lower.labels == flip(base.witness_lower)
+    assert swapped.witness_upper.labels == flip(base.witness_upper)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    modulus=st.floats(0.05, 20.0),
+    sign=st.sampled_from([1.0, -1.0, 1j, -1j]),
+)
+def test_common_scaling_scales_bounds(seed, modulus, sign):
+    fam = noisy_family(2, (1, 1, 2, 1), 2, seed=seed, noise=0.05)
+    c = modulus * sign
+    scaled = GFrameFamily(tuple(
+        GFrame(2, tuple(c * b for b in fr.blocks)) for fr in fam.frames
+    ))
+    base, rep = certify_woven(fam), certify_woven(scaled)
+    assert rep.status == base.status
+    assert rep.universal_lower == pytest.approx(abs(c) ** 2 * base.universal_lower, rel=1e-12)
+    assert rep.universal_upper == pytest.approx(abs(c) ** 2 * base.universal_upper, rel=1e-12)
