@@ -11,7 +11,8 @@ Exit codes
 6   certificate hypothesis fails (report still emitted)
 
 The default partition budget is 10**6 and can be overridden by the
-``GWEAVE_BUDGET`` environment variable or per-command ``--budget``.
+``GWEAVE_BUDGET`` environment variable or per-command ``--budget``; a
+budget below 1 is bad usage (exit 2).
 All reports carry the tool version, tolerance settings and seed, and JSON
 output is byte-stable across runs.
 """

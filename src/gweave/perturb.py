@@ -34,8 +34,8 @@ from .gframe import (
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm, rank
 from .weaving import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     GFrameFamily,
+    _check_budget,
     _gram_tensor,
 )
 
@@ -283,10 +283,7 @@ def minimal_k(
     occurrence tie-break match a one-subset-at-a-time loop exactly.
     """
     big_n, m = fam.n_indices, fam.m
-    if 2**big_n > budget:
-        raise BudgetExceededError(
-            f"subset sweep needs 2^{big_n} = {2 ** big_n} subsets, budget is {budget}"
-        )
+    _check_budget(budget, "subset sweep needs", 2, big_n, "subsets")
     n = fam.ambient_dim
     pairs = [(j, l) for j in range(m) for l in range(j + 1, m)]
     # Per index: the m member Grams, then one difference Gram per pair.

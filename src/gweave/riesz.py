@@ -12,17 +12,18 @@ every subset inequality to the full-set one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 
 from .gframe import GFrame, frame_bounds, synthesis_matrix
 from .linalg import DEFAULT_TOL, Tolerance, rank
 from .weaving import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     GFrameFamily,
     Partition,
+    _check_budget,
+    _decode_codes,
+    _fold_extremes,
+    _partition_of,
 )
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "permutation_weave",
     "equivalence_constants",
 ]
+
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,43 @@ def riesz_bounds(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> RieszBounds:
     return RieszBounds(lower=lower, upper=upper, complete=complete, is_basis=is_basis)
 
 
-def _weaving_synthesis(fam: GFrameFamily, labels0) -> np.ndarray:
-    cols = [fam.frames[l].blocks[i].conj().T for i, l in enumerate(labels0)]
-    return np.hstack(cols)
+def _pair_partition_chunks(dims):
+    """Yield ``(labels0, col_owner)`` for all ``2**N`` two-member partitions.
+
+    A chunk holds ``_CHUNK`` consecutive codes in lexicographic order (index
+    1 most significant): ``labels0`` has one row of 0-based labels per
+    partition and ``col_owner`` marks the coefficient columns that the
+    partition takes from the second member.
+    """
+    big_n = len(dims)
+    total = 2**big_n
+    for first in range(0, total, _CHUNK):
+        labels0 = _decode_codes(np.arange(first, min(first + _CHUNK, total)), 2, big_n)
+        yield labels0, np.repeat(labels0 == 1, dims, axis=1)
 
 
-def _all_pair_partitions(big_n: int):
-    """All 0-based label vectors for m = 2, in lexicographic order."""
-    return product((0, 1), repeat=big_n)
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``float(v) ** 2`` for each entry.
+
+    Python squares a float with libm ``pow``; numpy's ``x ** 2`` computes
+    ``x * x``, which differs from ``pow`` in the last bit for some inputs.
+    """
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _weaving_singular_values(fam: GFrameFamily):
+    """Yield ``(labels0, s)``: singular values of each weaving's synthesis
+    matrix, one batched SVD per chunk of partitions."""
+    t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
+    for labels0, owner in _pair_partition_chunks(fam.block_dims):
+        stack = np.where(owner[:, None, :], t_second, t_first)
+        yield labels0, np.linalg.svd(stack, compute_uv=False)
+
+
+def _fold_riesz(best: tuple, labels0: np.ndarray, s: np.ndarray) -> tuple:
+    """Fold a chunk's squared extreme singular values into ``best``."""
+    w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
+    return _fold_extremes(best, w, labels0)
 
 
 def weaving_riesz_check(
@@ -127,35 +159,26 @@ def weaving_riesz_check(
     Both members must be g-Riesz bases, so every weaving has a square
     synthesis matrix and an injective weaving is automatically onto: if all
     weavings keep a positive lower Riesz constant, every weaving is a
-    g-Riesz basis and the pair is woven.
+    g-Riesz basis and the pair is woven.  Witnesses are the first partition
+    in lexicographic order that attains each bound.
     """
     if fam.m != 2:
         raise ValueError("the Riesz weaving check is defined for two-member families")
     for j, fr in enumerate(fam.frames, start=1):
         if not riesz_bounds(fr, tol).is_basis:
             raise ValueError(f"member {j} is not a g-Riesz basis")
-    big_n = fam.n_indices
-    total = 2**big_n
-    if total > budget:
-        raise BudgetExceededError(
-            f"Riesz weaving check needs 2^{big_n} = {total} weavings, budget is {budget}"
-        )
-    best_low, best_up = np.inf, -np.inf
-    wit_low = wit_up = None
-    for labels0 in _all_pair_partitions(big_n):
-        s = np.linalg.svd(_weaving_synthesis(fam, labels0), compute_uv=False)
-        low, up = float(s[-1]) ** 2, float(s[0]) ** 2
-        if low < best_low:
-            best_low, wit_low = low, labels0
-        if up > best_up:
-            best_up, wit_up = up, labels0
+    total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
+    best = (np.inf, None, -np.inf, None)
+    for labels0, s in _weaving_singular_values(fam):
+        best = _fold_riesz(best, labels0, s)
+    best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
     woven = best_low > tol.frame_rtol * best_up
     return WeavingRieszReport(
         woven=woven,
         common_lower=max(best_low, 0.0),
         common_upper=best_up,
-        witness_lower=Partition(tuple(x + 1 for x in wit_low)),
-        witness_upper=Partition(tuple(x + 1 for x in wit_up)),
+        witness_lower=_partition_of(rows_low[i_low]),
+        witness_upper=_partition_of(rows_up[i_up]),
         partitions_checked=total,
     )
 
@@ -190,24 +213,17 @@ def permutation_weave(
     recoded = GFrame(f.ambient_dim, tuple(f.blocks[target - 1] for target in pi))
     fam = GFrameFamily((f, recoded))
 
-    total = 2**big_n
-    if total > budget:
-        raise BudgetExceededError(
-            f"permutation weave needs 2^{big_n} = {total} weavings, budget is {budget}"
-        )
+    _check_budget(budget, "permutation weave needs", 2, big_n)
     fb = frame_bounds(f, tol)
     maxdim = max(f.ambient_dim, f.coeff_dim)
-    best_low, best_up = np.inf, -np.inf
-    wit_low = None
+    best = (np.inf, None, -np.inf, None)
     span_low_min = np.inf
-    for labels0 in _all_pair_partitions(big_n):
-        s = np.linalg.svd(_weaving_synthesis(fam, labels0), compute_uv=False)
-        low, up = float(s[-1]) ** 2, float(s[0]) ** 2
-        if low < best_low:
-            best_low, wit_low = low, labels0
-        best_up = max(best_up, up)
-        live = s[s > tol.rank_rtol * s[0] * maxdim]
-        span_low_min = min(span_low_min, float(live[-1]) ** 2)
+    for labels0, s in _weaving_singular_values(fam):
+        best = _fold_riesz(best, labels0, s)
+        # Singular values come sorted, so the live ones are a prefix.
+        live = (s > tol.rank_rtol * s[:, :1] * maxdim).sum(axis=1)
+        span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
+    best_low, (rows_low, i_low), best_up, _ = best
     woven = best_low > tol.frame_rtol * best_up
     return PermutationWeaveReport(
         permutation=pi,
@@ -217,20 +233,30 @@ def permutation_weave(
         base_upper=fb.upper,
         universal_lower=max(best_low, 0.0),
         universal_upper=best_up,
-        span_lower_min=span_low_min,
-        witness=None if woven else Partition(tuple(x + 1 for x in wit_low)),
+        span_lower_min=float(span_low_min),
+        witness=None if woven else _partition_of(rows_low[i_low]),
     )
 
 
-def _range_basis(mat: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis of the numerical column range."""
-    if mat.shape[1] == 0:
-        return mat
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return u[:, :0]
-    keep = s > tol.rank_rtol * s[0] * max(mat.shape)
-    return u[:, keep]
+def _range_bases(mats: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors of a stack of matrices, and each one's rank.
+
+    The first ``rank`` columns of each ``u`` are an orthonormal basis of
+    that matrix's numerical column range.
+    """
+    if mats.shape[-1] == 0:
+        return mats, np.zeros(len(mats), dtype=np.int64)
+    u, s, _ = np.linalg.svd(mats, full_matrices=False)
+    return u, (s > tol.rank_rtol * s[:, :1] * max(mats.shape[1:])).sum(axis=1)
+
+
+def _column_major(stack: np.ndarray) -> np.ndarray:
+    """The stack with each matrix stored column-major.
+
+    matmul picks its BLAS route from the layout and the last bits of the
+    product depend on the route; this is the layout of a 2-D ``u[:, keep]``.
+    """
+    return np.ascontiguousarray(stack.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def equivalence_constants(
@@ -248,51 +274,50 @@ def equivalence_constants(
     blocks.  The split-sum condition reduces to the smallest singular value
     of the concatenated orthonormal range bases.  Partitions whose
     denominator form vanishes identically contribute no constraint.
+
+    Each chunk of partitions is split into groups of equal shapes (left
+    column count, left rank, right rank), and each group is one batched
+    SVD per quantity.
     """
     if fam.m != 2:
         raise ValueError("equivalence constants are defined for two-member families")
-    t_first = synthesis_matrix(fam.frames[0])
-    t_second = synthesis_matrix(fam.frames[1])
-    dims = np.asarray(fam.block_dims)
-    big_n = fam.n_indices
-    total = 2**big_n
-    if total > budget:
-        raise BudgetExceededError(
-            f"equivalence constants need 2^{big_n} = {total} partitions, budget is {budget}"
-        )
-    n = fam.ambient_dim
+    _check_budget(budget, "equivalence constants need", 2, fam.n_indices, "partitions")
+    n, c = fam.ambient_dim, fam.coeff_dim
+    # Column j < c is column j of the first member; column c + j, of the second.
+    t_both = np.hstack([synthesis_matrix(fr) for fr in fam.frames])
 
     riesz_low, riesz_up = np.inf, -np.inf
     a2 = np.inf
     d3 = np.inf
-    for labels0 in _all_pair_partitions(big_n):
-        col_owner = np.repeat(np.asarray(labels0), dims)
-        left = t_first[:, col_owner == 0]
-        right = t_second[:, col_owner == 1]
+    for _, owner in _pair_partition_chunks(fam.block_dims):
+        left_count = c - owner.sum(axis=1)
+        for cl in np.unique(left_count):
+            rows = owner[left_count == cl]
+            # Each row's left columns in index order, then its right columns.
+            order = np.argsort(rows, axis=1, kind="stable")
+            cols = order + c * np.take_along_axis(rows, order, axis=1)
+            weave = t_both[:, cols].transpose(1, 0, 2)
+            s = np.linalg.svd(weave, compute_uv=False)
+            riesz_up = max(riesz_up, _squares(s[:, 0]).max())
+            riesz_low = min(riesz_low, 0.0 if c > n else _squares(s[:, -1]).min())
 
-        weave = np.hstack([left, right])
-        s = np.linalg.svd(weave, compute_uv=False)
-        up = float(s[0]) ** 2
-        low = 0.0 if weave.shape[1] > n else float(s[-1]) ** 2
-        riesz_low, riesz_up = min(riesz_low, low), max(riesz_up, up)
-
-        o_left = _range_basis(left, tol)
-        o_right = _range_basis(right, tol)
-
-        if o_left.shape[1] > 0:
-            if o_right.shape[1] == 0:
-                a2 = min(a2, 1.0)
-            else:
-                overlap = np.linalg.svd(o_right.conj().T @ o_left, compute_uv=False)
-                a2 = min(a2, max(0.0, 1.0 - float(overlap[0]) ** 2))
-
-        mix = np.hstack([o_left, o_right])
-        if mix.shape[1] > 0:
-            if mix.shape[1] > n:
-                d3 = min(d3, 0.0)
-            else:
-                sm = np.linalg.svd(mix, compute_uv=False)
-                d3 = min(d3, float(sm[-1]) ** 2)
+            u_left, r_left = _range_bases(weave[..., :cl], tol)
+            u_right, r_right = _range_bases(weave[..., cl:], tol)
+            for rl, rr in sorted(set(zip(r_left.tolist(), r_right.tolist()))):
+                sel = (r_left == rl) & (r_right == rr)
+                o_left = _column_major(u_left[sel, :, :rl])
+                o_right = _column_major(u_right[sel, :, :rr])
+                if rl > 0 and rr == 0:
+                    a2 = min(a2, 1.0)
+                elif rl > 0:
+                    gram = o_right.conj().swapaxes(-1, -2) @ o_left
+                    overlap = np.linalg.svd(gram, compute_uv=False)
+                    a2 = min(a2, max(0.0, 1.0 - _squares(overlap[:, 0]).max()))
+                if rl + rr > n:
+                    d3 = min(d3, 0.0)
+                elif rl + rr > 0:
+                    mix = np.concatenate([o_left, o_right], axis=-1)
+                    d3 = min(d3, _squares(np.linalg.svd(mix, compute_uv=False)[:, -1]).min())
 
     return EquivalenceConstants(
         riesz_low=max(float(riesz_low), 0.0),

@@ -45,6 +45,26 @@ class BudgetExceededError(RuntimeError):
     """Raised when exhaustive enumeration would exceed the partition budget."""
 
 
+def _check_budget(
+    budget: int, needs: str = "", m: int = 1, big_n: int = 0, unit: str = "weavings"
+) -> int:
+    """Check a partition budget before any work; return ``m**big_n``.
+
+    A budget below one is a ``ValueError``.  A sweep of ``m**big_n`` items
+    over budget is a ``BudgetExceededError`` whose message starts with
+    ``needs`` and states ``m^N``; without a sweep size (sampled mode) only
+    the lower limit applies.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    total = m**big_n
+    if total > budget:
+        raise BudgetExceededError(
+            f"{needs} {m}^{big_n} = {total} {unit}, budget is {budget}"
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class Partition:
     """Assignment of each index ``i`` (1..N) to a weave label in 1..m.
@@ -289,20 +309,16 @@ def certify_woven(
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    grams = _gram_tensor(fam)
     m, big_n = fam.m, fam.n_indices
+    if mode == "exhaustive":
+        total = _check_budget(budget, "exhaustive certification needs", m, big_n)
+    else:
+        _check_budget(budget)
+    grams = _gram_tensor(fam)
 
     best = (np.inf, None, -np.inf, None)
 
     if mode == "exhaustive":
-        total = m**big_n
-        if total > budget:
-            raise BudgetExceededError(
-                f"exhaustive certification needs {m}^{big_n} = {total} weavings, "
-                f"budget is {budget}"
-            )
         for first, w in _exhaustive_spectra(grams, m):
             best = _fold_extremes(best, w, first)
         best_low, (first_low, i_low), best_up, (first_up, i_up) = best
@@ -351,13 +367,9 @@ def span_criterion(
     lexicographically first partition whose stacked weaving matrix is rank
     deficient is returned as a witness.
     """
-    grams = _gram_tensor(fam)
     m, big_n = fam.m, fam.n_indices
-    total = m**big_n
-    if total > budget:
-        raise BudgetExceededError(
-            f"span check needs {m}^{big_n} = {total} weavings, budget is {budget}"
-        )
+    _check_budget(budget, "span check needs", m, big_n)
+    grams = _gram_tensor(fam)
     maxdim = max(fam.ambient_dim, fam.coeff_dim)
     for first, w in _exhaustive_spectra(grams, m):
         s = np.sqrt(np.clip(w, 0.0, None))
@@ -485,17 +497,15 @@ def removal_bound(
 def frame_op_norm_check(
     fam: GFrameFamily,
     p: Partition,
-    trials: int = 1000,
-    seed: int | None = 0,
     upper: float | None = None,
 ) -> float:
     """Max violation of the restricted frame-operator norm inequality.
 
-    For random unit vectors f, computes
-    ``sum_j ||restricted_op_j f||^2 - B * ||S_weaving|| * ||f||^2`` where
-    ``restricted_op_j`` sums member j's Gram terms over its own group.  ``B``
-    defaults to the Bessel-sum surrogate.  The result should never exceed
-    numerical noise.
+    The maximum over unit vectors f of
+    ``sum_j ||R_j f||^2 - B * ||S_weaving||``, where ``R_j`` sums member j's
+    Gram terms over its own group, is ``lambda_max(sum_j R_j* R_j) - B *
+    ||S_weaving||``.  ``B`` defaults to the Bessel-sum surrogate.  The
+    result should never exceed numerical noise.
     """
     labels0 = _validate_labels(fam, p)
     n = fam.ambient_dim
@@ -503,18 +513,11 @@ def frame_op_norm_check(
     s_psi = frame_operator(assemble_weaving(fam, p))
     norm_psi = hermitian_extremes(s_psi)[1]
 
-    parts = []
+    lhs = np.zeros((n, n), dtype=np.complex128)
     for j, fr in enumerate(fam.frames):
         r = np.zeros((n, n), dtype=np.complex128)
         for i in np.flatnonzero(labels0 == j):
             b = fr.blocks[i]
             r += b.conj().T @ b
-        parts.append(r)
-
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
-    f /= np.linalg.norm(f, axis=0)
-    lhs = np.zeros(trials)
-    for r in parts:
-        lhs += np.sum(np.abs(r @ f) ** 2, axis=0)
-    return float(np.max(lhs - b_upper * norm_psi))
+        lhs += r.conj().T @ r
+    return hermitian_extremes(lhs)[1] - b_upper * norm_psi

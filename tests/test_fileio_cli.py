@@ -222,6 +222,27 @@ class TestWeaveCommand:
         assert "budget must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("weave", ("--mode", "exhaustive")),
+            ("riesz", ()),
+            ("riesz", ("--permutation", "2,1")),
+            ("certify", ("--theorem", "k")),
+        ],
+        ids=["weave", "riesz", "riesz-permutation", "certify-k"],
+    )
+    def test_every_command_rejects_budget_below_one(
+        self, copies_family_file, frame_file, capsys, command, extra, budget
+    ):
+        path = frame_file if "--permutation" in extra else copies_family_file
+        code = main([command, str(path), *extra, "--budget", budget])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "budget must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_sampled_determinism(self, swapped_family_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["weave", str(swapped_family_file), "--mode", "sampled",

@@ -1,11 +1,14 @@
-from itertools import permutations
+import dataclasses
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from gweave import (
+    BudgetExceededError,
     GFrame,
     GFrameFamily,
+    Partition,
     apply_operator,
     certify_woven,
     equivalence_constants,
@@ -17,6 +20,8 @@ from gweave import (
     weaving_riesz_check,
 )
 from gweave.generate import GenSpec, generate
+from gweave.linalg import DEFAULT_TOL
+from gweave.riesz import EquivalenceConstants, PermutationWeaveReport, WeavingRieszReport
 
 from _support import onb_frame, random_frame, riesz_pair, rotation
 
@@ -134,6 +139,26 @@ class TestPermutationWeave:
             permutation_weave(GFrame(2, (E1, E2, E1)), (1, 2, 3))
 
 
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_rejects_budget_below_one(self, budget):
+        fam = rotated_onb_pair()
+        for sweep in (weaving_riesz_check, equivalence_constants):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                sweep(fam, budget=budget)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            permutation_weave(onb_frame(2), (2, 1), budget=budget)
+
+    def test_exceeded_budget_states_the_sweep_size(self):
+        fam = rotated_onb_pair()
+        with pytest.raises(BudgetExceededError, match=r"2\^2 = 4 weavings, budget is 3"):
+            weaving_riesz_check(fam, budget=3)
+        with pytest.raises(BudgetExceededError, match=r"2\^2 = 4 partitions, budget is 3"):
+            equivalence_constants(fam, budget=3)
+        with pytest.raises(BudgetExceededError, match=r"2\^2 = 4 weavings, budget is 3"):
+            permutation_weave(onb_frame(2), (2, 1), budget=3)
+
+
 class TestEquivalenceConstants:
     def test_identical_onb(self):
         f = onb_frame(2)
@@ -184,3 +209,208 @@ class TestEquivalenceConstants:
         f = random_frame(2, (1, 1), seed=1)
         with pytest.raises(ValueError, match="two-member"):
             equivalence_constants(GFrameFamily((f, f, f)))
+
+
+# The Riesz sweeps as they were before batching: one partition at a time in
+# lexicographic order, one SVD per matrix, squares taken with Python floats.
+# The chunked sweeps must reproduce them exactly.
+
+
+def _reference_synthesis(fam, labels0):
+    return np.hstack([fam.frames[l].blocks[i].conj().T for i, l in enumerate(labels0)])
+
+
+def _reference_range_basis(mat, tol):
+    if mat.shape[1] == 0:
+        return mat
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return u[:, :0]
+    keep = s > tol.rank_rtol * s[0] * max(mat.shape)
+    return u[:, keep]
+
+
+def _weaving_riesz_reference(fam, tol=DEFAULT_TOL):
+    big_n = fam.n_indices
+    best_low, best_up = np.inf, -np.inf
+    wit_low = wit_up = None
+    for labels0 in product((0, 1), repeat=big_n):
+        s = np.linalg.svd(_reference_synthesis(fam, labels0), compute_uv=False)
+        low, up = float(s[-1]) ** 2, float(s[0]) ** 2
+        if low < best_low:
+            best_low, wit_low = low, labels0
+        if up > best_up:
+            best_up, wit_up = up, labels0
+    return WeavingRieszReport(
+        woven=best_low > tol.frame_rtol * best_up,
+        common_lower=max(best_low, 0.0),
+        common_upper=best_up,
+        witness_lower=Partition(tuple(x + 1 for x in wit_low)),
+        witness_upper=Partition(tuple(x + 1 for x in wit_up)),
+        partitions_checked=2**big_n,
+    )
+
+
+def _permutation_reference(f, pi, tol=DEFAULT_TOL):
+    big_n = f.n_blocks
+    fam = GFrameFamily((f, GFrame(f.ambient_dim, tuple(f.blocks[t - 1] for t in pi))))
+    fb = frame_bounds(f, tol)
+    maxdim = max(f.ambient_dim, f.coeff_dim)
+    best_low, best_up = np.inf, -np.inf
+    wit_low = None
+    span_low_min = np.inf
+    for labels0 in product((0, 1), repeat=big_n):
+        s = np.linalg.svd(_reference_synthesis(fam, labels0), compute_uv=False)
+        low, up = float(s[-1]) ** 2, float(s[0]) ** 2
+        if low < best_low:
+            best_low, wit_low = low, labels0
+        best_up = max(best_up, up)
+        live = s[s > tol.rank_rtol * s[0] * maxdim]
+        span_low_min = min(span_low_min, float(live[-1]) ** 2)
+    woven = best_low > tol.frame_rtol * best_up
+    return PermutationWeaveReport(
+        permutation=tuple(pi),
+        identity=tuple(pi) == tuple(range(1, big_n + 1)),
+        woven=woven,
+        base_lower=fb.lower,
+        base_upper=fb.upper,
+        universal_lower=max(best_low, 0.0),
+        universal_upper=best_up,
+        span_lower_min=span_low_min,
+        witness=None if woven else Partition(tuple(x + 1 for x in wit_low)),
+    )
+
+
+def _equivalence_reference(fam, tol=DEFAULT_TOL):
+    t_first = synthesis_matrix(fam.frames[0])
+    t_second = synthesis_matrix(fam.frames[1])
+    dims = np.asarray(fam.block_dims)
+    n = fam.ambient_dim
+    riesz_low, riesz_up = np.inf, -np.inf
+    a2 = np.inf
+    d3 = np.inf
+    for labels0 in product((0, 1), repeat=fam.n_indices):
+        col_owner = np.repeat(np.asarray(labels0), dims)
+        left = t_first[:, col_owner == 0]
+        right = t_second[:, col_owner == 1]
+
+        weave = np.hstack([left, right])
+        s = np.linalg.svd(weave, compute_uv=False)
+        up = float(s[0]) ** 2
+        low = 0.0 if weave.shape[1] > n else float(s[-1]) ** 2
+        riesz_low, riesz_up = min(riesz_low, low), max(riesz_up, up)
+
+        o_left = _reference_range_basis(left, tol)
+        o_right = _reference_range_basis(right, tol)
+        if o_left.shape[1] > 0:
+            if o_right.shape[1] == 0:
+                a2 = min(a2, 1.0)
+            else:
+                overlap = np.linalg.svd(o_right.conj().T @ o_left, compute_uv=False)
+                a2 = min(a2, max(0.0, 1.0 - float(overlap[0]) ** 2))
+
+        mix = np.hstack([o_left, o_right])
+        if mix.shape[1] > 0:
+            if mix.shape[1] > n:
+                d3 = min(d3, 0.0)
+            else:
+                sm = np.linalg.svd(mix, compute_uv=False)
+                d3 = min(d3, float(sm[-1]) ** 2)
+    return EquivalenceConstants(
+        riesz_low=max(float(riesz_low), 0.0),
+        riesz_up=float(riesz_up),
+        a2=float(a2),
+        d3=float(d3),
+        e4=float(a2),
+    )
+
+
+def _code(p):
+    return int("".join(str(x - 1) for x in p.labels), 2)
+
+
+def _basis(dims, seed):
+    return generate(GenSpec(sum(dims), dims, "riesz-basis", seed))
+
+
+def _assert_pair_matches(fam):
+    assert dataclasses.astuple(weaving_riesz_check(fam)) == dataclasses.astuple(
+        _weaving_riesz_reference(fam)
+    )
+    assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
+        _equivalence_reference(fam)
+    )
+
+
+def _assert_permutation_matches(f, pi):
+    assert dataclasses.astuple(permutation_weave(f, pi)) == dataclasses.astuple(
+        _permutation_reference(f, pi)
+    )
+
+
+class TestBatchedSweepsMatchReferenceLoops:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_multi_chunk_pair_with_late_witnesses(self, seed):
+        fam = riesz_pair(9, seed=seed)  # 512 partitions: 4 chunks of 128
+        rep = weaving_riesz_check(fam)
+        assert min(_code(rep.witness_lower), _code(rep.witness_upper)) >= 128
+        _assert_pair_matches(fam)
+
+    @pytest.mark.parametrize(
+        "pi", [(2, 1, 3, 4, 5, 6, 7, 8, 9), (9, 8, 7, 6, 5, 4, 3, 2, 1), tuple(range(1, 10))]
+    )
+    def test_multi_chunk_permutation(self, pi):
+        f = _basis((1,) * 9, 3)
+        _assert_permutation_matches(f, pi)
+
+    def test_permutation_witness_opens_the_second_chunk(self):
+        rep = permutation_weave(_basis((1,) * 9, 3), (2, 1, 3, 4, 5, 6, 7, 8, 9))
+        assert _code(rep.witness) == 128
+
+    def test_ties_across_chunks_keep_the_first_partition(self):
+        f = _basis((1,) * 9, 5)
+        fam = GFrameFamily((f, f))
+        rep = weaving_riesz_check(fam)
+        # Every weaving is the same matrix, so the first partition wins both ties.
+        assert rep.witness_lower.labels == rep.witness_upper.labels == (1,) * 9
+        _assert_pair_matches(fam)
+        _assert_permutation_matches(f, tuple(range(1, 10)))
+
+    @pytest.mark.parametrize("seed", [12, 16, 22, 25, 34])
+    def test_mixed_dims_with_single_column_side(self, seed):
+        # Range bases with one column take a different BLAS route in the
+        # overlap product unless laid out as the 2-D path lays them out.
+        dims = (2, 1, 3)
+        _assert_pair_matches(GFrameFamily((_basis(dims, seed), _basis(dims, seed + 100))))
+
+    def test_squares_use_python_pow(self):
+        # numpy's x * x differs from float ** 2 here in universal_upper.
+        _assert_permutation_matches(_basis((1, 2, 1, 2), 52), (3, 2, 1, 4))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_dims_permutations(self, seed):
+        f = _basis((1, 2, 1, 2, 1), seed)
+        for pi in [(3, 4, 5, 2, 1), (5, 2, 1, 4, 3), (1, 2, 3, 4, 5)]:
+            _assert_permutation_matches(f, pi)
+
+    def test_equivalence_with_redundant_member(self):
+        redundant = GFrame(2, (E1, E2, E1))
+        fam = GFrameFamily((redundant, random_frame(2, (1, 1, 1), seed=3)))
+        # Labels (1, 2, 1) keep E1 twice on the left: rank 1 below min(n, 2).
+        assert np.linalg.matrix_rank(synthesis_matrix(redundant)[:, [0, 2]]) == 1
+        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
+            _equivalence_reference(fam)
+        )
+
+    @pytest.mark.parametrize("n, seed", [(3, 4), (3, 6), (9, 3)])
+    def test_equivalence_with_rank_deficient_side(self, n, seed):
+        # The second member repeats its first block, so the right side of
+        # some partitions has fewer independent columns than columns.  On
+        # these seeds a2 and d3 change if a rank-deficient side is treated
+        # as full rank; n = 9 spans four chunks.
+        other = _basis((1,) * n, seed + 100)
+        degenerate = GFrame(n, other.blocks[:-1] + other.blocks[:1])
+        fam = GFrameFamily((_basis((1,) * n, seed), degenerate), allow_degenerate=True)
+        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
+            _equivalence_reference(fam)
+        )

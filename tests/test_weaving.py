@@ -17,12 +17,14 @@ from gweave import (
     certify_woven,
     frame_bounds,
     frame_op_norm_check,
+    minimal_k,
     op_norm,
     removal_bound,
     restrict_family,
     scaled_family,
     span_criterion,
 )
+from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL
 from gweave.weaving import (
     DEFAULT_BUDGET,
@@ -183,6 +185,13 @@ class TestCertifyWoven:
         fam = noisy_family(2, (1, 1, 1), 2, seed=0)
         with pytest.raises(ValueError, match="budget must be >= 1"):
             certify_woven(fam, mode=mode, budget=budget, seed=1)
+
+    @pytest.mark.parametrize("sweep", [span_criterion, minimal_k])
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_other_sweeps_reject_budget_below_one(self, sweep, budget):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=0)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            sweep(fam, budget=budget)
 
     def test_sampled_finds_counterexample(self):
         rep = certify_woven(swapped_onb_family(), mode="sampled", budget=500, seed=3)
@@ -360,19 +369,40 @@ class TestRestrictFamily:
 class TestFrameOpNormCheck:
     def test_single_member_partition(self):
         fam = noisy_family(2, (1, 1, 1), 2, seed=5)
-        assert frame_op_norm_check(fam, Partition((2, 2, 2)), trials=200, seed=1) <= 1e-9
+        assert frame_op_norm_check(fam, Partition((2, 2, 2))) <= 1e-9
 
     def test_two_parseval_copies(self):
         f = onb_frame(2)
         fam = GFrameFamily((f, f))
-        assert frame_op_norm_check(fam, Partition((1, 2)), trials=500, seed=2) <= 1e-9
+        assert frame_op_norm_check(fam, Partition((1, 2))) <= 1e-9
 
     def test_random_partitions(self):
         fam = independent_family(3, (1, 2, 1), 2, seed=10)
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = Partition(tuple(int(x) for x in rng.integers(1, 3, size=3)))
-            assert frame_op_norm_check(fam, p, trials=1000, seed=4) <= 1e-9
+            assert frame_op_norm_check(fam, p) <= 1e-9
+
+    def test_closed_form_is_the_maximum_over_unit_vectors(self):
+        # lambda_max(sum_j R_j* R_j) - B ||S||, attained at the top
+        # eigenvector; random unit vectors only approach it from below.
+        fam = generate(GenSpec(4, (1,) * 6, "perturbed", seed=3))
+        p = Partition((1, 2, 1, 2, 2, 1))
+        value = frame_op_norm_check(fam, p)
+        shift = bessel_sum_bound(fam) * frame_bounds(assemble_weaving(fam, p)).upper
+        parts = [
+            sum(b.conj().T @ b for i, b in enumerate(fr.blocks) if p.labels[i] == j + 1)
+            for j, fr in enumerate(fam.frames)
+        ]
+        _, v = np.linalg.eigh(sum(r.conj().T @ r for r in parts))
+        top = v[:, -1]
+        attained = sum(np.linalg.norm(r @ top) ** 2 for r in parts) - shift
+        assert value == pytest.approx(attained, rel=1e-12, abs=1e-12)
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal((4, 1000)) + 1j * rng.standard_normal((4, 1000))
+        f /= np.linalg.norm(f, axis=0)
+        lhs = sum(np.sum(np.abs(r @ f) ** 2, axis=0) for r in parts)
+        assert np.max(lhs) - shift <= value + 1e-12
 
 
 class TestDualWeaving:
