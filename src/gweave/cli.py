@@ -12,7 +12,9 @@ Exit codes
 
 The default partition budget is 10**6 and can be overridden by the
 ``GWEAVE_BUDGET`` environment variable or per-command ``--budget``; a
-budget below 1 is bad usage (exit 2).
+budget below 1 is bad usage (exit 2).  The budget caps enumerations only:
+``certify --theorem k`` solves N singleton constraints, so there it limits
+just the weavings of ``--cross-check``.
 All reports carry the tool version, tolerance settings and seed, and JSON
 output is byte-stable across runs.
 """

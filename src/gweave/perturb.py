@@ -5,7 +5,10 @@ lower bound prediction that is sound for *every* weaving:
 
 * :func:`minimal_k` - pairwise block differences dominated by ``K`` times
   either member's restricted energy, over every index subset; yields the
-  lower bound ``sum(A_j) / (2 (m-1) (K+1) + 1)``.
+  lower bound ``sum(A_j) / (2 (m-1) (K+1) + 1)``.  By the mediant
+  inequality the largest singleton constraint bounds every subset, and a
+  subset is infeasible only if one of its singletons is, so ``N`` singleton
+  constraints per pair decide the certificate exactly.
 * :func:`perturbation_certificate` / :func:`chained_certificate` -
   closeness of synthesis operators measured by scalars (lambda, eta, mu);
   the exact mode covers the lambda-only case, where the full index set
@@ -27,8 +30,8 @@ import numpy as np
 
 from .gframe import (
     GFrame,
+    _inverse_frame_operator,
     frame_bounds,
-    frame_operator,
     synthesis_matrix,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm, rank
@@ -54,11 +57,6 @@ __all__ = [
 # Pure floating-point-noise slack for the exact-mode scalar comparison; it
 # perturbs the certified bound by far less than any stated test tolerance.
 _GAP_SLACK = 1e-12
-
-# log2 of the subsets per chunk of the minimal_k sweep.  Of 2**6 .. 2**12,
-# 2**8 ran fastest on the certify benchmark shapes (n = 3); memory per
-# chunk grows with its size.
-_K_CHUNK_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -238,30 +236,6 @@ def _make_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _chunk_ratios(table, terms, high, pairs, tol):
-    """Ratios and infeasibility flags of one chunk of subsets.
-
-    Row ``r`` of the chunk is the subset with code ``high * len(table) + r``:
-    its low indices come from ``table`` and the high indices set in
-    ``high`` are added one at a time in increasing order.  Both results
-    have shape (subsets, pairs, 2), ordered as (subset, pair, member).
-    """
-    low = len(table).bit_length() - 1
-    m = terms.shape[1] - len(pairs)
-    sym = table.copy()
-    for i in range(low, len(terms)):
-        if high >> (i - low) & 1:
-            sym += terms[i]
-    _make_hermitian(sym)
-    shape = (len(sym), len(pairs), 2)
-    ratios = np.empty(shape)
-    infeasible = np.empty(shape, dtype=bool)
-    # One pair at a time keeps the stacks at 2 matrices per subset for any m.
-    for p, (j, l) in enumerate(pairs):
-        ratios[:, p], infeasible[:, p] = _max_ratios(sym[:, m + p, None], sym[:, [j, l]], tol)
-    return ratios, infeasible
-
-
 def minimal_k(
     fam: GFrameFamily,
     budget: int = DEFAULT_BUDGET,
@@ -269,65 +243,59 @@ def minimal_k(
 ) -> KCertificate:
     """Minimal ``K`` dominating all pairwise block differences.
 
-    For every nonempty index subset and every unordered member pair, the
-    difference Gram must be dominated by ``K`` times the restricted Gram of
-    *each* member of the pair.  The minimal per-constraint ``K`` is a
-    generalized eigenvalue; the certificate reports the maximum over all
-    constraints, or infeasibility when some kernel carries difference
-    energy.
+    For every nonempty index subset ``S`` and every unordered member pair,
+    the difference Gram ``D_S`` must be dominated by ``K`` times the
+    restricted Gram ``M_S`` of *each* member of the pair.  The minimal
+    per-constraint ``K(S)`` is a generalized eigenvalue; the certificate
+    reports the maximum over all constraints, or infeasibility when some
+    kernel carries difference energy.
 
-    Subsets are swept in chunks of ``2**_K_CHUNK_BITS`` consecutive codes,
-    each solved as one stack of eigenproblems.  Every sum adds its terms in
-    increasing index order, and constraints are scanned in (subset code,
-    pair, member) order, so the certificate, its witness and its first-
-    occurrence tie-break match a one-subset-at-a-time loop exactly.
+    The singletons decide it.  Fix ``x`` and let ``a_i = x* D_i x`` and
+    ``c_i = x* M_i x``, both nonnegative.  If every singleton is feasible
+    (``a_i = 0`` wherever ``c_i = 0``), the mediant inequality gives
+    ``sum a_i / sum c_i <= max_{i: c_i > 0} a_i / c_i``, so
+    ``K(S) <= max_{i in S} K({i})``.  Since ``ker M_S`` is the intersection
+    of the ``ker M_i``, a subset is infeasible only if one of its
+    singletons is.  So only the ``N`` singleton constraints per pair and
+    member are solved, one stack of eigenproblems per pair.  Singleton
+    ``{i}`` has subset code ``2**i`` and precedes every larger subset that
+    contains it, so scanning (index, pair, member) with strict comparisons
+    yields the first-occurrence witness of the full subset order.
+
+    No sweep is enumerated, so ``budget`` caps nothing here; it must still
+    be at least one.
     """
+    _check_budget(budget)
     big_n, m = fam.n_indices, fam.m
-    _check_budget(budget, "subset sweep needs", 2, big_n, "subsets")
     n = fam.ambient_dim
+    grams = _make_hermitian(_gram_tensor(fam))
     pairs = [(j, l) for j in range(m) for l in range(j + 1, m)]
-    # Per index: the m member Grams, then one difference Gram per pair.
-    terms = np.empty((big_n, m + len(pairs), n, n), dtype=np.complex128)
-    terms[:, :m] = _gram_tensor(fam)
+    shape = (big_n, len(pairs), 2)
+    ratios = np.empty(shape)
+    infeasible = np.empty(shape, dtype=bool)
+    # One pair at a time keeps the stacks at 2 matrices per index for any m.
     for p, (j, l) in enumerate(pairs):
+        diff = np.empty((big_n, 1, n, n), dtype=np.complex128)
         for i, (a, b) in enumerate(zip(fam.frames[j].blocks, fam.frames[l].blocks)):
             d = a - b
-            terms[i, m + p] = d.conj().T @ d
-
-    # Sums over every subset of the low indices, built by doubling so that
-    # each adds its terms in increasing index order.
-    low = min(_K_CHUNK_BITS, big_n)
-    table = np.zeros((2**low,) + terms.shape[1:], dtype=np.complex128)
-    for i in range(low):
-        table[2**i : 2 ** (i + 1)] = table[: 2**i] + terms[i]
-
-    k_best = 0.0
-    worst = (0, None)
-    for high in range(2 ** (big_n - low)):
-        # Row 0 of the first chunk is the empty subset: its D is exactly 0,
-        # so it is neither infeasible nor above k_best.
-        ratios, infeasible = _chunk_ratios(table, terms, high, pairs, tol)
-        base = high << low
-        if infeasible.any():
-            row, p, _ = np.unravel_index(np.argmax(infeasible), ratios.shape)
-            return _k_certificate(fam, False, None, _subset_of(base + row, big_n), pairs[p])
-        top = int(np.argmax(ratios))
-        if ratios.flat[top] > k_best:
-            k_best = float(ratios.flat[top])
-            row, p, _ = np.unravel_index(top, ratios.shape)
-            worst = (base + row, pairs[p])
-    code, pair = worst
-    return _k_certificate(fam, True, k_best, _subset_of(code, big_n), pair)
-
-
-def _subset_of(code: int, big_n: int) -> list[int]:
-    """Zero-based indices whose bits are set in ``code``."""
-    return [i for i in range(big_n) if code >> i & 1]
+            diff[i, 0] = d.conj().T @ d
+        ratios[:, p], infeasible[:, p] = _max_ratios(
+            _make_hermitian(diff), grams[:, [j, l]], tol
+        )
+    if infeasible.any():
+        i, p, _ = np.unravel_index(np.argmax(infeasible), shape)
+        return _k_certificate(fam, False, None, [int(i)], pairs[p])
+    top = int(np.argmax(ratios))
+    if ratios.flat[top] > 0.0:
+        i, p, _ = np.unravel_index(top, shape)
+        return _k_certificate(fam, True, float(ratios.flat[top]), [int(i)], pairs[p])
+    return _k_certificate(fam, True, 0.0, [], None)
 
 
 def _k_certificate(fam, feasible, k, subset, pair) -> KCertificate:
-    lowers = tuple(frame_bounds(fr).lower for fr in fam.frames)
-    uppers = tuple(frame_bounds(fr).upper for fr in fam.frames)
+    bounds = [frame_bounds(fr) for fr in fam.frames]
+    lowers = tuple(b.lower for b in bounds)
+    uppers = tuple(b.upper for b in bounds)
     predicted = None
     if feasible:
         predicted = sum(lowers) / (2.0 * (fam.m - 1) * (k + 1.0) + 1.0)
@@ -604,10 +572,7 @@ def scaled_dual_weave(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> ScaledDualRepo
             deviation_bound=None, op_report=None, scaled_dual=None,
         )
     scale = 2.0 * a_low * b_up / (a_low + b_up)
-    s = frame_operator(f)
-    w, v = np.linalg.eigh((s + s.conj().T) / 2.0)
-    s_inv = (v / w) @ v.conj().T
-    t = scale * s_inv
+    t = scale * _inverse_frame_operator(f)
     dev = op_norm(np.eye(f.ambient_dim) - t)
     bound = (b_up - a_low) / (b_up + a_low)
     op_report = operator_perturbation(f, [t] * f.n_blocks, tol)

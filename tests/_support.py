@@ -73,6 +73,15 @@ def noisy_family(n, dims, m, seed, noise=0.03) -> GFrameFamily:
     return GFrameFamily(tuple(members))
 
 
+def noisy_at(base: GFrame, index: int, seed: int, noise: float) -> GFrameFamily:
+    """Base frame paired with a copy whose block ``index`` (zero-based) is perturbed."""
+    rng = np.random.default_rng(seed)
+    blocks = list(base.blocks)
+    b = blocks[index]
+    blocks[index] = b + noise * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
+    return GFrameFamily((base, GFrame(base.ambient_dim, tuple(blocks))))
+
+
 def independent_family(n, dims, m, seed) -> GFrameFamily:
     """m independently drawn well-conditioned frames (generically woven)."""
     rng = np.random.default_rng(seed)

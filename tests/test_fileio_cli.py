@@ -14,7 +14,7 @@ from gweave.fileio import (
     save_frame,
 )
 
-from _support import onb_frame, random_frame, swapped_onb_family
+from _support import noisy_family, onb_frame, random_frame, swapped_onb_family
 
 
 @pytest.fixture()
@@ -265,6 +265,22 @@ class TestCertifyCommand:
         assert payload["certificate"]["k"] == pytest.approx(0.0, abs=1e-12)
         assert payload["certificate"]["predicted_lower"] == pytest.approx(2 / 3, abs=1e-12)
         assert payload["cross_check"]["universal_lower"] >= payload["certificate"]["predicted_lower"] - 1e-8
+
+    def test_k_budget_does_not_cap_the_singleton_solve(self, tmp_path, capsys):
+        # N = 12 has 2**12 - 1 subsets, but minimal_k solves only the 12
+        # singleton constraints, so a budget far below 2**N still certifies.
+        # The budget keeps capping the enumerated --cross-check.
+        path = tmp_path / "fam.json"
+        save_family(noisy_family(3, (3,) * 12, 2, seed=3, noise=1e-2), path)
+        out = tmp_path / "k.json"
+        code = main(["certify", str(path), "--theorem", "k", "--budget", "4",
+                     "--json", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["status"] == "feasible"
+        code = main(["certify", str(path), "--theorem", "k", "--budget", "4",
+                     "--cross-check"])
+        assert code == 5
+        assert "2^12 = 4096" in capsys.readouterr().err
 
     def test_pw_scaled_pair(self, tmp_path):
         f = onb_frame(2)

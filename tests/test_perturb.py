@@ -12,6 +12,7 @@ from gweave import (
     certify_woven,
     chained_certificate,
     frame_bounds,
+    frame_operator,
     minimal_k,
     op_norm,
     operator_perturbation,
@@ -23,7 +24,9 @@ from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL
 from gweave.perturb import _k_certificate
 
-from _support import noisy_family, onb_frame, random_frame, rotation, swapped_onb_family
+from _support import (
+    noisy_at, noisy_family, onb_frame, random_frame, rotation, swapped_onb_family,
+)
 
 
 def scaled_pair(factor, n=2):
@@ -172,19 +175,25 @@ def _minimal_k_reference(fam, tol=DEFAULT_TOL):
     return _k_certificate(fam, True, k_best, subset, pair)
 
 
-def _noisy_at(base: GFrame, index: int, seed: int, noise: float) -> GFrameFamily:
-    """Base frame paired with a copy whose block ``index`` (zero-based) is perturbed."""
-    rng = np.random.default_rng(seed)
-    blocks = list(base.blocks)
-    b = blocks[index]
-    blocks[index] = b + noise * (rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))
-    return GFrameFamily((base, GFrame(base.ambient_dim, tuple(blocks))))
+def _scaled_blocks(base: GFrame, scales) -> GFrameFamily:
+    """Base frame paired with the copy that scales block ``i`` by ``scales[i]``."""
+    return GFrameFamily((base, GFrame(base.ambient_dim, tuple(
+        c * b for c, b in zip(scales, base.blocks)
+    ))))
+
+
+def _thin_k(scales) -> float:
+    """Exact K of ``_scaled_blocks`` for rank-one blocks: ``max_i |1-c_i|^2 / min(1, c_i)^2``."""
+    return max(max((1 - c) ** 2, (1 - c) ** 2 / c**2) for c in scales)
 
 
 class TestMinimalKMatchesReferenceLoop:
-    """The chunked sweep (2**8 subsets per chunk) against the plain loop.
+    """The singleton solve against the plain loop over all 2**N subsets.
 
-    Equality is exact: same k to the last bit, same witness and verdict.
+    On full-rank blocks equality is exact: same k to the last bit, same
+    witness and verdict.  On rank-deficient feasible families the loop's
+    ill-conditioned multi-index sums can round above the exact K, so there
+    the oracle is a closed form (and tests/test_minimal_k_mpmath.py).
     """
 
     @pytest.mark.parametrize("big_n", [9, 10, 11])
@@ -196,8 +205,8 @@ class TestMinimalKMatchesReferenceLoop:
 
     def test_first_infeasible_subset_in_a_later_chunk(self):
         # Only block 10 differs, and singleton blocks are rank one, so the
-        # first infeasible subset is {10}: code 512, the third chunk.
-        fam = _noisy_at(random_frame(3, (1,) * 10, seed=4), 9, seed=4, noise=0.05)
+        # first infeasible subset is {10}: code 512, after 511 feasible ones.
+        fam = noisy_at(random_frame(3, (1,) * 10, seed=4), 9, seed=4, noise=0.05)
         cert = minimal_k(fam)
         assert not cert.feasible
         assert cert.worst_subset == (10,)
@@ -211,16 +220,26 @@ class TestMinimalKMatchesReferenceLoop:
 
     def test_thin_blocks_take_the_kernel_branch(self):
         # Rank-one block Grams: every subset smaller than n has a kernel.
+        # Coordinate blocks keep every subset sum diagonal, so there the
+        # loop is exact and stays an == oracle.
         f = onb_frame(9)
         scaled = GFrameFamily((f, apply_operator(f, 1.2 * np.eye(9))))
         assert minimal_k(scaled) == _minimal_k_reference(scaled)
+        scales = 1.0 + np.random.default_rng(0).uniform(-0.3, 0.3, 9)
+        diagonal = _scaled_blocks(f, scales)
+        cert = minimal_k(diagonal)
+        assert cert == _minimal_k_reference(diagonal)
+        assert cert.k == pytest.approx(_thin_k(scales), rel=1e-13)
+        # Generic rank-one blocks: D_i = (1 - c_i)^2 M_i, so K is known in
+        # closed form.  The loop rounds above it (2.5e-14 relative here), so
+        # it is no oracle for this family.
         rng = np.random.default_rng(7)
-        thin = random_frame(3, (1,) * 9, seed=7)
         scales = 1.0 + rng.uniform(-0.1, 0.1, 9)
-        fam = GFrameFamily((thin, GFrame(3, tuple(c * b for c, b in zip(scales, thin.blocks)))))
-        cert = minimal_k(fam)
+        cert = minimal_k(_scaled_blocks(random_frame(3, (1,) * 9, seed=7), scales))
         assert cert.feasible
-        assert cert == _minimal_k_reference(fam)
+        assert cert.k == pytest.approx(_thin_k(scales), rel=1e-13)
+        worst = np.argmax(np.abs(1 - scales) / np.minimum(1, scales))
+        assert cert.worst_subset == (int(worst) + 1,)
 
     def test_identical_members(self):
         fam = noisy_family(3, (1,) * 9, 2, seed=1, noise=0.0)
@@ -493,6 +512,20 @@ class TestScaledDualWeave:
         rep = scaled_dual_weave(f)
         assert not rep.hypothesis_ok
         assert rep.ratio is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_an_inline_inverse_bit_for_bit(self, seed):
+        # The inverse frame operator, spelled out from its eigenpairs.
+        f = random_frame(3, (1, 2, 1, 1), seed=seed, lo=1.0, hi=1.8)
+        rep = scaled_dual_weave(f)
+        s = frame_operator(f)
+        w, v = np.linalg.eigh((s + s.conj().T) / 2.0)
+        t = rep.scale * ((v / w) @ v.conj().T)
+        assert rep.scale == 2.0 * rep.base_lower * rep.base_upper / (rep.base_lower + rep.base_upper)
+        assert rep.deviation_norm == op_norm(np.eye(3) - t)
+        assert rep.op_report.to_dict() == operator_perturbation(f, [t] * f.n_blocks).to_dict()
+        for a, b in zip(rep.scaled_dual.blocks, f.blocks):
+            assert np.array_equal(a, b @ t)
 
 
 class TestSoundnessSweep:
