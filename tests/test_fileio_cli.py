@@ -3,7 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from gweave import GFrame, GFrameFamily, apply_operator
+from gweave import (
+    DEFAULT_BUDGET,
+    DEFAULT_TOL,
+    GFrame,
+    GFrameFamily,
+    Partition,
+    __version__,
+    apply_operator,
+    certify_woven,
+    chained_certificate,
+    frame_bounds,
+    is_g_orthonormal,
+    operator_perturbation,
+    perturbation_certificate,
+    riesz_bounds,
+    scaled_dual_weave,
+)
 from gweave.cli import main
 from gweave.fileio import (
     FrameFileError,
@@ -350,6 +366,224 @@ class TestCertifyCommand:
             "--eta", "0.01", "--mode", "sampled", "--trials", "50",
         ])
         assert code == 4
+
+
+def _plain(value):
+    """A report attribute as its JSON value."""
+    if isinstance(value, Partition):
+        return list(value.labels)
+    if isinstance(value, np.ndarray):
+        return [[z.real, z.imag] for z in value]
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _assert_section(section, report, keys):
+    assert set(section) == set(keys)
+    for key in keys:
+        assert section[key] == _plain(getattr(report, key)), key
+
+
+_TOOL_TOLERANCE = {
+    "rank_rtol": DEFAULT_TOL.rank_rtol,
+    "frame_rtol": DEFAULT_TOL.frame_rtol,
+    "eq_atol": DEFAULT_TOL.eq_atol,
+}
+_WEAVING_KEYS = (
+    "status", "universal_lower", "universal_upper", "witness_lower",
+    "witness_upper", "partitions_checked", "mode", "seed",
+)
+_PW_KEYS = (
+    "base_index", "chained", "lambdas", "etas", "mus", "member_lowers",
+    "member_uppers", "predicted_lower", "predicted_upper", "verification_mode",
+    "status", "synthesis_gaps",
+)
+_OP_KEYS = (
+    "base_lower", "base_upper", "max_deviation", "condition_value",
+    "condition_threshold", "hypothesis_ok", "predicted_lower",
+)
+_SCALED_DUAL_KEYS = (
+    "base_lower", "base_upper", "ratio", "hypothesis_ok", "scale",
+    "deviation_norm", "deviation_bound",
+)
+
+
+class TestReportSections:
+    """Every section of the JSON reports that no benchmark fingerprint covers:
+    its exact key set, and each value against the report attribute."""
+
+    @pytest.fixture(autouse=True)
+    def _default_budget(self, monkeypatch):
+        monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
+
+    @staticmethod
+    def _run(args, tmp_path, code):
+        out = tmp_path / "report.json"
+        assert main([*args, "--json", str(out)]) == code
+        return json.loads(out.read_text())
+
+    @staticmethod
+    def _assert_certify_top(payload, theorem, status, cross):
+        keys = {"tool", "theorem", "status", "certificate"} | ({"cross_check"} if cross else set())
+        assert set(payload) == keys
+        assert payload["tool"] == {
+            "name": "gweave", "version": __version__, "tolerance": _TOOL_TOLERANCE,
+            "seed": 0, "budget": DEFAULT_BUDGET,
+        }
+        assert payload["theorem"] == theorem
+        assert payload["status"] == status
+
+    @staticmethod
+    def _scaled_pair_file(tmp_path):
+        f = onb_frame(2)
+        fam = GFrameFamily((f, apply_operator(f, 1.1 * np.eye(2))))
+        path = tmp_path / "fam.json"
+        save_family(fam, path)
+        return path, fam
+
+    def test_analyze(self, tmp_path):
+        frame = random_frame(3, (1, 2, 1), seed=4)
+        path = tmp_path / "frame.json"
+        save_frame(frame, path)
+        payload = self._run(["analyze", str(path)], tmp_path, 0)
+        assert set(payload) == {
+            "tool", "frame", "frame_bounds", "riesz_bounds", "g_orthonormal",
+            "canonical_dual_available",
+        }
+        assert payload["tool"] == {
+            "name": "gweave", "version": __version__, "tolerance": _TOOL_TOLERANCE,
+        }
+        _assert_section(payload["frame"], frame, ("ambient_dim", "n_blocks", "block_dims"))
+        fb = frame_bounds(frame)
+        assert set(payload["frame_bounds"]) == {
+            "lower", "upper", "classification", "tight", "parseval",
+        }
+        _assert_section(
+            {k: payload["frame_bounds"][k] for k in ("lower", "upper", "classification")},
+            fb, ("lower", "upper", "classification"),
+        )
+        assert payload["frame_bounds"]["tight"] is False
+        assert payload["frame_bounds"]["parseval"] is False
+        _assert_section(
+            payload["riesz_bounds"], riesz_bounds(frame),
+            ("lower", "upper", "complete", "is_basis"),
+        )
+        assert payload["g_orthonormal"] == is_g_orthonormal(frame)
+        assert payload["canonical_dual_available"] is True
+
+    @pytest.mark.parametrize(
+        "lam, status, code", [("0.1", "valid", 0), ("0.05", "lambda-below-gap", 6)]
+    )
+    def test_pw_exact(self, tmp_path, lam, status, code):
+        path, fam = self._scaled_pair_file(tmp_path)
+        payload = self._run(
+            ["certify", str(path), "--theorem", "pw", "--lam", lam, "--cross-check"],
+            tmp_path, code,
+        )
+        self._assert_certify_top(payload, "pw", status, cross=True)
+        cert = perturbation_certificate(fam, 1, (float(lam),))
+        _assert_section(payload["certificate"], cert, _PW_KEYS + ("falsification_witness",))
+        assert payload["certificate"]["falsification_witness"] is None
+        _assert_section(payload["cross_check"], certify_woven(fam), _WEAVING_KEYS)
+
+    def test_pw_sampled_falsified(self, tmp_path):
+        path, fam = self._scaled_pair_file(tmp_path)
+        payload = self._run(
+            ["certify", str(path), "--theorem", "pw", "--lam", "0.01",
+             "--mode", "sampled", "--trials", "20"],
+            tmp_path, 6,
+        )
+        self._assert_certify_top(payload, "pw", "falsified", cross=False)
+        cert = perturbation_certificate(
+            fam, 1, (0.01,), mode="sampled-falsification", trials=20
+        )
+        section = payload["certificate"]
+        _assert_section({k: section[k] for k in _PW_KEYS}, cert, _PW_KEYS)
+        assert set(section) == set(_PW_KEYS) | {"falsification_witness"}
+        subset, segments = cert.falsification_witness
+        assert section["falsification_witness"] == {
+            "subset": list(subset), "segments": _plain(segments),
+        }
+        assert len(section["falsification_witness"]["segments"]) == len(subset)
+
+    def test_pw_sampled_not_falsified(self, tmp_path):
+        path, fam = self._scaled_pair_file(tmp_path)
+        payload = self._run(
+            ["certify", str(path), "--theorem", "pw", "--lam", "0.2", "--eta", "0.01",
+             "--mode", "sampled", "--trials", "50"],
+            tmp_path, 4,
+        )
+        self._assert_certify_top(payload, "pw", "not-falsified", cross=False)
+        cert = perturbation_certificate(
+            fam, 1, (0.2,), (0.01,), mode="sampled-falsification", trials=50
+        )
+        _assert_section(payload["certificate"], cert, _PW_KEYS + ("falsification_witness",))
+        assert payload["certificate"]["synthesis_gaps"] is None
+
+    def test_pw_chain(self, tmp_path):
+        f = onb_frame(2)
+        fam = GFrameFamily(
+            (f, apply_operator(f, 1.05 * np.eye(2)), apply_operator(f, 1.1 * np.eye(2)))
+        )
+        path = tmp_path / "fam3.json"
+        save_family(fam, path)
+        payload = self._run(
+            ["certify", str(path), "--theorem", "pw-chain", "--lam", "0.051,0.051"],
+            tmp_path, 0,
+        )
+        self._assert_certify_top(payload, "pw-chain", "valid", cross=False)
+        cert = chained_certificate(fam, (0.051, 0.051))
+        _assert_section(payload["certificate"], cert, _PW_KEYS + ("falsification_witness",))
+        assert payload["certificate"]["chained"] is True
+
+    def test_op_perturb(self, tmp_path):
+        frame = random_frame(3, (1, 2, 1), seed=8)
+        path = tmp_path / "frame.json"
+        save_frame(frame, path)
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"field": "real", "matrices": [np.diag([0.95, 1.0, 1.05]).tolist()]}))
+        payload = self._run(
+            ["certify", str(path), "--theorem", "op-perturb", "--operators", str(ops),
+             "--cross-check"],
+            tmp_path, 0,
+        )
+        self._assert_certify_top(payload, "op-perturb", "valid", cross=True)
+        report = operator_perturbation(frame, np.diag([0.95, 1.0, 1.05]))
+        _assert_section(payload["certificate"], report, _OP_KEYS)
+        _assert_section(payload["cross_check"], certify_woven(report.family), _WEAVING_KEYS)
+
+    def test_scaled_dual_valid(self, tmp_path):
+        frame = random_frame(3, (1, 2, 1), seed=5, lo=1.0, hi=1.8)
+        path = tmp_path / "frame.json"
+        save_frame(frame, path)
+        payload = self._run(
+            ["certify", str(path), "--theorem", "scaled-dual", "--cross-check"], tmp_path, 0
+        )
+        self._assert_certify_top(payload, "scaled-dual", "valid", cross=True)
+        report = scaled_dual_weave(frame)
+        section = payload["certificate"]
+        _assert_section(
+            {k: section[k] for k in _SCALED_DUAL_KEYS}, report, _SCALED_DUAL_KEYS
+        )
+        assert set(section) == set(_SCALED_DUAL_KEYS) | {"op_report"}
+        _assert_section(section["op_report"], report.op_report, _OP_KEYS)
+        _assert_section(
+            payload["cross_check"], certify_woven(report.op_report.family), _WEAVING_KEYS
+        )
+
+    def test_scaled_dual_failing(self, tmp_path):
+        frame = GFrame(2, (np.array([[1.0, 0.0]]), np.array([[0.0, np.sqrt(2.5)]])))
+        path = tmp_path / "wide.json"
+        save_frame(frame, path)
+        payload = self._run(
+            ["certify", str(path), "--theorem", "scaled-dual", "--cross-check"], tmp_path, 6
+        )
+        self._assert_certify_top(payload, "scaled-dual", "hypothesis-fails", cross=False)
+        report = scaled_dual_weave(frame)
+        assert report.scaled_dual is None
+        _assert_section(payload["certificate"], report, _SCALED_DUAL_KEYS + ("op_report",))
+        assert payload["certificate"]["op_report"] is None
 
 
 class TestRieszCommand:
