@@ -65,6 +65,7 @@ from .weaving import (
     BudgetExceededError,
     GFrameFamily,
     certify_woven,
+    report_dict,
 )
 
 EXIT_OK = 0
@@ -102,7 +103,7 @@ def _tool_block(tol: Tolerance, seed=None, budget=None) -> dict:
     block = {
         "name": "gweave",
         "version": __version__,
-        "tolerance": tol.as_dict(),
+        "tolerance": report_dict(tol),
     }
     if seed is not None:
         block["seed"] = seed
@@ -179,19 +180,8 @@ def cmd_analyze(args) -> int:
             "n_blocks": frame.n_blocks,
             "block_dims": list(frame.block_dims),
         },
-        "frame_bounds": {
-            "lower": fb.lower,
-            "upper": fb.upper,
-            "classification": fb.classification,
-            "tight": tight,
-            "parseval": parseval,
-        },
-        "riesz_bounds": {
-            "lower": rb.lower,
-            "upper": rb.upper,
-            "complete": rb.complete,
-            "is_basis": rb.is_basis,
-        },
+        "frame_bounds": {**report_dict(fb), "tight": tight, "parseval": parseval},
+        "riesz_bounds": report_dict(rb),
         "g_orthonormal": is_g_orthonormal(frame, tol),
         "canonical_dual_available": fb.is_frame,
     }
@@ -213,7 +203,7 @@ def cmd_weave(args) -> int:
             "n_indices": fam.n_indices,
             "block_dims": list(fam.block_dims),
         },
-        "report": report.to_dict(),
+        "report": report_dict(report),
     }
     _emit(payload, args)
     if report.status == "woven":
@@ -231,9 +221,8 @@ def _certify_payloads(args, tol, budget):
     if theorem == "k":
         if not isinstance(loaded, GFrameFamily):
             raise FrameFileError("--theorem k needs a family file")
-        cert = minimal_k(loaded, budget=budget, tol=tol)
-        status = "feasible" if cert.feasible else "infeasible"
-        body = cert.to_dict()
+        report = minimal_k(loaded, budget=budget, tol=tol)
+        status = "feasible" if report.feasible else "infeasible"
         cross_family = loaded
     elif theorem in ("pw", "pw-chain"):
         if not isinstance(loaded, GFrameFamily):
@@ -247,17 +236,16 @@ def _certify_payloads(args, tol, budget):
             "sampled": "sampled-falsification",
         }[args.mode]
         if theorem == "pw":
-            cert = perturbation_certificate(
+            report = perturbation_certificate(
                 loaded, args.base, lambdas, etas, mus,
                 mode=mode, trials=args.trials, seed=args.seed, tol=tol,
             )
         else:
-            cert = chained_certificate(
+            report = chained_certificate(
                 loaded, lambdas, etas, mus,
                 mode=mode, trials=args.trials, seed=args.seed, tol=tol,
             )
-        status = cert.status
-        body = cert.to_dict()
+        status = report.status
         cross_family = loaded
     elif theorem == "op-perturb":
         if not isinstance(loaded, GFrame):
@@ -267,34 +255,32 @@ def _certify_payloads(args, tol, budget):
         ops = _load_operators(args.operators, loaded.ambient_dim)
         report = operator_perturbation(loaded, ops, tol)
         status = "valid" if report.hypothesis_ok else "hypothesis-fails"
-        body = report.to_dict()
         cross_family = report.family
     elif theorem == "scaled-dual":
         if not isinstance(loaded, GFrame):
             raise FrameFileError("--theorem scaled-dual needs a single-frame file")
         report = scaled_dual_weave(loaded, tol)
         status = "valid" if report.hypothesis_ok else "hypothesis-fails"
-        body = report.to_dict()
         if report.op_report is not None:
             cross_family = report.op_report.family
     else:
         raise AssertionError(f"unhandled theorem {theorem!r}")
-    return status, body, cross_family
+    return status, report, cross_family
 
 
 def cmd_certify(args) -> int:
     tol = _tolerance(args)
     budget = _budget(args)
-    status, body, cross_family = _certify_payloads(args, tol, budget)
+    status, report, cross_family = _certify_payloads(args, tol, budget)
     payload = {
         "tool": _tool_block(tol, seed=args.seed, budget=budget),
         "theorem": args.theorem,
         "status": status,
-        "certificate": body,
+        "certificate": report_dict(report),
     }
     if args.cross_check and cross_family is not None:
         cross = certify_woven(cross_family, mode="exhaustive", budget=budget, tol=tol)
-        payload["cross_check"] = cross.to_dict()
+        payload["cross_check"] = report_dict(cross)
     _emit(payload, args)
     if status in _FAILING_STATUSES:
         return EXIT_HYPOTHESIS
@@ -310,46 +296,18 @@ def cmd_riesz(args) -> int:
     payload = {"tool": _tool_block(tol, budget=budget)}
     code = EXIT_OK
     if isinstance(loaded, GFrame):
-        rb = riesz_bounds(loaded, tol)
-        payload["riesz_bounds"] = {
-            "lower": rb.lower,
-            "upper": rb.upper,
-            "complete": rb.complete,
-            "is_basis": rb.is_basis,
-        }
+        payload["riesz_bounds"] = report_dict(riesz_bounds(loaded, tol))
         if args.permutation:
             pi = _parse_int_list(args.permutation, "--permutation")
             report = permutation_weave(loaded, pi, tol, budget=budget)
-            payload["permutation_weave"] = {
-                "permutation": list(report.permutation),
-                "identity": report.identity,
-                "woven": report.woven,
-                "base_lower": report.base_lower,
-                "base_upper": report.base_upper,
-                "universal_lower": report.universal_lower,
-                "universal_upper": report.universal_upper,
-                "span_lower_min": report.span_lower_min,
-                "witness": list(report.witness.labels) if report.witness else None,
-            }
+            payload["permutation_weave"] = report_dict(report)
             code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
     else:
         report = weaving_riesz_check(loaded, tol, budget=budget)
-        payload["weaving_riesz"] = {
-            "woven": report.woven,
-            "common_lower": report.common_lower,
-            "common_upper": report.common_upper,
-            "witness_lower": list(report.witness_lower.labels),
-            "witness_upper": list(report.witness_upper.labels),
-            "partitions_checked": report.partitions_checked,
-        }
-        consts = equivalence_constants(loaded, tol, budget=budget)
-        payload["equivalence_constants"] = {
-            "riesz_low": consts.riesz_low,
-            "riesz_up": consts.riesz_up,
-            "a2": consts.a2,
-            "d3": consts.d3,
-            "e4": consts.e4,
-        }
+        payload["weaving_riesz"] = report_dict(report)
+        payload["equivalence_constants"] = report_dict(
+            equivalence_constants(loaded, tol, budget=budget)
+        )
         code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
     _emit(payload, args)
     return code

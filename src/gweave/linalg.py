@@ -52,13 +52,6 @@ class Tolerance:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {value!r}")
             object.__setattr__(self, name, value)
 
-    def as_dict(self) -> dict:
-        return {
-            "rank_rtol": self.rank_rtol,
-            "frame_rtol": self.frame_rtol,
-            "eq_atol": self.eq_atol,
-        }
-
 
 DEFAULT_TOL = Tolerance()
 

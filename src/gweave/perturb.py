@@ -24,7 +24,8 @@ lower bound prediction that is sound for *every* weaving:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,17 +73,13 @@ class KCertificate:
     member_lowers: tuple[float, ...]
     member_uppers: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "k": self.k,
-            "predicted_lower": self.predicted_lower,
-            "predicted_upper": self.predicted_upper,
-            "worst_subset": list(self.worst_subset) if self.worst_subset else None,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "member_lowers": list(self.member_lowers),
-            "member_uppers": list(self.member_uppers),
-        }
+
+class FalsificationWitness(NamedTuple):
+    """Index subset (1-based) and its coefficient segments that violate the
+    closeness inequality."""
+
+    subset: tuple[int, ...]
+    segments: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -107,44 +104,18 @@ class PerturbationCertificate:
     verification_mode: str
     status: str
     synthesis_gaps: tuple[float, ...] | None
-    falsification_witness: tuple[tuple[int, ...], tuple[np.ndarray, ...]] | None
+    falsification_witness: FalsificationWitness | None
 
     @property
     def valid(self) -> bool:
         return self.status == "valid"
-
-    def to_dict(self) -> dict:
-        witness = None
-        if self.falsification_witness is not None:
-            subset, segments = self.falsification_witness
-            witness = {
-                "subset": list(subset),
-                "segments": [
-                    [[float(z.real), float(z.imag)] for z in seg] for seg in segments
-                ],
-            }
-        return {
-            "base_index": self.base_index,
-            "chained": self.chained,
-            "lambdas": list(self.lambdas),
-            "etas": list(self.etas),
-            "mus": list(self.mus),
-            "member_lowers": list(self.member_lowers),
-            "member_uppers": list(self.member_uppers),
-            "predicted_lower": self.predicted_lower,
-            "predicted_upper": self.predicted_upper,
-            "verification_mode": self.verification_mode,
-            "status": self.status,
-            "synthesis_gaps": list(self.synthesis_gaps) if self.synthesis_gaps else None,
-            "falsification_witness": witness,
-        }
 
 
 @dataclass(frozen=True)
 class OperatorPerturbationReport:
     """Weaving a frame against per-index right-composed operator copies."""
 
-    family: GFrameFamily
+    family: GFrameFamily = field(metadata={"json": False})
     base_lower: float
     base_upper: float
     max_deviation: float
@@ -152,17 +123,6 @@ class OperatorPerturbationReport:
     condition_threshold: float
     hypothesis_ok: bool
     predicted_lower: float
-
-    def to_dict(self) -> dict:
-        return {
-            "base_lower": self.base_lower,
-            "base_upper": self.base_upper,
-            "max_deviation": self.max_deviation,
-            "condition_value": self.condition_value,
-            "condition_threshold": self.condition_threshold,
-            "hypothesis_ok": self.hypothesis_ok,
-            "predicted_lower": self.predicted_lower,
-        }
 
 
 @dataclass(frozen=True)
@@ -177,19 +137,7 @@ class ScaledDualReport:
     deviation_norm: float | None
     deviation_bound: float | None
     op_report: OperatorPerturbationReport | None
-    scaled_dual: GFrame | None
-
-    def to_dict(self) -> dict:
-        return {
-            "base_lower": self.base_lower,
-            "base_upper": self.base_upper,
-            "ratio": self.ratio,
-            "hypothesis_ok": self.hypothesis_ok,
-            "scale": self.scale,
-            "deviation_norm": self.deviation_norm,
-            "deviation_bound": self.deviation_bound,
-            "op_report": self.op_report.to_dict() if self.op_report else None,
-        }
+    scaled_dual: GFrame | None = field(metadata={"json": False})
 
 
 def _max_ratios(
@@ -328,39 +276,50 @@ def _certificate(
     lambdas,
     etas,
     mus,
-    predicted: float,
     mode: str,
     trials: int,
     seed: int,
     tol: Tolerance,
     base_index: int | None,
-    chained: bool,
 ) -> PerturbationCertificate:
-    uppers = tuple(frame_bounds(fr).upper for fr in fam.frames)
-    lowers = tuple(frame_bounds(fr).lower for fr in fam.frames)
-    synths = [synthesis_matrix(fr) for fr in fam.frames]
+    """Certificate over member ``pairs``, scalars indexed like ``pairs``.
 
+    The predicted lower bound starts from the lower bound of the anchor
+    ``pairs[0][0]`` and subtracts each pair's closeness term.
+    """
+    if mode not in ("exact-lambda-only", "sampled-falsification"):
+        raise ValueError(
+            f"mode must be 'exact-lambda-only' or 'sampled-falsification', got {mode!r}"
+        )
+    bounds = [frame_bounds(fr) for fr in fam.frames]
+    lowers = tuple(b.lower for b in bounds)
+    uppers = tuple(b.upper for b in bounds)
+    predicted = lowers[pairs[0][0]]
+    for k, (a, b) in enumerate(pairs):
+        predicted -= (
+            lambdas[k] + etas[k] * np.sqrt(uppers[a]) + mus[k] * np.sqrt(uppers[b])
+        ) * (np.sqrt(uppers[a]) + np.sqrt(uppers[b]))
+
+    exact = mode == "exact-lambda-only"
+    if exact and predicted > 0.0 and (any(etas) or any(mus)):
+        raise ValueError(
+            "exact verification covers the lambda-only case; "
+            "use sampled-falsification for nonzero eta/mu"
+        )
     gaps = None
     witness = None
+    if exact:
+        synths = [synthesis_matrix(fr) for fr in fam.frames]
+        gaps = tuple(op_norm(synths[a] - synths[b]) for a, b in pairs)
     if predicted <= 0.0:
         status = "hypothesis-fails"
-        if mode == "exact-lambda-only":
-            gaps = tuple(
-                op_norm(synths[a] - synths[b]) for a, b in pairs
-            )
-    elif mode == "exact-lambda-only":
-        if any(etas) or any(mus):
-            raise ValueError(
-                "exact verification covers the lambda-only case; "
-                "use sampled-falsification for nonzero eta/mu"
-            )
-        gaps = tuple(op_norm(synths[a] - synths[b]) for a, b in pairs)
+    elif exact:
         ok = all(
             lam + _GAP_SLACK * max(1.0, gap) >= gap
             for lam, gap in zip(lambdas, gaps)
         )
         status = "valid" if ok else "lambda-below-gap"
-    elif mode == "sampled-falsification":
+    else:
         rng = np.random.Generator(np.random.Philox(seed))
         big_n = fam.n_indices
         dims = fam.block_dims
@@ -389,20 +348,17 @@ def _certificate(
                     + lambdas[k] * coeff_norm
                 )
                 if lhs > rhs + tol.eq_atol:
-                    subset = tuple(int(i) + 1 for i in np.flatnonzero(mask))
-                    witness = (subset, tuple(segs[int(i)] for i in np.flatnonzero(mask)))
+                    witness = FalsificationWitness(
+                        tuple(i + 1 for i in segs), tuple(segs.values())
+                    )
                     status = "falsified"
                     break
             if status == "falsified":
                 break
-    else:
-        raise ValueError(
-            f"mode must be 'exact-lambda-only' or 'sampled-falsification', got {mode!r}"
-        )
 
     return PerturbationCertificate(
         base_index=base_index,
-        chained=chained,
+        chained=base_index is None,
         lambdas=lambdas,
         etas=etas,
         mus=mus,
@@ -443,23 +399,11 @@ def perturbation_certificate(
     m = fam.m
     if not 1 <= base <= m:
         raise ValueError(f"base index must lie in 1..{m}, got {base}")
-    others = [j for j in range(m) if j != base - 1]
-    lambdas = _as_scalars(lambdas, m - 1, "lambdas")
-    etas = _as_scalars(etas, m - 1, "etas")
-    mus = _as_scalars(mus, m - 1, "mus")
-    bounds = [frame_bounds(fr) for fr in fam.frames]
-    a_base = bounds[base - 1].lower
-    b_base = bounds[base - 1].upper
-    predicted = a_base
-    for k, j in enumerate(others):
-        b_j = bounds[j].upper
-        predicted -= (
-            lambdas[k] + etas[k] * np.sqrt(b_base) + mus[k] * np.sqrt(b_j)
-        ) * (np.sqrt(b_base) + np.sqrt(b_j))
-    pairs = [(base - 1, j) for j in others]
+    pairs = [(base - 1, j) for j in range(m) if j != base - 1]
     return _certificate(
-        fam, pairs, lambdas, etas, mus, predicted, mode, trials, seed, tol,
-        base_index=base, chained=False,
+        fam, pairs, _as_scalars(lambdas, m - 1, "lambdas"),
+        _as_scalars(etas, m - 1, "etas"), _as_scalars(mus, m - 1, "mus"),
+        mode, trials, seed, tol, base_index=base,
     )
 
 
@@ -480,23 +424,12 @@ def chained_certificate(
     lower bound.  For m = 2 this coincides with the fixed-base certificate.
     """
     m = fam.m
-    lambdas = _as_scalars(lambdas, m - 1, "lambdas")
-    etas = _as_scalars(etas, m - 1, "etas")
-    mus = _as_scalars(mus, m - 1, "mus")
-    bounds = [frame_bounds(fr) for fr in fam.frames]
-    predicted = bounds[0].lower
-    for k in range(m - 1):
-        b_j = bounds[k].upper
-        b_next = bounds[k + 1].upper
-        predicted -= (
-            lambdas[k] + etas[k] * np.sqrt(b_j) + mus[k] * np.sqrt(b_next)
-        ) * (np.sqrt(b_j) + np.sqrt(b_next))
     pairs = [(k, k + 1) for k in range(m - 1)]
     return _certificate(
-        fam, pairs, lambdas, etas, mus, predicted, mode, trials, seed, tol,
-        base_index=None, chained=True,
+        fam, pairs, _as_scalars(lambdas, m - 1, "lambdas"),
+        _as_scalars(etas, m - 1, "etas"), _as_scalars(mus, m - 1, "mus"),
+        mode, trials, seed, tol, base_index=None,
     )
-
 
 def operator_perturbation(
     f: GFrame,

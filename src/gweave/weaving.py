@@ -8,12 +8,12 @@ partitions (exhaustively or by seeded sampling), reports the universal
 bounds with witness partitions, and provides the structural operations
 used by the certification theorems: scaling, index removal and
 restriction, the Bessel-sum upper bound, and the restricted frame-operator
-norm inequality.
+norm inequality.  :func:`report_dict` is the JSON form of every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceededError",
     "Partition",
+    "report_dict",
     "GFrameFamily",
     "WeavingReport",
     "RemovalReport",
@@ -88,6 +89,32 @@ class Partition:
     def group(self, label: int) -> tuple[int, ...]:
         """1-based indices assigned to ``label``."""
         return tuple(i + 1 for i, x in enumerate(self.labels) if x == label)
+
+
+def report_dict(report):
+    """A report as JSON data, by one rule applied recursively.
+
+    Each dataclass field becomes a key of the same name, except fields marked
+    ``metadata={"json": False}`` (frames a report carries, not results).  A
+    :class:`Partition` becomes its label list, a named tuple a dict of its
+    fields, any other tuple a list, and a complex array a list of
+    ``[re, im]`` pairs.  Other values are returned as they are.
+    """
+    if isinstance(report, Partition):
+        return list(report.labels)
+    if is_dataclass(report):
+        return {
+            f.name: report_dict(getattr(report, f.name))
+            for f in fields(report)
+            if f.metadata.get("json", True)
+        }
+    if isinstance(report, tuple):
+        if hasattr(report, "_asdict"):
+            return {k: report_dict(v) for k, v in report._asdict().items()}
+        return [report_dict(v) for v in report]
+    if isinstance(report, np.ndarray):
+        return [[z.real, z.imag] for z in report.tolist()]
+    return report
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,24 +189,12 @@ class WeavingReport:
     mode: str
     seed: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "universal_lower": self.universal_lower,
-            "universal_upper": self.universal_upper,
-            "witness_lower": list(self.witness_lower.labels),
-            "witness_upper": list(self.witness_upper.labels),
-            "partitions_checked": self.partitions_checked,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class RemovalReport:
     """Outcome of dropping an index subset from a two-member family."""
 
-    restricted: GFrameFamily
+    restricted: GFrameFamily = field(metadata={"json": False})
     dropped: tuple[int, ...]
     removed_upper: float
     base_lower: float

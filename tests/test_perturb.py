@@ -17,6 +17,7 @@ from gweave import (
     op_norm,
     operator_perturbation,
     perturbation_certificate,
+    report_dict,
     scaled_dual_weave,
     synthesis_matrix,
 )
@@ -375,6 +376,47 @@ class TestPerturbationCertificate:
         assert a.status == b.status == "falsified"
         assert a.falsification_witness[0] == b.falsification_witness[0]
 
+    @pytest.mark.parametrize("scale, lam", [(1.1, 0.05), (1.6, 0.6)])
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_unknown_mode_rejected_whatever_the_predicted_bound(self, scale, lam, chained):
+        # The predicted bound is positive at 1.1 and negative at 1.6.
+        fam = scaled_pair(scale)
+        with pytest.raises(ValueError, match="mode must be"):
+            if chained:
+                chained_certificate(fam, (lam,), mode="bogus")
+            else:
+                perturbation_certificate(fam, 1, (lam,), mode="bogus")
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("mode", ["exact-lambda-only", "sampled-falsification"])
+    def test_member_bounds_computed_once_per_member(self, monkeypatch, m, mode):
+        import gweave.perturb as perturb_mod
+
+        fam = noisy_family(2, (1, 1, 1), m, seed=4, noise=0.01)
+        calls = []
+
+        def counting(fr, *args, **kwargs):
+            calls.append(fr)
+            return frame_bounds(fr, *args, **kwargs)
+
+        monkeypatch.setattr(perturb_mod, "frame_bounds", counting)
+        perturbation_certificate(fam, 1, (0.1,) * (m - 1), mode=mode, trials=5)
+        assert len(calls) == m
+        calls.clear()
+        chained_certificate(fam, (0.1,) * (m - 1), mode=mode, trials=5)
+        assert len(calls) == m
+
+    def test_witness_fields_are_named(self):
+        cert = perturbation_certificate(
+            scaled_pair(1.1), 1, (0.05,), mode="sampled-falsification", trials=300, seed=7
+        )
+        witness = cert.falsification_witness
+        assert witness.subset == witness[0] and witness.segments is witness[1]
+        assert report_dict(witness) == {
+            "subset": list(witness.subset),
+            "segments": [[[z.real, z.imag] for z in seg] for seg in witness.segments],
+        }
+
     def test_projection_contractivity_over_all_subsets(self):
         fam = noisy_family(3, (1, 2, 1), 2, seed=8, noise=0.05)
         t1 = synthesis_matrix(fam.frames[0])
@@ -523,7 +565,7 @@ class TestScaledDualWeave:
         t = rep.scale * ((v / w) @ v.conj().T)
         assert rep.scale == 2.0 * rep.base_lower * rep.base_upper / (rep.base_lower + rep.base_upper)
         assert rep.deviation_norm == op_norm(np.eye(3) - t)
-        assert rep.op_report.to_dict() == operator_perturbation(f, [t] * f.n_blocks).to_dict()
+        assert report_dict(rep.op_report) == report_dict(operator_perturbation(f, [t] * f.n_blocks))
         for a, b in zip(rep.scaled_dual.blocks, f.blocks):
             assert np.array_equal(a, b @ t)
 
