@@ -64,6 +64,7 @@ from .weaving import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     GFrameFamily,
+    _check_budget,
     certify_woven,
     report_dict,
 )
@@ -88,15 +89,15 @@ def _tolerance(args) -> Tolerance:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("GWEAVE_BUDGET")
-    if env is not None:
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("GWEAVE_BUDGET")
         try:
-            return int(env)
+            budget = DEFAULT_BUDGET if env is None else int(env)
         except ValueError as exc:
             raise FrameFileError(f"GWEAVE_BUDGET must be an integer, got {env!r}") from exc
-    return DEFAULT_BUDGET
+    _check_budget(budget)
+    return budget
 
 
 def _tool_block(tol: Tolerance, seed=None, budget=None) -> dict:
@@ -221,7 +222,7 @@ def _certify_payloads(args, tol, budget):
     if theorem == "k":
         if not isinstance(loaded, GFrameFamily):
             raise FrameFileError("--theorem k needs a family file")
-        report = minimal_k(loaded, budget=budget, tol=tol)
+        report = minimal_k(loaded, tol=tol)
         status = "feasible" if report.feasible else "infeasible"
         cross_family = loaded
     elif theorem in ("pw", "pw-chain"):

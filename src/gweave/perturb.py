@@ -36,12 +36,7 @@ from .gframe import (
     synthesis_matrix,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm, rank
-from .weaving import (
-    DEFAULT_BUDGET,
-    GFrameFamily,
-    _check_budget,
-    _gram_tensor,
-)
+from .weaving import GFrameFamily, _gram_tensor
 
 __all__ = [
     "KCertificate",
@@ -184,11 +179,7 @@ def _make_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def minimal_k(
-    fam: GFrameFamily,
-    budget: int = DEFAULT_BUDGET,
-    tol: Tolerance = DEFAULT_TOL,
-) -> KCertificate:
+def minimal_k(fam: GFrameFamily, tol: Tolerance = DEFAULT_TOL) -> KCertificate:
     """Minimal ``K`` dominating all pairwise block differences.
 
     For every nonempty index subset ``S`` and every unordered member pair,
@@ -209,11 +200,7 @@ def minimal_k(
     ``{i}`` has subset code ``2**i`` and precedes every larger subset that
     contains it, so scanning (index, pair, member) with strict comparisons
     yields the first-occurrence witness of the full subset order.
-
-    No sweep is enumerated, so ``budget`` caps nothing here; it must still
-    be at least one.
     """
-    _check_budget(budget)
     big_n, m = fam.n_indices, fam.m
     n = fam.ambient_dim
     grams = _make_hermitian(_gram_tensor(fam))
@@ -291,6 +278,12 @@ def _certificate(
         raise ValueError(
             f"mode must be 'exact-lambda-only' or 'sampled-falsification', got {mode!r}"
         )
+    exact = mode == "exact-lambda-only"
+    if exact and (any(etas) or any(mus)):
+        raise ValueError(
+            "exact verification covers the lambda-only case; "
+            "use sampled-falsification for nonzero eta/mu"
+        )
     bounds = [frame_bounds(fr) for fr in fam.frames]
     lowers = tuple(b.lower for b in bounds)
     uppers = tuple(b.upper for b in bounds)
@@ -300,12 +293,6 @@ def _certificate(
             lambdas[k] + etas[k] * np.sqrt(uppers[a]) + mus[k] * np.sqrt(uppers[b])
         ) * (np.sqrt(uppers[a]) + np.sqrt(uppers[b]))
 
-    exact = mode == "exact-lambda-only"
-    if exact and predicted > 0.0 and (any(etas) or any(mus)):
-        raise ValueError(
-            "exact verification covers the lambda-only case; "
-            "use sampled-falsification for nonzero eta/mu"
-        )
     gaps = None
     witness = None
     if exact:

@@ -110,21 +110,6 @@ def riesz_bounds(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> RieszBounds:
     return RieszBounds(lower=lower, upper=upper, complete=complete, is_basis=is_basis)
 
 
-def _pair_partition_chunks(dims):
-    """Yield ``(labels0, col_owner)`` for all ``2**N`` two-member partitions.
-
-    A chunk holds ``_CHUNK`` consecutive codes in lexicographic order (index
-    1 most significant): ``labels0`` has one row of 0-based labels per
-    partition and ``col_owner`` marks the coefficient columns that the
-    partition takes from the second member.
-    """
-    big_n = len(dims)
-    total = 2**big_n
-    for first in range(0, total, _CHUNK):
-        labels0 = _decode_codes(np.arange(first, min(first + _CHUNK, total)), 2, big_n)
-        yield labels0, np.repeat(labels0 == 1, dims, axis=1)
-
-
 def _squares(x: np.ndarray) -> np.ndarray:
     """``float(v) ** 2`` for each entry.
 
@@ -134,19 +119,64 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def _weaving_singular_values(fam: GFrameFamily):
-    """Yield ``(labels0, s)``: singular values of each weaving's synthesis
-    matrix, one batched SVD per chunk of partitions."""
+def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, angles: bool = False):
+    """One pass over the ``2**N`` partitions of a two-member family.
+
+    Chunks of ``_CHUNK`` codes run in lexicographic order (index 1 most
+    significant); each takes one batched SVD of the weaving synthesis
+    matrices, columns in index order.  Returns ``(best, span_low_min, a2,
+    d3)``: ``best`` as folded by ``_fold_extremes`` over squared extreme
+    singular values, keyed by 0-based label rows; ``span_low_min`` the
+    smallest squared singular value above the rank threshold; ``a2`` and
+    ``d3`` the angle constants of :func:`equivalence_constants` if
+    ``angles``, else ``inf``.  For those, each chunk is split into groups
+    of equal shapes (left column count, left rank, right rank), and each
+    group is one batched SVD per quantity.
+    """
+    n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
-    for labels0, owner in _pair_partition_chunks(fam.block_dims):
-        stack = np.where(owner[:, None, :], t_second, t_first)
-        yield labels0, np.linalg.svd(stack, compute_uv=False)
-
-
-def _fold_riesz(best: tuple, labels0: np.ndarray, s: np.ndarray) -> tuple:
-    """Fold a chunk's squared extreme singular values into ``best``."""
-    w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
-    return _fold_extremes(best, w, labels0)
+    # Column j < c is column j of the first member; column c + j, of the second.
+    t_both = np.hstack([t_first, t_second])
+    big_n, total = fam.n_indices, 2**fam.n_indices
+    best = (np.inf, None, -np.inf, None)
+    span_low_min = a2 = d3 = np.inf
+    for first in range(0, total, _CHUNK):
+        labels0 = _decode_codes(np.arange(first, min(first + _CHUNK, total)), 2, big_n)
+        # Columns that the partition takes from the second member.
+        owner = np.repeat(labels0 == 1, fam.block_dims, axis=1)
+        s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
+        w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
+        best = _fold_extremes(best, w, labels0)
+        # Singular values come sorted, so the live ones are a prefix.
+        live = (s > tol.rank_rtol * s[:, :1] * max(n, c)).sum(axis=1)
+        span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
+        if not angles:
+            continue
+        left_count = c - owner.sum(axis=1)
+        for cl in np.unique(left_count):
+            rows = owner[left_count == cl]
+            # Each row's left columns in index order, then its right columns.
+            order = np.argsort(rows, axis=1, kind="stable")
+            cols = order + c * np.take_along_axis(rows, order, axis=1)
+            weave = t_both[:, cols].transpose(1, 0, 2)
+            u_left, r_left = _range_bases(weave[..., :cl], tol)
+            u_right, r_right = _range_bases(weave[..., cl:], tol)
+            for rl, rr in sorted(set(zip(r_left.tolist(), r_right.tolist()))):
+                sel = (r_left == rl) & (r_right == rr)
+                o_left = _column_major(u_left[sel, :, :rl])
+                o_right = _column_major(u_right[sel, :, :rr])
+                if rl > 0 and rr == 0:
+                    a2 = min(a2, 1.0)
+                elif rl > 0:
+                    gram = o_right.conj().swapaxes(-1, -2) @ o_left
+                    overlap = np.linalg.svd(gram, compute_uv=False)
+                    a2 = min(a2, max(0.0, 1.0 - _squares(overlap[:, 0]).max()))
+                if rl + rr > n:
+                    d3 = min(d3, 0.0)
+                elif rl + rr > 0:
+                    mix = np.concatenate([o_left, o_right], axis=-1)
+                    d3 = min(d3, _squares(np.linalg.svd(mix, compute_uv=False)[:, -1]).min())
+    return best, float(span_low_min), float(a2), float(d3)
 
 
 def weaving_riesz_check(
@@ -168,10 +198,7 @@ def weaving_riesz_check(
         if not riesz_bounds(fr, tol).is_basis:
             raise ValueError(f"member {j} is not a g-Riesz basis")
     total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
-    best = (np.inf, None, -np.inf, None)
-    for labels0, s in _weaving_singular_values(fam):
-        best = _fold_riesz(best, labels0, s)
-    best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
+    best_low, (rows_low, i_low), best_up, (rows_up, i_up) = _riesz_sweep(fam, tol)[0]
     woven = best_low > tol.frame_rtol * best_up
     return WeavingRieszReport(
         woven=woven,
@@ -215,14 +242,7 @@ def permutation_weave(
 
     _check_budget(budget, "permutation weave needs", 2, big_n)
     fb = frame_bounds(f, tol)
-    maxdim = max(f.ambient_dim, f.coeff_dim)
-    best = (np.inf, None, -np.inf, None)
-    span_low_min = np.inf
-    for labels0, s in _weaving_singular_values(fam):
-        best = _fold_riesz(best, labels0, s)
-        # Singular values come sorted, so the live ones are a prefix.
-        live = (s > tol.rank_rtol * s[:, :1] * maxdim).sum(axis=1)
-        span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
+    best, span_low_min, _, _ = _riesz_sweep(fam, tol)
     best_low, (rows_low, i_low), best_up, _ = best
     woven = best_low > tol.frame_rtol * best_up
     return PermutationWeaveReport(
@@ -233,7 +253,7 @@ def permutation_weave(
         base_upper=fb.upper,
         universal_lower=max(best_low, 0.0),
         universal_upper=best_up,
-        span_lower_min=float(span_low_min),
+        span_lower_min=span_low_min,
         witness=None if woven else _partition_of(rows_low[i_low]),
     )
 
@@ -275,54 +295,14 @@ def equivalence_constants(
     of the concatenated orthonormal range bases.  Partitions whose
     denominator form vanishes identically contribute no constraint.
 
-    Each chunk of partitions is split into groups of equal shapes (left
-    column count, left rank, right rank), and each group is one batched
-    SVD per quantity.
+    ``riesz_low``/``riesz_up`` come from the same weaving SVDs as
+    :func:`weaving_riesz_check`, so on a pair of g-Riesz bases they are the
+    same floats as its ``common_lower``/``common_upper``.
     """
     if fam.m != 2:
         raise ValueError("equivalence constants are defined for two-member families")
     _check_budget(budget, "equivalence constants need", 2, fam.n_indices, "partitions")
-    n, c = fam.ambient_dim, fam.coeff_dim
-    # Column j < c is column j of the first member; column c + j, of the second.
-    t_both = np.hstack([synthesis_matrix(fr) for fr in fam.frames])
-
-    riesz_low, riesz_up = np.inf, -np.inf
-    a2 = np.inf
-    d3 = np.inf
-    for _, owner in _pair_partition_chunks(fam.block_dims):
-        left_count = c - owner.sum(axis=1)
-        for cl in np.unique(left_count):
-            rows = owner[left_count == cl]
-            # Each row's left columns in index order, then its right columns.
-            order = np.argsort(rows, axis=1, kind="stable")
-            cols = order + c * np.take_along_axis(rows, order, axis=1)
-            weave = t_both[:, cols].transpose(1, 0, 2)
-            s = np.linalg.svd(weave, compute_uv=False)
-            riesz_up = max(riesz_up, _squares(s[:, 0]).max())
-            riesz_low = min(riesz_low, 0.0 if c > n else _squares(s[:, -1]).min())
-
-            u_left, r_left = _range_bases(weave[..., :cl], tol)
-            u_right, r_right = _range_bases(weave[..., cl:], tol)
-            for rl, rr in sorted(set(zip(r_left.tolist(), r_right.tolist()))):
-                sel = (r_left == rl) & (r_right == rr)
-                o_left = _column_major(u_left[sel, :, :rl])
-                o_right = _column_major(u_right[sel, :, :rr])
-                if rl > 0 and rr == 0:
-                    a2 = min(a2, 1.0)
-                elif rl > 0:
-                    gram = o_right.conj().swapaxes(-1, -2) @ o_left
-                    overlap = np.linalg.svd(gram, compute_uv=False)
-                    a2 = min(a2, max(0.0, 1.0 - _squares(overlap[:, 0]).max()))
-                if rl + rr > n:
-                    d3 = min(d3, 0.0)
-                elif rl + rr > 0:
-                    mix = np.concatenate([o_left, o_right], axis=-1)
-                    d3 = min(d3, _squares(np.linalg.svd(mix, compute_uv=False)[:, -1]).min())
-
-    return EquivalenceConstants(
-        riesz_low=max(float(riesz_low), 0.0),
-        riesz_up=float(riesz_up),
-        a2=float(a2),
-        d3=float(d3),
-        e4=float(a2),
-    )
+    (low, _, up, _), _, a2, d3 = _riesz_sweep(fam, tol, angles=True)
+    # More coefficients than ambient dimensions force a kernel.
+    low = 0.0 if fam.coeff_dim > fam.ambient_dim else max(low, 0.0)
+    return EquivalenceConstants(riesz_low=low, riesz_up=up, a2=a2, d3=d3, e4=a2)

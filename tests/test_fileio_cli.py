@@ -240,24 +240,39 @@ class TestWeaveCommand:
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, single",
         [
-            ("weave", ("--mode", "exhaustive")),
-            ("riesz", ()),
-            ("riesz", ("--permutation", "2,1")),
-            ("certify", ("--theorem", "k")),
+            ("weave", ("--mode", "exhaustive"), False),
+            ("riesz", (), False),
+            ("riesz", ("--permutation", "2,1"), True),
+            ("certify", ("--theorem", "k"), False),
+            ("riesz", (), True),
+            ("certify", ("--theorem", "pw"), False),
+            ("certify", ("--theorem", "pw-chain"), False),
+            ("certify", ("--theorem", "op-perturb", "--operators", "OPS"), True),
+            ("certify", ("--theorem", "scaled-dual"), True),
         ],
-        ids=["weave", "riesz", "riesz-permutation", "certify-k"],
+        ids=["weave", "riesz", "riesz-permutation", "certify-k", "riesz-frame",
+             "certify-pw", "certify-pw-chain", "certify-op-perturb", "certify-scaled-dual"],
     )
     def test_every_command_rejects_budget_below_one(
-        self, copies_family_file, frame_file, capsys, command, extra, budget
+        self, copies_family_file, frame_file, tmp_path, capsys, command, extra, single, budget
     ):
-        path = frame_file if "--permutation" in extra else copies_family_file
+        # Commands that enumerate nothing must reject the budget too.
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"field": "real", "matrices": [[[0.9, 0.0], [0.0, 0.9]]]}))
+        path = frame_file if single else copies_family_file
+        extra = [str(ops) if arg == "OPS" else arg for arg in extra]
         code = main([command, str(path), *extra, "--budget", budget])
         assert code == 2
         err = capsys.readouterr().err
         assert "budget must be >= 1" in err
         assert "Traceback" not in err
+
+    def test_env_budget_below_one_exit_2(self, frame_file, monkeypatch, capsys):
+        monkeypatch.setenv("GWEAVE_BUDGET", "0")
+        assert main(["certify", str(frame_file), "--theorem", "scaled-dual"]) == 2
+        assert "budget must be >= 1" in capsys.readouterr().err
 
     def test_sampled_determinism(self, swapped_family_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -325,6 +340,14 @@ class TestCertifyCommand:
             "certify", str(path), "--theorem", "pw-chain", "--lam", "0.051,0.051",
         ])
         assert code == 0
+
+    def test_pw_exact_with_eta_exit_2_when_hypothesis_fails(self, tmp_path, capsys):
+        f = onb_frame(2)
+        path = tmp_path / "fam.json"
+        save_family(GFrameFamily((f, apply_operator(f, 1.6 * np.eye(2)))), path)
+        code = main(["certify", str(path), "--theorem", "pw", "--lam", "0.6", "--eta", "0.1"])
+        assert code == 2
+        assert "lambda-only" in capsys.readouterr().err
 
     def test_scaled_dual_hypothesis_fails_exit_6(self, tmp_path):
         f = GFrame(2, (np.array([[1.0, 0.0]]), np.array([[0.0, np.sqrt(2.5)]])))

@@ -318,6 +318,16 @@ class TestPerturbationCertificate:
                 scaled_pair(1.1), base=1, lambdas=(0.1,), etas=(0.1,)
             )
 
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_exact_mode_rejects_eta_mu_when_hypothesis_fails(self, chained):
+        # The predicted bound is negative at 1.6: the check must not depend on it.
+        fam = scaled_pair(1.6)
+        with pytest.raises(ValueError, match="lambda-only"):
+            if chained:
+                chained_certificate(fam, (0.6,), mus=(0.1,))
+            else:
+                perturbation_certificate(fam, 1, (0.6,), etas=(0.1,))
+
     def test_base_index_validated(self):
         with pytest.raises(ValueError, match="base index"):
             perturbation_certificate(scaled_pair(1.1), base=3, lambdas=(0.1,))

@@ -205,6 +205,15 @@ class TestEquivalenceConstants:
             positive = min(ec.riesz_low, ec.a2, ec.d3, ec.e4) > 1e-9
             assert positive == woven
 
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_riesz_bounds_are_the_weaving_check_bounds(self, n, seed):
+        # One quantity, one float: both reports read the same weaving SVDs.
+        fam = riesz_pair(n, seed)
+        ec, rep = equivalence_constants(fam), weaving_riesz_check(fam)
+        assert ec.riesz_low == rep.common_lower
+        assert ec.riesz_up == rep.common_upper
+
     def test_requires_pair(self):
         f = random_frame(2, (1, 1), seed=1)
         with pytest.raises(ValueError, match="two-member"):
@@ -294,7 +303,7 @@ def _equivalence_reference(fam, tol=DEFAULT_TOL):
         left = t_first[:, col_owner == 0]
         right = t_second[:, col_owner == 1]
 
-        weave = np.hstack([left, right])
+        weave = _reference_synthesis(fam, labels0)
         s = np.linalg.svd(weave, compute_uv=False)
         up = float(s[0]) ** 2
         low = 0.0 if weave.shape[1] > n else float(s[-1]) ** 2

@@ -17,7 +17,6 @@ from gweave import (
     certify_woven,
     frame_bounds,
     frame_op_norm_check,
-    minimal_k,
     op_norm,
     removal_bound,
     restrict_family,
@@ -186,7 +185,7 @@ class TestCertifyWoven:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             certify_woven(fam, mode=mode, budget=budget, seed=1)
 
-    @pytest.mark.parametrize("sweep", [span_criterion, minimal_k])
+    @pytest.mark.parametrize("sweep", [span_criterion])
     @pytest.mark.parametrize("budget", [0, -3])
     def test_other_sweeps_reject_budget_below_one(self, sweep, budget):
         fam = noisy_family(2, (1, 1, 1), 2, seed=0)
