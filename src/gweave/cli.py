@@ -54,12 +54,7 @@ from .perturb import (
     perturbation_certificate,
     scaled_dual_weave,
 )
-from .riesz import (
-    equivalence_constants,
-    permutation_weave,
-    riesz_bounds,
-    weaving_riesz_check,
-)
+from .riesz import _riesz_pair_reports, permutation_weave, riesz_bounds
 from .weaving import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -304,11 +299,10 @@ def cmd_riesz(args) -> int:
             payload["permutation_weave"] = report_dict(report)
             code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
     else:
-        report = weaving_riesz_check(loaded, tol, budget=budget)
+        # One sweep serves both reports.
+        report, constants = _riesz_pair_reports(loaded, tol, budget, angles=True)
         payload["weaving_riesz"] = report_dict(report)
-        payload["equivalence_constants"] = report_dict(
-            equivalence_constants(loaded, tol, budget=budget)
-        )
+        payload["equivalence_constants"] = report_dict(constants)
         code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
     _emit(payload, args)
     return code

@@ -179,6 +179,28 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, angles: bool = False):
     return best, float(span_low_min), float(a2), float(d3)
 
 
+def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: bool):
+    """The :func:`weaving_riesz_check` report, and with ``angles`` the
+    :func:`equivalence_constants` report (else ``None``), from one sweep."""
+    if fam.m != 2:
+        raise ValueError("the Riesz weaving check is defined for two-member families")
+    for j, fr in enumerate(fam.frames, start=1):
+        if not riesz_bounds(fr, tol).is_basis:
+            raise ValueError(f"member {j} is not a g-Riesz basis")
+    total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
+    best, _, a2, d3 = _riesz_sweep(fam, tol, angles)
+    best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
+    report = WeavingRieszReport(
+        woven=best_low > tol.frame_rtol * best_up,
+        common_lower=max(best_low, 0.0),
+        common_upper=best_up,
+        witness_lower=_partition_of(rows_low[i_low]),
+        witness_upper=_partition_of(rows_up[i_up]),
+        partitions_checked=total,
+    )
+    return report, _equivalence_report(fam, best_low, best_up, a2, d3) if angles else None
+
+
 def weaving_riesz_check(
     fam: GFrameFamily,
     tol: Tolerance = DEFAULT_TOL,
@@ -192,22 +214,7 @@ def weaving_riesz_check(
     g-Riesz basis and the pair is woven.  Witnesses are the first partition
     in lexicographic order that attains each bound.
     """
-    if fam.m != 2:
-        raise ValueError("the Riesz weaving check is defined for two-member families")
-    for j, fr in enumerate(fam.frames, start=1):
-        if not riesz_bounds(fr, tol).is_basis:
-            raise ValueError(f"member {j} is not a g-Riesz basis")
-    total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
-    best_low, (rows_low, i_low), best_up, (rows_up, i_up) = _riesz_sweep(fam, tol)[0]
-    woven = best_low > tol.frame_rtol * best_up
-    return WeavingRieszReport(
-        woven=woven,
-        common_lower=max(best_low, 0.0),
-        common_upper=best_up,
-        witness_lower=_partition_of(rows_low[i_low]),
-        witness_upper=_partition_of(rows_up[i_up]),
-        partitions_checked=total,
-    )
+    return _riesz_pair_reports(fam, tol, budget, angles=False)[0]
 
 
 def permutation_weave(
@@ -303,6 +310,10 @@ def equivalence_constants(
         raise ValueError("equivalence constants are defined for two-member families")
     _check_budget(budget, "equivalence constants need", 2, fam.n_indices, "partitions")
     (low, _, up, _), _, a2, d3 = _riesz_sweep(fam, tol, angles=True)
+    return _equivalence_report(fam, low, up, a2, d3)
+
+
+def _equivalence_report(fam, low, up, a2, d3) -> EquivalenceConstants:
     # More coefficients than ambient dimensions force a kernel.
     low = 0.0 if fam.coeff_dim > fam.ambient_dim else max(low, 0.0)
     return EquivalenceConstants(riesz_low=low, riesz_up=up, a2=a2, d3=d3, e4=a2)

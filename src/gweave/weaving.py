@@ -232,10 +232,14 @@ def _gram_tensor(fam: GFrameFamily) -> np.ndarray:
 
 
 def _decode_codes(codes: np.ndarray, m: int, big_n: int) -> np.ndarray:
-    """Base-m digits of each code, most significant first (lexicographic order)."""
+    """Base-m digits of each code, most significant first (lexicographic order).
+
+    Digits are peeled from the least significant end, so no power of ``m``
+    is formed and ``big_n`` may exceed the int64 range of ``m**big_n``.
+    """
     out = np.empty((codes.size, big_n), dtype=np.int64)
-    for i in range(big_n):
-        out[:, i] = (codes // m ** (big_n - 1 - i)) % m
+    for i in reversed(range(big_n)):
+        codes, out[:, i] = np.divmod(codes, m)
     return out
 
 

@@ -13,13 +13,17 @@ from gweave import (
     apply_operator,
     certify_woven,
     chained_certificate,
+    equivalence_constants,
     frame_bounds,
     is_g_orthonormal,
     operator_perturbation,
     perturbation_certificate,
+    report_dict,
     riesz_bounds,
     scaled_dual_weave,
+    weaving_riesz_check,
 )
+import gweave.riesz
 from gweave.cli import main
 from gweave.fileio import (
     FrameFileError,
@@ -30,7 +34,7 @@ from gweave.fileio import (
     save_frame,
 )
 
-from _support import noisy_family, onb_frame, random_frame, swapped_onb_family
+from _support import noisy_family, onb_frame, random_frame, riesz_pair, swapped_onb_family
 
 
 @pytest.fixture()
@@ -636,6 +640,56 @@ class TestRieszCommand:
         save_family(GFrameFamily((redundant, other)), path)
         assert main(["riesz", str(path)]) == 2
         assert "Riesz basis" in capsys.readouterr().err
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        """Count the calls of the private partition sweep."""
+        calls = []
+        sweep = gweave.riesz._riesz_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(gweave.riesz, "_riesz_sweep", counted)
+        monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
+        return calls
+
+    def test_pair_sweeps_once(self, tmp_path, sweeps):
+        path = tmp_path / "pair.json"
+        save_family(riesz_pair(4, 0), path)
+        assert main(["riesz", str(path)]) in (0, 1)
+        assert len(sweeps) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_sections_equal_the_library_reports(self, tmp_path, monkeypatch, seed):
+        monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
+        # N = 9: 512 partitions, four chunks of the sweep.
+        fam = riesz_pair(9, seed)
+        path, out = tmp_path / "pair.json", tmp_path / "r.json"
+        save_family(fam, path)
+        rep = weaving_riesz_check(fam)
+        assert main(["riesz", str(path), "--json", str(out)]) == (0 if rep.woven else 1)
+        payload = json.loads(out.read_text())
+        assert payload["weaving_riesz"] == report_dict(rep)
+        assert payload["equivalence_constants"] == report_dict(equivalence_constants(fam))
+
+    def test_pair_with_non_basis_member_exits_2_without_sweeping(self, tmp_path, capsys, sweeps):
+        # Member 2 is a g-frame, but its Riesz bounds 1e-4 and 1 are too far
+        # apart for the raised frame_rtol.
+        f = onb_frame(2)
+        path = tmp_path / "skewed.json"
+        save_family(GFrameFamily((f, GFrame(2, (f.blocks[0], 0.01 * f.blocks[1])))), path)
+        assert main(["riesz", str(path), "--frame-rtol", "1e-2"]) == 2
+        assert "member 2 is not a g-Riesz basis" in capsys.readouterr().err
+        assert sweeps == []
+
+    def test_pair_over_budget_exits_5_without_sweeping(self, tmp_path, capsys, sweeps):
+        path = tmp_path / "pair.json"
+        save_family(riesz_pair(4, 0), path)
+        assert main(["riesz", str(path), "--budget", "8"]) == 5
+        assert "Riesz weaving check needs 2^4" in capsys.readouterr().err
+        assert sweeps == []
 
 
 class TestGenerateCommand:

@@ -126,6 +126,13 @@ class TestDecode:
         expected = np.array(list(product(range(m), repeat=big_n)))
         assert np.array_equal(got, expected)
 
+    def test_decode_beyond_int64_powers(self):
+        # 2**79 does not fit in int64; the digits still come out.
+        expected = np.zeros((2, 80), dtype=np.int64)
+        expected[0, -1] = 1
+        expected[1, [-3, -1]] = 1
+        assert np.array_equal(_decode_codes(np.array([1, 5]), 2, 80), expected)
+
 
 class TestCertifyWoven:
     def test_two_parseval_copies(self):
@@ -220,6 +227,16 @@ class TestSpanCriterion:
         holds, witness = span_criterion(swapped_onb_family())
         assert not holds
         assert witness.labels == (1, 2)
+
+    @pytest.mark.parametrize("big_n", [40, 80])
+    def test_first_witness_at_large_n(self, big_n):
+        # Code 1, labels (1, ..., 1, 2), is the first weaving without e2; at
+        # N = 80 the budget exceeds the int64 range.
+        f1 = GFrame(2, (E1,) * (big_n - 1) + (E2,))
+        f2 = GFrame(2, (E2,) * (big_n - 1) + (E1,))
+        holds, witness = span_criterion(GFrameFamily((f1, f2)), budget=2 ** (big_n + 1))
+        assert not holds
+        assert witness.labels == (1,) * (big_n - 1) + (2,)
 
     def test_agrees_with_certification(self):
         for seed in range(6):
