@@ -4,7 +4,7 @@ Exit codes
 ----------
 0   success (analysis done / woven / certificate valid)
 1   not woven
-2   unreadable or malformed input file (or bad usage)
+2   missing, unreadable or malformed input, unwritable output (or bad usage)
 3   numeric failure
 4   sampled run finished without a conclusive answer
 5   partition budget exceeded
@@ -35,7 +35,7 @@ from .fileio import (
     load_any,
     load_family,
     load_frame,
-    parse_matrix_entries,
+    load_operators,
     save_family,
     save_frame,
 )
@@ -141,27 +141,6 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise FrameFileError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _load_operators(path, n: int) -> list[np.ndarray]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FrameFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(payload, dict) or "matrices" not in payload:
-        raise FrameFileError(f"{path}: expected an object with a 'matrices' field")
-    field = payload.get("field", "complex")
-    if field not in ("real", "complex"):
-        raise FrameFileError(f"{path}.field: expected 'real' or 'complex'")
-    mats = payload["matrices"]
-    if not isinstance(mats, list) or not mats:
-        raise FrameFileError(f"{path}.matrices: expected a nonempty list")
-    return [
-        parse_matrix_entries(entry, n, n, field, f"{path}.matrices[{k}]")
-        for k, entry in enumerate(mats)
-    ]
-
-
 def cmd_analyze(args) -> int:
     tol = _tolerance(args)
     frame = load_frame(args.path)
@@ -223,8 +202,7 @@ def _certify_payloads(args, tol, budget):
     elif theorem in ("pw", "pw-chain"):
         if not isinstance(loaded, GFrameFamily):
             raise FrameFileError(f"--theorem {theorem} needs a family file")
-        count = loaded.m - 1
-        lambdas = _parse_float_list(args.lam, "--lam") if args.lam else (0.0,) * count
+        lambdas = _parse_float_list(args.lam, "--lam") if args.lam else None
         etas = _parse_float_list(args.eta, "--eta") if args.eta else None
         mus = _parse_float_list(args.mu, "--mu") if args.mu else None
         mode = {
@@ -248,7 +226,7 @@ def _certify_payloads(args, tol, budget):
             raise FrameFileError("--theorem op-perturb needs a single-frame file")
         if not args.operators:
             raise FrameFileError("--theorem op-perturb needs --operators FILE")
-        ops = _load_operators(args.operators, loaded.ambient_dim)
+        ops = load_operators(args.operators, loaded.ambient_dim)
         report = operator_perturbation(loaded, ops, tol)
         status = "valid" if report.hypothesis_ok else "hypothesis-fails"
         cross_family = report.family
@@ -410,7 +388,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FrameFileError as exc:
+    except (FrameFileError, OSError) as exc:
+        # OSError: a missing, unreadable or unwritable path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

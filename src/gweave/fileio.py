@@ -22,6 +22,7 @@ __all__ = [
     "load_frame",
     "load_family",
     "load_any",
+    "load_operators",
     "save_frame",
     "save_family",
     "frame_to_payload",
@@ -143,6 +144,21 @@ def load_any(path) -> GFrame | GFrameFamily:
     if "frames" in payload:
         return family_from_payload(payload, where=str(path))
     return frame_from_payload(payload, where=str(path))
+
+
+def load_operators(path, n: int) -> list[np.ndarray]:
+    """The ``n x n`` matrices of an operators file (``field`` defaults to complex)."""
+    payload = _payload_from_path(path)
+    mats = _require(payload, "matrices", str(path))
+    field = payload.get("field", "complex")
+    if field not in ("real", "complex"):
+        raise FrameFileError(f"{path}.field: expected 'real' or 'complex', got {field!r}")
+    if not isinstance(mats, list) or not mats:
+        raise FrameFileError(f"{path}.matrices: expected a nonempty list")
+    return [
+        parse_matrix_entries(entry, n, n, field, f"{path}.matrices[{k}]")
+        for k, entry in enumerate(mats)
+    ]
 
 
 def _entries_payload(block: np.ndarray, field: str):

@@ -227,10 +227,14 @@ def minimal_k(fam: GFrameFamily, tol: Tolerance = DEFAULT_TOL) -> KCertificate:
     return _k_certificate(fam, True, 0.0, [], None)
 
 
-def _k_certificate(fam, feasible, k, subset, pair) -> KCertificate:
+def _member_bounds(fam: GFrameFamily) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Optimal lower and upper frame bounds of each member, one pass each."""
     bounds = [frame_bounds(fr) for fr in fam.frames]
-    lowers = tuple(b.lower for b in bounds)
-    uppers = tuple(b.upper for b in bounds)
+    return tuple(b.lower for b in bounds), tuple(b.upper for b in bounds)
+
+
+def _k_certificate(fam, feasible, k, subset, pair) -> KCertificate:
+    lowers, uppers = _member_bounds(fam)
     predicted = None
     if feasible:
         predicted = sum(lowers) / (2.0 * (fam.m - 1) * (k + 1.0) + 1.0)
@@ -247,13 +251,11 @@ def _k_certificate(fam, feasible, k, subset, pair) -> KCertificate:
 
 
 def _as_scalars(values, count: int, name: str) -> tuple[float, ...]:
-    if values is None:
-        return (0.0,) * count
-    vals = tuple(float(v) for v in values)
+    vals = (0.0,) * count if values is None else tuple(float(v) for v in values)
     if len(vals) != count:
         raise ValueError(f"{name} must have {count} entries, got {len(vals)}")
-    if any(v < 0 for v in vals):
-        raise ValueError(f"{name} entries must be nonnegative")
+    if not all(np.isfinite(v) and v >= 0 for v in vals):
+        raise ValueError(f"{name} entries must be finite and nonnegative")
     return vals
 
 
@@ -272,8 +274,13 @@ def _certificate(
     """Certificate over member ``pairs``, scalars indexed like ``pairs``.
 
     The predicted lower bound starts from the lower bound of the anchor
-    ``pairs[0][0]`` and subtracts each pair's closeness term.
+    ``pairs[0][0]`` and subtracts each pair's closeness term.  Both modes
+    use one synthesis matrix ``T_j`` per member: exact mode takes the norms
+    of the differences, sampled mode tests each pair on ``u_j = T_j g``.
     """
+    lambdas = _as_scalars(lambdas, len(pairs), "lambdas")
+    etas = _as_scalars(etas, len(pairs), "etas")
+    mus = _as_scalars(mus, len(pairs), "mus")
     if mode not in ("exact-lambda-only", "sampled-falsification"):
         raise ValueError(
             f"mode must be 'exact-lambda-only' or 'sampled-falsification', got {mode!r}"
@@ -284,20 +291,18 @@ def _certificate(
             "exact verification covers the lambda-only case; "
             "use sampled-falsification for nonzero eta/mu"
         )
-    bounds = [frame_bounds(fr) for fr in fam.frames]
-    lowers = tuple(b.lower for b in bounds)
-    uppers = tuple(b.upper for b in bounds)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    lowers, uppers = _member_bounds(fam)
     predicted = lowers[pairs[0][0]]
     for k, (a, b) in enumerate(pairs):
         predicted -= (
             lambdas[k] + etas[k] * np.sqrt(uppers[a]) + mus[k] * np.sqrt(uppers[b])
         ) * (np.sqrt(uppers[a]) + np.sqrt(uppers[b]))
 
-    gaps = None
+    synths = [synthesis_matrix(fr) for fr in fam.frames]
+    gaps = tuple(op_norm(synths[a] - synths[b]) for a, b in pairs) if exact else None
     witness = None
-    if exact:
-        synths = [synthesis_matrix(fr) for fr in fam.frames]
-        gaps = tuple(op_norm(synths[a] - synths[b]) for a, b in pairs)
     if predicted <= 0.0:
         status = "hypothesis-fails"
     elif exact:
@@ -307,40 +312,31 @@ def _certificate(
         )
         status = "valid" if ok else "lambda-below-gap"
     else:
+        # Per trial: a nonempty index mask, then per chosen index its real and
+        # then its imaginary draws, written into a zero coefficient vector g.
         rng = np.random.Generator(np.random.Philox(seed))
-        big_n = fam.n_indices
-        dims = fam.block_dims
+        ends = np.cumsum(fam.block_dims)
         status = "not-falsified"
         for _ in range(trials):
-            mask = rng.integers(0, 2, size=big_n).astype(bool)
+            mask = np.zeros(len(ends), dtype=bool)
             while not mask.any():
-                mask = rng.integers(0, 2, size=big_n).astype(bool)
-            segs = {}
-            for i in np.flatnonzero(mask):
-                d = dims[i]
-                segs[int(i)] = (
-                    rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                ) / np.sqrt(2.0)
-            coeff_norm = np.sqrt(sum(float(np.vdot(g, g).real) for g in segs.values()))
-            for k, (a, b) in enumerate(pairs):
-                u_a = np.zeros(fam.ambient_dim, dtype=np.complex128)
-                u_b = np.zeros(fam.ambient_dim, dtype=np.complex128)
-                for i, g in segs.items():
-                    u_a += fam.frames[a].blocks[i].conj().T @ g
-                    u_b += fam.frames[b].blocks[i].conj().T @ g
-                lhs = float(np.linalg.norm(u_a - u_b))
-                rhs = (
-                    etas[k] * float(np.linalg.norm(u_a))
-                    + mus[k] * float(np.linalg.norm(u_b))
-                    + lambdas[k] * coeff_norm
-                )
-                if lhs > rhs + tol.eq_atol:
-                    witness = FalsificationWitness(
-                        tuple(i + 1 for i in segs), tuple(segs.values())
-                    )
-                    status = "falsified"
-                    break
-            if status == "falsified":
+                mask = rng.integers(0, 2, size=len(ends)).astype(bool)
+            g = np.zeros(ends[-1], dtype=np.complex128)
+            segs = [g[e - fam.block_dims[i] : e] for i, e in enumerate(ends) if mask[i]]
+            for seg in segs:
+                d = seg.size
+                seg[:] = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
+            coeff_norm = np.sqrt(sum(float(np.vdot(seg, seg).real) for seg in segs))
+            u = [t @ g for t in synths]
+            if any(
+                np.linalg.norm(u[a] - u[b])
+                > eta * np.linalg.norm(u[a]) + mu * np.linalg.norm(u[b])
+                + lam * coeff_norm + tol.eq_atol
+                for lam, eta, mu, (a, b) in zip(lambdas, etas, mus, pairs)
+            ):
+                subset = tuple(int(i) + 1 for i in np.flatnonzero(mask))
+                witness = FalsificationWitness(subset, tuple(segs))
+                status = "falsified"
                 break
 
     return PerturbationCertificate(
@@ -388,9 +384,7 @@ def perturbation_certificate(
         raise ValueError(f"base index must lie in 1..{m}, got {base}")
     pairs = [(base - 1, j) for j in range(m) if j != base - 1]
     return _certificate(
-        fam, pairs, _as_scalars(lambdas, m - 1, "lambdas"),
-        _as_scalars(etas, m - 1, "etas"), _as_scalars(mus, m - 1, "mus"),
-        mode, trials, seed, tol, base_index=base,
+        fam, pairs, lambdas, etas, mus, mode, trials, seed, tol, base_index=base
     )
 
 
@@ -410,13 +404,11 @@ def chained_certificate(
     lower bound subtracts each pair's contribution from the first member's
     lower bound.  For m = 2 this coincides with the fixed-base certificate.
     """
-    m = fam.m
-    pairs = [(k, k + 1) for k in range(m - 1)]
+    pairs = [(k, k + 1) for k in range(fam.m - 1)]
     return _certificate(
-        fam, pairs, _as_scalars(lambdas, m - 1, "lambdas"),
-        _as_scalars(etas, m - 1, "etas"), _as_scalars(mus, m - 1, "mus"),
-        mode, trials, seed, tol, base_index=None,
+        fam, pairs, lambdas, etas, mus, mode, trials, seed, tol, base_index=None
     )
+
 
 def operator_perturbation(
     f: GFrame,
@@ -433,15 +425,14 @@ def operator_perturbation(
     """
     n = f.ambient_dim
     big_n = f.n_blocks
-    ops = operators
-    if isinstance(ops, np.ndarray) and ops.ndim == 2:
-        ops = [ops] * big_n
-    ops = [as_matrix(t) for t in ops]
-    if len(ops) == 1 and big_n > 1:
-        ops = ops * big_n
+    # A single operator (a 2-D array or a one-element list) serves every index.
+    if isinstance(operators, np.ndarray) and operators.ndim == 2:
+        operators = [operators]
+    ops = [as_matrix(t) for t in operators]
+    if len(ops) == 1:
+        ops *= big_n
     if len(ops) != big_n:
         raise ValueError(f"expected one operator per index ({big_n}), got {len(ops)}")
-    eye = np.eye(n)
     for idx, t in enumerate(ops, start=1):
         if t.shape != (n, n):
             raise ValueError(f"operator {idx} must be {n} x {n}, got {t.shape}")
@@ -449,14 +440,13 @@ def operator_perturbation(
             raise ValueError(f"operator {idx} is singular at the working tolerance")
     fb = frame_bounds(f, tol)
     a_low, b_up = fb.lower, fb.upper
-    dev = max(op_norm(eye - t) for t in ops)
+    dev = max(op_norm(np.eye(n) - t) for t in ops)
     threshold = a_low / b_up if b_up > 0 else 0.0
     hypothesis_ok = b_up > 0 and dev**2 < threshold
     predicted = (np.sqrt(a_low) - np.sqrt(b_up) * dev) ** 2 if hypothesis_ok else 0.0
     moved = GFrame(n, tuple(b @ t for b, t in zip(f.blocks, ops)))
-    family = GFrameFamily((f, moved), allow_degenerate=True)
     return OperatorPerturbationReport(
-        family=family,
+        family=GFrameFamily((f, moved), allow_degenerate=True),
         base_lower=a_low,
         base_upper=b_up,
         max_deviation=float(dev),
@@ -478,32 +468,23 @@ def scaled_dual_weave(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> ScaledDualRepo
     """
     fb = frame_bounds(f, tol)
     a_low, b_up = fb.lower, fb.upper
-    if not fb.is_frame or a_low <= 0:
+    ratio = float(b_up / a_low) if fb.is_frame and a_low > 0 else None
+    if ratio is None or ratio >= 2.0:
         return ScaledDualReport(
-            base_lower=a_low, base_upper=b_up, ratio=None, hypothesis_ok=False,
+            base_lower=a_low, base_upper=b_up, ratio=ratio, hypothesis_ok=False,
             scale=None, deviation_norm=None, deviation_bound=None,
             op_report=None, scaled_dual=None,
         )
-    ratio = b_up / a_low
-    if ratio >= 2.0:
-        return ScaledDualReport(
-            base_lower=a_low, base_upper=b_up, ratio=float(ratio),
-            hypothesis_ok=False, scale=None, deviation_norm=None,
-            deviation_bound=None, op_report=None, scaled_dual=None,
-        )
     scale = 2.0 * a_low * b_up / (a_low + b_up)
-    t = scale * _inverse_frame_operator(f)
-    dev = op_norm(np.eye(f.ambient_dim) - t)
-    bound = (b_up - a_low) / (b_up + a_low)
-    op_report = operator_perturbation(f, [t] * f.n_blocks, tol)
+    op_report = operator_perturbation(f, scale * _inverse_frame_operator(f), tol)
     return ScaledDualReport(
         base_lower=a_low,
         base_upper=b_up,
-        ratio=float(ratio),
+        ratio=ratio,
         hypothesis_ok=True,
         scale=float(scale),
-        deviation_norm=float(dev),
-        deviation_bound=float(bound),
+        deviation_norm=op_report.max_deviation,
+        deviation_bound=float((b_up - a_low) / (b_up + a_low)),
         op_report=op_report,
         scaled_dual=op_report.family.frames[1],
     )

@@ -278,6 +278,30 @@ class TestWeaveCommand:
         assert main(["certify", str(frame_file), "--theorem", "scaled-dual"]) == 2
         assert "budget must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("weave", "MISSING"),
+            ("analyze", "DIR"),
+            ("weave", "FAMILY", "--json", "DIR"),
+            ("generate", "--kind", "parseval", "--n", "2", "--dims", "1,1", "--out", "DIR"),
+        ],
+        ids=["missing-input", "directory-input", "directory-json", "directory-out"],
+    )
+    def test_unreadable_or_unwritable_path_exit_2(
+        self, copies_family_file, tmp_path, capsys, args
+    ):
+        paths = {
+            "MISSING": str(tmp_path / "nope.json"),
+            "DIR": str(tmp_path),
+            "FAMILY": str(copies_family_file),
+        }
+        code = main([paths.get(arg, arg) for arg in args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(tmp_path) in err
+
     def test_sampled_determinism(self, swapped_family_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["weave", str(swapped_family_file), "--mode", "sampled",
@@ -393,6 +417,52 @@ class TestCertifyCommand:
             "--eta", "0.01", "--mode", "sampled", "--trials", "50",
         ])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--lam", "nan"),
+            ("--lam", "inf"),
+            ("--lam", "0.1", "--eta", "nan", "--mode", "sampled"),
+            ("--lam", "0.1", "--mode", "sampled", "--trials", "0"),
+            ("--lam", "0.1", "--mode", "sampled", "--trials", "-3"),
+        ],
+        ids=["lam-nan", "lam-inf", "eta-nan", "trials-0", "trials-negative"],
+    )
+    @pytest.mark.parametrize("theorem", ["pw", "pw-chain"])
+    def test_non_finite_scalars_and_no_trials_exit_2(self, tmp_path, capsys, flags, theorem):
+        f = onb_frame(2)
+        path = tmp_path / "fam.json"
+        save_family(GFrameFamily((f, apply_operator(f, 1.1 * np.eye(2)))), path)
+        out = tmp_path / "pw.json"
+        code = main(["certify", str(path), "--theorem", theorem, *flags, "--json", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite and nonnegative" in err or "trials must be >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ('{"matrices": ', "", "invalid JSON"),
+            ("[[[0.9, 0.0], [0.0, 0.9]]]", "", "expected a top-level object"),
+            ('{"field": "real"}', "", "missing required field 'matrices'"),
+            ('{"field": "quaternion", "matrices": [[[1, 0], [0, 1]]]}', ".field",
+             "expected 'real' or 'complex'"),
+            ('{"field": "real", "matrices": []}', ".matrices", "expected a nonempty list"),
+            ('{"field": "real", "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}',
+             ".matrices[0]", "expected 2 rows"),
+        ],
+        ids=["invalid-json", "non-object", "no-matrices", "bad-field", "empty-list", "wrong-size"],
+    )
+    def test_operators_file_errors_exit_2(self, frame_file, tmp_path, capsys, text, where, message):
+        ops = tmp_path / "ops.json"
+        ops.write_text(text)
+        code = main(["certify", str(frame_file), "--theorem", "op-perturb",
+                     "--operators", str(ops)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {ops}{where}: {message}" in err
 
 
 def _plain(value):

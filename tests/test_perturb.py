@@ -1,4 +1,5 @@
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gweave import (
 )
 from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL
-from gweave.perturb import _k_certificate
+from gweave.perturb import FalsificationWitness, PerturbationCertificate, _k_certificate
 
 from _support import (
     noisy_at, noisy_family, onb_frame, random_frame, rotation, swapped_onb_family,
@@ -328,6 +329,30 @@ class TestPerturbationCertificate:
             else:
                 perturbation_certificate(fam, 1, (0.6,), etas=(0.1,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    @pytest.mark.parametrize("name", ["lambdas", "etas", "mus"])
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_scalars_must_be_finite_and_nonnegative(self, bad, name, chained):
+        scalars = {"lambdas": (0.1,), name: (bad,)}
+        mode = "exact-lambda-only" if name == "lambdas" else "sampled-falsification"
+        certify = chained_certificate if chained else partial(perturbation_certificate, base=1)
+        with pytest.raises(ValueError, match=f"{name} entries must be finite and nonnegative"):
+            certify(scaled_pair(1.1), **scalars, mode=mode)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    @pytest.mark.parametrize("mode", ["exact-lambda-only", "sampled-falsification"])
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_trials_below_one_rejected_before_any_work(self, monkeypatch, trials, mode, chained):
+        import gweave.perturb as perturb_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("member bounds computed")
+
+        monkeypatch.setattr(perturb_mod, "frame_bounds", no_work)
+        certify = chained_certificate if chained else partial(perturbation_certificate, base=1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            certify(scaled_pair(1.1), lambdas=(0.05,), mode=mode, trials=trials)
+
     def test_base_index_validated(self):
         with pytest.raises(ValueError, match="base index"):
             perturbation_certificate(scaled_pair(1.1), base=3, lambdas=(0.1,))
@@ -439,6 +464,87 @@ class TestPerturbationCertificate:
             for subset in combinations(indices, r):
                 mask = np.isin(col_of, subset)
                 assert op_norm((t1 - t2)[:, mask]) <= full + 1e-12
+
+
+def _sampled_reference(fam, pairs, lambdas, etas, mus, trials, seed, tol, base_index):
+    """The sampled closeness check as a plain loop: each ``T_j g`` is summed
+    block by block from the drawn segments."""
+    bounds = [frame_bounds(fr) for fr in fam.frames]
+    lowers, uppers = tuple(b.lower for b in bounds), tuple(b.upper for b in bounds)
+    predicted = lowers[pairs[0][0]]
+    for k, (a, b) in enumerate(pairs):
+        predicted -= (
+            lambdas[k] + etas[k] * np.sqrt(uppers[a]) + mus[k] * np.sqrt(uppers[b])
+        ) * (np.sqrt(uppers[a]) + np.sqrt(uppers[b]))
+    status, witness = "hypothesis-fails", None
+    if predicted > 0.0:
+        status = "not-falsified"
+        rng = np.random.Generator(np.random.Philox(seed))
+        big_n, dims = fam.n_indices, fam.block_dims
+        for _ in range(trials):
+            mask = rng.integers(0, 2, size=big_n).astype(bool)
+            while not mask.any():
+                mask = rng.integers(0, 2, size=big_n).astype(bool)
+            segs = {}
+            for i in np.flatnonzero(mask):
+                d = dims[i]
+                segs[int(i)] = (
+                    rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                ) / np.sqrt(2.0)
+            coeff_norm = np.sqrt(sum(float(np.vdot(g, g).real) for g in segs.values()))
+            for k, (a, b) in enumerate(pairs):
+                u_a = np.zeros(fam.ambient_dim, dtype=np.complex128)
+                u_b = np.zeros(fam.ambient_dim, dtype=np.complex128)
+                for i, g in segs.items():
+                    u_a += fam.frames[a].blocks[i].conj().T @ g
+                    u_b += fam.frames[b].blocks[i].conj().T @ g
+                lhs = float(np.linalg.norm(u_a - u_b))
+                rhs = (
+                    etas[k] * float(np.linalg.norm(u_a))
+                    + mus[k] * float(np.linalg.norm(u_b))
+                    + lambdas[k] * coeff_norm
+                )
+                if lhs > rhs + tol.eq_atol:
+                    witness = FalsificationWitness(
+                        tuple(i + 1 for i in segs), tuple(segs.values())
+                    )
+                    status = "falsified"
+                    break
+            if status == "falsified":
+                break
+    return PerturbationCertificate(
+        base_index=base_index, chained=base_index is None,
+        lambdas=lambdas, etas=etas, mus=mus,
+        member_lowers=lowers, member_uppers=uppers,
+        predicted_lower=float(predicted), predicted_upper=float(sum(uppers)),
+        verification_mode="sampled-falsification", status=status,
+        synthesis_gaps=None, falsification_witness=witness,
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 1, 1), (2, 2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_check_matches_the_block_loop(n, dims, m):
+    # Same draws in the same order, so the same verdict and witness; the
+    # grid reaches both outcomes (and hypothesis-fails) for every shape.
+    statuses = set()
+    for seed, noise, lam, eta in product(range(2), (0.02, 0.3), (0.05, 0.2, 0.6), (0.0, 0.05)):
+        fam = noisy_family(n, dims, m, seed=seed, noise=noise)
+        lams, etas, mus = (lam,) * (m - 1), (eta,) * (m - 1), (0.01,) * (m - 1)
+        kwargs = dict(mode="sampled-falsification", trials=60, seed=seed)
+        cert = perturbation_certificate(fam, 1, lams, etas, mus, **kwargs)
+        pairs = [(0, j) for j in range(1, m)]
+        ref = _sampled_reference(fam, pairs, lams, etas, mus, 60, seed, DEFAULT_TOL, 1)
+        assert report_dict(cert) == report_dict(ref)
+        statuses.add(cert.status)
+        cert = chained_certificate(fam, lams, etas, **kwargs)
+        pairs = [(k, k + 1) for k in range(m - 1)]
+        zeros = (0.0,) * (m - 1)
+        ref = _sampled_reference(fam, pairs, lams, etas, zeros, 60, seed, DEFAULT_TOL, None)
+        assert report_dict(cert) == report_dict(ref)
+        statuses.add(cert.status)
+    assert statuses == {"falsified", "not-falsified", "hypothesis-fails"}
 
 
 class TestChainedCertificate:
