@@ -29,6 +29,16 @@ def redundant_frame():
     return GFrame(2, (E1, E2, E1))
 
 
+def hyperplane_frame(n, seed):
+    """``n`` random rank-one blocks that all annihilate one unit vector."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    u /= np.linalg.norm(u)
+    rows = v @ (np.eye(n) - u @ u.conj().T)
+    return GFrame(n, tuple(rows[i : i + 1] for i in range(n)))
+
+
 class TestGFrameModel:
     def test_block_validation(self):
         with pytest.raises(ValueError, match="columns"):
@@ -130,6 +140,21 @@ class TestFrameBounds:
         fb = frame_bounds(deficient)
         assert fb.lower == 0.0
         assert rank(synthesis_matrix(deficient)) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_rank_deficient_frames_are_degenerate(self, n):
+        # The computed lower eigenvalue of S is rounding noise of about
+        # eps * upper, so its square root cannot decide rank at the
+        # rank_rtol threshold; the synthesis matrix's singular values can.
+        for seed in range(25):
+            f = hyperplane_frame(n, seed)
+            assert rank(synthesis_matrix(f)) == n - 1
+            assert frame_bounds(f).classification == "degenerate"
+
+    def test_full_rank_ill_conditioned_is_bessel_only(self):
+        f = GFrame(2, (E1, 1e-6 * E2))
+        assert rank(synthesis_matrix(f)) == 2
+        assert frame_bounds(f).classification == "g-bessel-only"
 
 
 class TestCanonicalDual:
