@@ -167,19 +167,19 @@ def frame_bounds(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
     """Optimal lower/upper bounds with classification.
 
     The bounds are the extreme eigenvalues of the frame operator.  A family
-    counts as a g-frame when ``lower > frame_rtol * upper``; completeness is
-    judged by the numerical-rank rule on the synthesis matrix spectrum.
+    counts as a g-frame when ``lower > frame_rtol * upper``.  Otherwise it is
+    ``g-bessel-only`` when complete, by :func:`rank` on the singular values
+    of the synthesis matrix (square roots of eigenvalues of ``S`` carry an
+    error near ``1e-8 * sqrt(upper)`` and cannot decide rank), else
+    ``degenerate``.
     """
     s = frame_operator(f)
     w = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
     lower = max(float(w[0]), 0.0)
     upper = max(float(w[-1]), 0.0)
-    smin, smax = np.sqrt(lower), np.sqrt(upper)
-    maxdim = max(f.ambient_dim, f.coeff_dim)
-    complete = smin > tol.rank_rtol * smax * maxdim
     if lower > tol.frame_rtol * upper and upper > 0.0:
         kind = "g-frame"
-    elif complete:
+    elif rank(synthesis_matrix(f), tol) == f.ambient_dim:
         kind = "g-bessel-only"
     else:
         kind = "degenerate"
