@@ -425,13 +425,12 @@ def operator_perturbation(
     """
     n = f.ambient_dim
     big_n = f.n_blocks
-    # A single operator (a 2-D array or a one-element list) serves every index.
+    # A single operator (a 2-D array or a one-element list) serves every
+    # index; it is checked once and broadcast afterwards.
     if isinstance(operators, np.ndarray) and operators.ndim == 2:
         operators = [operators]
     ops = [as_matrix(t) for t in operators]
-    if len(ops) == 1:
-        ops *= big_n
-    if len(ops) != big_n:
+    if len(ops) not in (1, big_n):
         raise ValueError(f"expected one operator per index ({big_n}), got {len(ops)}")
     for idx, t in enumerate(ops, start=1):
         if t.shape != (n, n):
@@ -441,6 +440,7 @@ def operator_perturbation(
     fb = frame_bounds(f, tol)
     a_low, b_up = fb.lower, fb.upper
     dev = max(op_norm(np.eye(n) - t) for t in ops)
+    ops *= big_n // len(ops)
     threshold = a_low / b_up if b_up > 0 else 0.0
     hypothesis_ok = b_up > 0 and dev**2 < threshold
     predicted = (np.sqrt(a_low) - np.sqrt(b_up) * dev) ** 2 if hypothesis_ok else 0.0

@@ -665,6 +665,31 @@ class TestScaledDualWeave:
         assert rep.ratio == pytest.approx(2.5, abs=1e-12)
         assert rep.op_report is None
 
+    def test_broadcast_operator_checked_once(self, monkeypatch):
+        # One scaled inverse serves all 8 indices: one rank SVD and one
+        # op_norm SVD, not one of each per index.
+        f = random_frame(3, (1,) * 8, seed=1, lo=1.0, hi=1.5)
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rep = scaled_dual_weave(f)
+        assert rep.hypothesis_ok
+        assert len(calls) == 2
+
+    def test_broadcast_matches_per_index_list(self):
+        f = random_frame(3, (1, 2, 1, 1), seed=2, lo=1.0, hi=1.5)
+        rng = np.random.default_rng(2)
+        t = np.eye(3) + 0.05 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        one = operator_perturbation(f, t)
+        listed = operator_perturbation(f, [t] * 4)
+        assert report_dict(one) == report_dict(listed)
+        for a, b in zip(one.family.frames[1].blocks, listed.family.frames[1].blocks):
+            assert np.array_equal(a, b)
+
     def test_degenerate_reported_not_raised(self):
         f = GFrame(2, (np.array([[1.0, 0.0]]),))
         rep = scaled_dual_weave(f)

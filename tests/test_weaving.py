@@ -26,6 +26,7 @@ from gweave import (
 from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL
 from gweave.weaving import (
+    _BLOCK_FIRST,
     DEFAULT_BUDGET,
     WeavingReport,
     _decode_codes,
@@ -659,6 +660,73 @@ class TestEngineMatchesGatherReference:
         gathered = grams[np.arange(20), labels0].sum(axis=1)
         assert np.array_equal(_frame_operators(grams, labels0), gathered)
         assert np.array_equal(_weaving_spectra(grams, labels0), np.linalg.eigvalsh(gathered))
+
+
+def _sampled_rows(seed: int, big_n: int, budget: int) -> np.ndarray:
+    """The label rows sampled mode draws for ``m = 2`` when nothing fails."""
+    rng = np.random.default_rng(seed)
+    takes = [min(_REFERENCE_CHUNK, budget - k) for k in range(0, budget, _REFERENCE_CHUNK)]
+    return np.concatenate([rng.integers(0, 2, size=(take, big_n)) for take in takes])
+
+
+def _single_failure_family(target) -> GFrameFamily:
+    """Two members whose only failing weaving has the 0-based labels ``target``.
+
+    Block i is a multiple of e1 in member ``target[i]`` and of e2 in the
+    other, so a weaving lies in span{e1} exactly when it equals ``target``.
+    """
+    rng = np.random.default_rng(5)
+    scales = rng.uniform(0.5, 1.5, size=(2, len(target)))
+    members = tuple(
+        GFrame(2, tuple(c * (E1 if t == j else E2) for c, t in zip(scales[j], target)))
+        for j in range(2)
+    )
+    return GFrameFamily(members)
+
+
+def _family_failing_first_at(seed: int, row: int, big_n: int = 24, budget: int = 3 * 8192):
+    """A family whose first failing sampled row under ``seed`` is ``row``."""
+    rows = _sampled_rows(seed, big_n, max(budget, row + 1))
+    assert not (rows[:row] == rows[row]).all(axis=1).any()
+    return _single_failure_family(rows[row])
+
+
+class TestSampledRowBlocks:
+    """Sampled mode checks each draw in doubling row blocks: exact equality
+    with whole-draw checking wherever the first failing row falls."""
+
+    # Row 0; the first block's last row and the next block's first; the
+    # first 512-row block; a draw's last row; the second and third draws.
+    @pytest.mark.parametrize("row", [0, 15, 16, 495, 496, 8191, 8192, 8892, 16387])
+    def test_first_failure_at_row(self, row):
+        fam = _family_failing_first_at(seed=7, row=row)
+        rep = certify_woven(fam, mode="sampled", budget=3 * 8192, seed=7)
+        assert rep.status == "not-woven"
+        assert rep.partitions_checked == row + 1
+        assert rep == _certify_reference(fam, mode="sampled", budget=3 * 8192, seed=7)
+
+    # 10_001 is a multiple of no block size and of no draw size.
+    @pytest.mark.parametrize("row, status", [(10_000, "not-woven"), (12_000, "sampled-no-counterexample")])
+    def test_budget_off_every_block_size(self, row, status):
+        fam = _family_failing_first_at(seed=11, row=row)
+        rep = certify_woven(fam, mode="sampled", budget=10_001, seed=11)
+        assert rep.status == status
+        assert rep.partitions_checked == min(row + 1, 10_001)
+        assert rep == _certify_reference(fam, mode="sampled", budget=10_001, seed=11)
+
+    def test_failure_at_row_one_takes_one_block(self, monkeypatch):
+        fam = _family_failing_first_at(seed=3, row=1)
+        expected = _certify_reference(fam, mode="sampled", budget=3 * 8192, seed=3)
+        eigvalsh, matrices = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            matrices.append(np.asarray(a)[..., 0, 0].size)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rep = certify_woven(fam, mode="sampled", budget=3 * 8192, seed=3)
+        assert rep == expected
+        assert sum(matrices) <= _BLOCK_FIRST
 
 
 def _swapped_members(fam: GFrameFamily) -> GFrameFamily:
