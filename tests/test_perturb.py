@@ -22,6 +22,7 @@ from gweave import (
     scaled_dual_weave,
     synthesis_matrix,
 )
+from gweave import perturb
 from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL
 from gweave.perturb import FalsificationWitness, PerturbationCertificate, _k_certificate
@@ -679,6 +680,19 @@ class TestScaledDualWeave:
         rep = scaled_dual_weave(f)
         assert rep.hypothesis_ok
         assert len(calls) == 2
+
+    def test_frame_bounds_computed_once(self, monkeypatch):
+        f = random_frame(3, (1,) * 8, seed=1, lo=1.0, hi=1.5)
+        expected = report_dict(scaled_dual_weave(f))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return frame_bounds(*args, **kwargs)
+
+        monkeypatch.setattr(perturb, "frame_bounds", counting)
+        assert report_dict(scaled_dual_weave(f)) == expected
+        assert len(calls) == 1
 
     def test_broadcast_matches_per_index_list(self):
         f = random_frame(3, (1, 2, 1, 1), seed=2, lo=1.0, hi=1.5)

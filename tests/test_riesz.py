@@ -3,6 +3,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gweave import (
     BudgetExceededError,
@@ -423,3 +425,56 @@ class TestBatchedSweepsMatchReferenceLoops:
         assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
             _equivalence_reference(fam)
         )
+
+
+def _scaled_riesz_sequence(dims, extra, seed, decades):
+    """A g-Riesz basis of ``C**sum(dims)`` whose coefficient columns are
+    scaled by ``10**u``, ``u`` uniform in ``[0, decades]``, carried into
+    ``C**(sum(dims) + extra)`` by a random isometry."""
+    c = sum(dims)
+    f = _basis(dims, seed)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((c + extra, c)) + 1j * rng.standard_normal((c + extra, c))
+    iso = np.linalg.qr(z)[0].conj().T
+    scale = 10.0 ** rng.uniform(0.0, decades, c)
+    rows = np.split(scale, np.cumsum(dims)[:-1])
+    return GFrame(c + extra, tuple((r[:, None] * b) @ iso for r, b in zip(rows, f.blocks)))
+
+
+class TestAngleScreen:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+        decades=st.floats(0.0, 3.0),
+    )
+    def test_matches_reference_on_scaled_riesz_pairs(self, dims, extra, seed, decades):
+        # Independent members, so some partitions have small angles and the
+        # screen drops most of the rest; column scalings widen nu / mu.
+        dims = tuple(dims)
+        fam = GFrameFamily(
+            tuple(_scaled_riesz_sequence(dims, extra, seed + 7919 * j, decades) for j in range(2)),
+            allow_degenerate=extra > 0,
+        )
+        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
+            _equivalence_reference(fam)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_angle_stage_runs_on_few_partitions(self, seed, monkeypatch):
+        # Two independent bases, as the benchmark pairs them.  The weaving
+        # pass sends its 2**9 matrices to svd, the members' Riesz bounds 4;
+        # the rest is the angle stage, at most 4 per kept partition.  With
+        # no screen it is 2044 (four per partition less the empty sides).
+        fam = GFrameFamily(tuple(_basis((1,) * 9, seed + 1000 * j) for j in range(2)))
+        expected = equivalence_constants(fam)
+        svd, matrices = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert equivalence_constants(fam) == expected
+        assert sum(matrices) - 2**9 - 4 <= 128

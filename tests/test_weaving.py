@@ -249,6 +249,33 @@ class TestSpanCriterion:
         holds, _ = span_criterion(swapped_onb_family())
         assert holds == (rep.status == "woven") == False  # noqa: E712
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_duplicate_block_is_singular(self, n):
+        # Exactly the weavings labelled (2, 1, ...) repeat a block, so they
+        # are singular and (2, 1, 1, ..., 1) is the first of them.
+        for seed in range(25):
+            fam = _duplicate_block_family(n, seed)
+            assert span_criterion(fam) == (False, Partition((2, 1) + (1,) * (n - 2)))
+            assert certify_woven(fam).status == "not-woven"
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 14])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reversed_basis_first_witness(self, n, seed):
+        # Against its reversed copy a weaving spans iff labels[i] ==
+        # labels[n - 1 - i] for all i, so code 1 is the first that does not.
+        f = generate(GenSpec(n, (1,) * n, "riesz-basis", seed))
+        fam = GFrameFamily((f, GFrame(n, f.blocks[::-1])))
+        assert span_criterion(fam) == (False, Partition((1,) * (n - 1) + (2,)))
+
+
+def _duplicate_block_family(n: int, seed: int) -> GFrameFamily:
+    """A basis of ``n`` rank-one blocks against a copy whose block 1 is the
+    basis's block 2 and whose block 2 is a random vector."""
+    f = random_frame(n, (1,) * n, seed)
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+    return GFrameFamily((f, GFrame(n, (f.blocks[1], r) + f.blocks[2:])))
+
 
 class TestBesselSum:
     def test_two_parseval(self):
