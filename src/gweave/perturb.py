@@ -423,6 +423,11 @@ def operator_perturbation(
     the norm-difference estimate; the plain difference ``A - B max||I-T||^2``
     is larger and is *not* a valid bound).
     """
+    return _operator_perturbation(f, operators, tol, frame_bounds(f, tol))
+
+
+def _operator_perturbation(f: GFrame, operators, tol: Tolerance, fb) -> OperatorPerturbationReport:
+    """:func:`operator_perturbation` with the frame bounds ``fb`` of ``f`` given."""
     n = f.ambient_dim
     big_n = f.n_blocks
     # A single operator (a 2-D array or a one-element list) serves every
@@ -437,7 +442,6 @@ def operator_perturbation(
             raise ValueError(f"operator {idx} must be {n} x {n}, got {t.shape}")
         if rank(t, tol) < n:
             raise ValueError(f"operator {idx} is singular at the working tolerance")
-    fb = frame_bounds(f, tol)
     a_low, b_up = fb.lower, fb.upper
     dev = max(op_norm(np.eye(n) - t) for t in ops)
     ops *= big_n // len(ops)
@@ -476,7 +480,7 @@ def scaled_dual_weave(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> ScaledDualRepo
             op_report=None, scaled_dual=None,
         )
     scale = 2.0 * a_low * b_up / (a_low + b_up)
-    op_report = operator_perturbation(f, scale * _inverse_frame_operator(f), tol)
+    op_report = _operator_perturbation(f, scale * _inverse_frame_operator(f), tol, fb)
     return ScaledDualReport(
         base_lower=a_low,
         base_upper=b_up,

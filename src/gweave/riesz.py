@@ -119,7 +119,7 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, angles: bool = False):
+def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     """One pass over the ``2**N`` partitions of a two-member family.
 
     Chunks of ``_CHUNK`` codes run in lexicographic order (index 1 most
@@ -129,17 +129,36 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, angles: bool = False):
     singular values, keyed by 0-based label rows; ``span_low_min`` the
     smallest squared singular value above the rank threshold; ``a2`` and
     ``d3`` the angle constants of :func:`equivalence_constants` if
-    ``angles``, else ``inf``.  For those, each chunk is split into groups
-    of equal shapes (left column count, left rank, right rank), and each
-    group is one batched SVD per quantity.
+    ``members`` (the two members' :class:`RieszBounds`) is given, else
+    ``inf``.
+
+    The angle constants take a second pass over the partitions that can
+    attain them.  If both members have full column rank, with ``mu**2``
+    the smaller lower and ``nu**2`` the larger upper Riesz bound, every
+    weaving factors as ``T = [Q_A Q_B] diag(R_A, R_B)`` with the singular
+    values of ``R_A`` and ``R_B`` in ``[mu, nu]`` (column subsets
+    interlace), so ``s_min(T)**2 / nu**2 <= 1 - cos(theta) <= s_min(T)**2
+    / mu**2`` for the smallest principal angle ``theta`` between the two
+    sides.  ``a2`` and ``d3`` both increase with ``1 - cos(theta)``, so a
+    partition can attain them only if ``s_min(T)**2 <= (nu / mu)**2 *
+    min s_min**2``.  The screen keeps the partitions with ``s_min**2 <=
+    (1 + 1e-6) (nu / mu)**2 (min s_min**2 + 1e3 max(n, c) eps nu**2)``:
+    the relative term covers rounding in ``mu`` and ``nu``, the absolute
+    one rounding in the singular values and the angle constants.  It
+    applies only when both members pass ``lower > frame_rtol * upper``
+    (so ``c <= n``); otherwise the inequality can fail and every
+    partition is kept.  The first pass stores one float, ``s_min**2``,
+    per partition.  In the second, each chunk of ``_CHUNK`` kept codes
+    is split into groups of equal shapes (left column count, left rank,
+    right rank), and each group is one batched SVD per quantity, so each
+    kept partition gets the same floats as with no screen.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
-    # Column j < c is column j of the first member; column c + j, of the second.
-    t_both = np.hstack([t_first, t_second])
     big_n, total = fam.n_indices, 2**fam.n_indices
     best = (np.inf, None, -np.inf, None)
     span_low_min = a2 = d3 = np.inf
+    floor = np.empty(total) if members is not None else None
     for first in range(0, total, _CHUNK):
         labels0 = _decode_codes(np.arange(first, min(first + _CHUNK, total)), 2, big_n)
         # Columns that the partition takes from the second member.
@@ -150,8 +169,20 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, angles: bool = False):
         # Singular values come sorted, so the live ones are a prefix.
         live = (s > tol.rank_rtol * s[:, :1] * max(n, c)).sum(axis=1)
         span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
-        if not angles:
-            continue
+        if floor is not None:
+            floor[first : first + len(s)] = w[:, 0]
+    if members is None:
+        return best, float(span_low_min), float(a2), float(d3)
+    codes = np.arange(total)
+    if all(rb.lower > tol.frame_rtol * rb.upper for rb in members):
+        low, up = min(rb.lower for rb in members), max(rb.upper for rb in members)
+        slack = 1e3 * max(n, c) * np.finfo(float).eps * up
+        codes = np.flatnonzero(floor <= (1 + 1e-6) * up / low * (floor.min() + slack))
+    # Column j < c is column j of the first member; column c + j, of the second.
+    t_both = np.hstack([t_first, t_second])
+    for first in range(0, len(codes), _CHUNK):
+        labels0 = _decode_codes(codes[first : first + _CHUNK], 2, big_n)
+        owner = np.repeat(labels0 == 1, fam.block_dims, axis=1)
         left_count = c - owner.sum(axis=1)
         for cl in np.unique(left_count):
             rows = owner[left_count == cl]
@@ -184,11 +215,12 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
     :func:`equivalence_constants` report (else ``None``), from one sweep."""
     if fam.m != 2:
         raise ValueError("the Riesz weaving check is defined for two-member families")
-    for j, fr in enumerate(fam.frames, start=1):
-        if not riesz_bounds(fr, tol).is_basis:
+    members = [riesz_bounds(fr, tol) for fr in fam.frames]
+    for j, rb in enumerate(members, start=1):
+        if not rb.is_basis:
             raise ValueError(f"member {j} is not a g-Riesz basis")
     total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
-    best, _, a2, d3 = _riesz_sweep(fam, tol, angles)
+    best, _, a2, d3 = _riesz_sweep(fam, tol, members if angles else None)
     best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
     report = WeavingRieszReport(
         woven=best_low > tol.frame_rtol * best_up,
@@ -305,11 +337,22 @@ def equivalence_constants(
     ``riesz_low``/``riesz_up`` come from the same weaving SVDs as
     :func:`weaving_riesz_check`, so on a pair of g-Riesz bases they are the
     same floats as its ``common_lower``/``common_upper``.
+
+    The angle quantities are computed only on partitions that can attain
+    ``a2`` and ``d3``.  When both members pass ``lower > frame_rtol *
+    upper`` (full column rank), ``s_min(T)**2 / nu**2 <= 1 - cos(theta) <=
+    s_min(T)**2 / mu**2`` for every weaving ``T``, with ``mu**2`` the
+    smaller lower and ``nu**2`` the larger upper member bound, so only
+    partitions with ``s_min(T)**2 <= (1 + 1e-6) (nu / mu)**2 (min
+    s_min**2 + 1e3 max(n, c) eps nu**2)`` are kept; the margin covers
+    rounding.  Otherwise every partition is kept.  The screen stores one
+    float per partition and leaves every reported float unchanged.
     """
     if fam.m != 2:
         raise ValueError("equivalence constants are defined for two-member families")
     _check_budget(budget, "equivalence constants need", 2, fam.n_indices, "partitions")
-    (low, _, up, _), _, a2, d3 = _riesz_sweep(fam, tol, angles=True)
+    members = [riesz_bounds(fr, tol) for fr in fam.frames]
+    (low, _, up, _), _, a2, d3 = _riesz_sweep(fam, tol, members)
     return _equivalence_report(fam, low, up, a2, d3)
 
 

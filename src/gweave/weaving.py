@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .gframe import GFrame, frame_bounds, frame_operator
-from .linalg import DEFAULT_TOL, Tolerance, hermitian_extremes
+from .gframe import GFrame, frame_bounds, frame_operator, synthesis_matrix
+from .linalg import DEFAULT_TOL, Tolerance, hermitian_extremes, rank
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -394,17 +394,25 @@ def span_criterion(
     Equivalent to the woven property in finite dimension.  On failure the
     lexicographically first partition whose stacked weaving matrix is rank
     deficient is returned as a witness.
+
+    Rank is decided as :func:`~gweave.linalg.rank` decides it, on the
+    singular values of the weaving's synthesis matrix; the eigenvalues of
+    its frame operator only screen.  A weaving is a candidate if ``lmin <=
+    ((rank_rtol * maxdim)**2 + 1e3 * n * eps) * lmax``: the first term is
+    the rank threshold squared, the second covers the rounding of the
+    computed eigenvalues.  Each candidate, in code order, takes one SVD;
+    the first that is rank deficient is the witness.  A woven family has
+    no candidates and pays no SVD.
     """
-    m, big_n = fam.m, fam.n_indices
+    m, big_n, n = fam.m, fam.n_indices, fam.ambient_dim
     _check_budget(budget, "span check needs", m, big_n)
     grams = _gram_tensor(fam)
-    maxdim = max(fam.ambient_dim, fam.coeff_dim)
+    screen = (tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps
     for first, w in _exhaustive_spectra(grams, m):
-        s = np.sqrt(np.clip(w, 0.0, None))
-        bad = s[:, 0] <= tol.rank_rtol * s[:, -1] * maxdim
-        if bad.any():
-            code = first + int(np.argmax(bad))
-            return False, _partition_of(_decode_codes(np.array([code]), m, big_n)[0])
+        for row in np.flatnonzero(w[:, 0] <= screen * w[:, -1]):
+            p = _partition_of(_decode_codes(np.array([first + row]), m, big_n)[0])
+            if rank(synthesis_matrix(assemble_weaving(fam, p)), tol) < n:
+                return False, p
     return True, None
 
 

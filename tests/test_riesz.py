@@ -450,8 +450,8 @@ class TestAngleScreen:
         decades=st.floats(0.0, 3.0),
     )
     def test_matches_reference_on_scaled_riesz_pairs(self, dims, extra, seed, decades):
-        # Independent members, so some partitions have small angles and the
-        # screen drops most of the rest; column scalings widen nu / mu.
+        # Independent members: on some draws the screen drops partitions,
+        # and column scalings widen nu / mu until it keeps them all.
         dims = tuple(dims)
         fam = GFrameFamily(
             tuple(_scaled_riesz_sequence(dims, extra, seed + 7919 * j, decades) for j in range(2)),

@@ -267,6 +267,22 @@ class TestSpanCriterion:
         fam = GFrameFamily((f, GFrame(n, f.blocks[::-1])))
         assert span_criterion(fam) == (False, Partition((1,) * (n - 1) + (2,)))
 
+    def test_near_singular_candidates_confirmed_by_svd(self, monkeypatch):
+        # Weavings (1, 2) and (2, 1) have s_min / s_max near 5e-8: their
+        # eigenvalue ratio passes the screen, but the rank rule keeps both
+        # at full rank, so each costs one SVD and the family spans.
+        f = onb_frame(2)
+        fam = GFrameFamily((f, GFrame(2, (E2 + 1e-7 * E1, E1 + 1e-7 * E2))))
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert span_criterion(fam) == (True, None)
+        assert len(calls) == 2
+
 
 def _duplicate_block_family(n: int, seed: int) -> GFrameFamily:
     """A basis of ``n`` rank-one blocks against a copy whose block 1 is the
