@@ -62,6 +62,21 @@ class TestRieszBounds:
         assert rb.lower == pytest.approx(fb.lower, abs=1e-10)
         assert rb.upper == pytest.approx(fb.upper, abs=1e-10)
 
+    @pytest.mark.parametrize("dims", [(1,) * 5, (2, 1, 2), (1, 2, 2, 1)])
+    def test_one_svd(self, dims, monkeypatch):
+        # (1, 2, 2, 1) has more columns than n = 5: complete, not a basis.
+        f = random_frame(5, dims, seed=3)
+        expected = riesz_bounds(f)
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert riesz_bounds(f) == expected
+        assert len(calls) == 1
+
     def test_induced_frame_same_classification(self):
         f = generate(GenSpec(ambient_dim=4, block_dims=(2, 2), kind="riesz-basis", seed=6))
         a, b = riesz_bounds(f), riesz_bounds(induced_frame(f))

@@ -22,15 +22,16 @@ from gweave import (
     restrict_family,
     scaled_family,
     span_criterion,
+    synthesis_matrix,
 )
 from gweave.generate import GenSpec, generate
-from gweave.linalg import DEFAULT_TOL
+from gweave.linalg import DEFAULT_TOL, rank
 from gweave.weaving import (
     _BLOCK_FIRST,
     DEFAULT_BUDGET,
     WeavingReport,
     _decode_codes,
-    _exhaustive_spectra,
+    _exhaustive_operators,
     _frame_operators,
     _gram_tensor,
     _partition_of,
@@ -39,6 +40,7 @@ from gweave.weaving import (
 
 from _support import (
     brute_universal_bounds,
+    exhaustive_family_partitions,
     independent_family,
     noisy_family,
     onb_frame,
@@ -596,17 +598,10 @@ def _certify_reference(fam, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
 
 
 def _span_reference(fam, tol=DEFAULT_TOL):
-    grams = _gram_tensor(fam)
-    m, big_n = fam.m, fam.n_indices
-    total = m**big_n
-    maxdim = max(fam.ambient_dim, fam.coeff_dim)
-    for start in range(0, total, _REFERENCE_CHUNK):
-        codes = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
-        labels0 = _decode_codes(codes, m, big_n)
-        s = np.sqrt(np.clip(_reference_spectra(grams, labels0), 0.0, None))
-        bad = s[:, 0] <= tol.rank_rtol * s[:, -1] * maxdim
-        if bad.any():
-            return False, _partition_of(labels0[int(np.argmax(bad))])
+    """The first weaving in code order whose synthesis matrix has rank below n."""
+    for p in exhaustive_family_partitions(fam):
+        if rank(synthesis_matrix(assemble_weaving(fam, p)), tol) < fam.ambient_dim:
+            return False, p
     return True, None
 
 
@@ -644,11 +639,11 @@ class TestEngineMatchesGatherReference:
     def test_spectra_in_code_order(self, m, big_n):
         fam = noisy_family(2, (1,) * big_n, m, seed=m + big_n, noise=0.3)
         grams = _gram_tensor(fam)
-        firsts, spectra = zip(*_exhaustive_spectra(grams, m))
-        assert firsts == tuple(np.cumsum((0,) + tuple(map(len, spectra[:-1]))))
+        firsts, operators = zip(*_exhaustive_operators(grams, m))
+        assert firsts == tuple(np.cumsum((0,) + tuple(map(len, operators[:-1]))))
         codes = np.arange(m**big_n, dtype=np.int64)
         expected = _reference_spectra(grams, _decode_codes(codes, m, big_n))
-        assert np.array_equal(np.concatenate(spectra), expected)
+        assert np.array_equal(np.linalg.eigvalsh(np.concatenate(operators)), expected)
 
     def test_not_woven_witness_past_first_chunk(self):
         fam = _late_failure_family()
@@ -678,6 +673,12 @@ class TestEngineMatchesGatherReference:
     def test_span_holds(self):
         fam = noisy_family(3, (1, 2) * 7, 2, seed=1, noise=0.2)
         assert span_criterion(fam) == _span_reference(fam) == (True, None)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_span_duplicate_block(self, n):
+        for seed in range(5):
+            fam = _duplicate_block_family(n, seed)
+            assert span_criterion(fam) == _span_reference(fam)
 
     @pytest.mark.parametrize("seed", [4, 17])
     def test_sampled_woven_runs_full_budget(self, seed):
@@ -760,16 +761,92 @@ class TestSampledRowBlocks:
     def test_failure_at_row_one_takes_one_block(self, monkeypatch):
         fam = _family_failing_first_at(seed=3, row=1)
         expected = _certify_reference(fam, mode="sampled", budget=3 * 8192, seed=3)
-        eigvalsh, matrices = np.linalg.eigvalsh, []
-
-        def counting(a, *args, **kwargs):
-            matrices.append(np.asarray(a)[..., 0, 0].size)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        matrices = _counting_eigvalsh(monkeypatch)
         rep = certify_woven(fam, mode="sampled", budget=3 * 8192, seed=3)
         assert rep == expected
         assert sum(matrices) <= _BLOCK_FIRST
+
+
+def _counting_eigvalsh(monkeypatch) -> list:
+    """Patch ``np.linalg.eigvalsh`` to record the matrix count of each call."""
+    eigvalsh, matrices = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        matrices.append(np.asarray(a)[..., 0, 0].size)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return matrices
+
+
+def _near_tie_family(m: int, dims, seed: int) -> GFrameFamily:
+    """A frame and ``m - 1`` copies whose entries differ by about 1e-14."""
+    f = random_frame(3, dims, seed)
+    rng = np.random.default_rng(seed)
+    copies = tuple(
+        GFrame(3, tuple(b + 1e-14 * rng.standard_normal(b.shape) for b in f.blocks))
+        for _ in range(m - 1)
+    )
+    return GFrameFamily((f,) + copies)
+
+
+class TestExhaustiveScreen:
+    """Exhaustive mode skips the spectra of row blocks that a Cholesky test
+    shows cannot move the running bounds: exact equality with the sweep that
+    diagonalises every weaving."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_most_spectra_skipped(self, seed, monkeypatch):
+        fam = noisy_family(3, (1, 2) * 7 + (1,), 2, seed, noise=0.2)
+        expected = _certify_reference(fam)
+        matrices = _counting_eigvalsh(monkeypatch)
+        assert certify_woven(fam) == expected
+        assert sum(matrices) <= 2**15 // 4
+
+    def test_chunks_bounded_by_entries(self):
+        n, big_n = 16, 13
+        fam = noisy_family(n, (2,) * big_n, 2, seed=5, noise=0.2)
+        rows = [len(s) for _, s in _exhaustive_operators(_gram_tensor(fam), 2)]
+        assert sum(rows) == 2**big_n
+        assert max(rows) * n * n <= 2**17
+
+    # Every weaving lies within the screen's margin of the running bounds.
+    @pytest.mark.parametrize("m, dims", [(2, (1, 2) * 7 + (1,)), (3, (1, 2) * 4 + (1,))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_ties(self, m, dims, seed):
+        fam = _near_tie_family(m, dims, seed)
+        assert certify_woven(fam) == _certify_reference(fam)
+
+    # Half the weavings are exactly singular, so the lower test fails on
+    # every block.
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_singular_weavings(self, n):
+        f = generate(GenSpec(n, (1,) * n, "riesz-basis", n))
+        fam = GFrameFamily((f, GFrame(n, f.blocks[::-1])))
+        assert certify_woven(fam) == _certify_reference(fam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(2, 3),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=10),
+    n=st.integers(2, 4),
+)
+def test_screened_sweep_matches_reference(seed, m, dims, n):
+    # Block rows (synthesis columns) scaled by 10**u, u uniform in [-3, 3].
+    n = min(n, sum(dims))
+    rng = np.random.default_rng(seed)
+    members = tuple(
+        GFrame(n, tuple(
+            10.0 ** rng.uniform(-3.0, 3.0, (d, 1))
+            * (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))
+            for d in dims
+        ))
+        for _ in range(m)
+    )
+    fam = GFrameFamily(members, allow_degenerate=True)
+    assert certify_woven(fam) == _certify_reference(fam)
 
 
 def _swapped_members(fam: GFrameFamily) -> GFrameFamily:
