@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame, frame_bounds, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance, rank
+from .linalg import DEFAULT_TOL, Tolerance
 from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
@@ -105,7 +105,9 @@ def riesz_bounds(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> RieszBounds:
     # The coefficient-space Gram is (coeff_dim x coeff_dim); extra columns
     # beyond the ambient dimension force a kernel, hence a zero lower bound.
     lower = 0.0 if f.coeff_dim > f.ambient_dim else float(s[-1]) ** 2
-    complete = rank(t, tol) == f.ambient_dim
+    # The rank rule of linalg.rank, on the singular values already at hand.
+    rank = int(np.count_nonzero(s > tol.rank_rtol * float(s[0]) * max(t.shape)))
+    complete = rank == f.ambient_dim
     is_basis = complete and lower > tol.frame_rtol * upper
     return RieszBounds(lower=lower, upper=upper, complete=complete, is_basis=is_basis)
 

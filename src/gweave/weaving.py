@@ -40,6 +40,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 1_000_000
 _CHUNK = 8192
+# An exhaustive chunk holds at most 2**17 frame-operator entries (2 MiB), and
+# its spectra are screened in blocks of 64 rows.
+_CHUNK_ENTRIES, _SCREEN_ROWS = 2**17, 64
 # Sampled mode checks a draw in row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap, and 512 rows stay in cache.
 _BLOCK_FIRST, _BLOCK_CAP = 16, 512
@@ -264,20 +267,20 @@ def _weaving_spectra(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_frame_operators(grams, labels0))
 
 
-def _exhaustive_spectra(grams: np.ndarray, m: int):
-    """Yield ``(first_code, spectra)`` for all ``m**N`` weavings in code order.
+def _exhaustive_operators(grams: np.ndarray, m: int):
+    """Yield ``(first_code, operators)`` for all ``m**N`` weavings in code order.
 
     A chunk holds the ``m**low`` consecutive codes that share their leading
-    ``high = N - low`` labels (``low`` is the largest with ``m**low <=
-    _CHUNK``).  The shared prefix is summed once; each later index then
-    extends every partial sum by each of its ``m`` terms.  Terms are added
-    in increasing index order, so every frame operator equals the
+    ``high = N - low`` labels (``low`` is the largest with ``m**low * n**2
+    <= _CHUNK_ENTRIES``).  The shared prefix is summed once; each later
+    index then extends every partial sum by each of its ``m`` terms.  Terms
+    are added in increasing index order, so every frame operator equals the
     sequential sum over its labels bit for bit, at about two ``n x n`` adds
     per weaving.
     """
     big_n, n = grams.shape[0], grams.shape[-1]
     low = 0
-    while low < big_n and m ** (low + 1) <= _CHUNK:
+    while low < big_n and m ** (low + 1) * n * n <= _CHUNK_ENTRIES:
         low += 1
     high = big_n - low
     for h in range(m**high):
@@ -287,7 +290,21 @@ def _exhaustive_spectra(grams: np.ndarray, m: int):
             level = grams[0]
         for i in range(max(high, 1), big_n):
             level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
-        yield h * m**low, np.linalg.eigvalsh(level)
+        yield h * m**low, level
+
+
+def _inside_bounds(s: np.ndarray, low: float, up: float) -> bool:
+    """Whether Cholesky factors both ``S - (low + delta) I`` and ``(up -
+    delta) I - S`` for every operator ``S`` of the stack ``s``, with
+    ``delta = 1e3 * n**2 * eps * up`` (see :func:`certify_woven`)."""
+    eye = np.eye(s.shape[-1])
+    delta = 1e3 * s.shape[-1] ** 2 * np.finfo(float).eps * up
+    try:
+        np.linalg.cholesky(s - (low + delta) * eye)
+        np.linalg.cholesky((up - delta) * eye - s)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _partition_of(labels0) -> Partition:
@@ -323,7 +340,23 @@ def certify_woven(
 
     Exhaustive mode enumerates all ``m**N`` partitions (requires
     ``m**N <= budget``) and reports the true universal bounds; the woven
-    verdict is ``universal_lower > frame_rtol * universal_upper``.  Sampled
+    verdict is ``universal_lower > frame_rtol * universal_upper``.  Frame
+    operators come in chunks of at most ``2**17`` entries (2 MiB), cut into
+    blocks of 64 rows.  With ``(low, up)`` the bounds so far and ``delta =
+    1e3 * n**2 * eps * up``, each block after the first is skipped if
+    Cholesky factors both ``S - (low + delta) I`` and ``(up - delta) I - S``
+    for all its operators ``S``; otherwise it takes ``eigvalsh``.  A
+    Cholesky that completes is exact for a matrix within ``gamma_{n+1}
+    |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy and Stability
+    of Numerical Algorithms*, sec. 10.1), that is within about ``n**2 *
+    eps * up``: both tests passing keep every ``S`` of norm near ``up``.
+    ``eigvalsh`` is backward stable, within a few ``n * eps * up``.
+    ``delta`` covers both, so the computed spectra of a skipped block lie in
+    ``[low, up]`` (both kernels read the lower triangle).  Only a strictly
+    better row moves a bound, so skipping changes no bound, witness or
+    count.  On a family whose weavings are nearly all singular, the lower
+    test fails on every block, which then pays one Cholesky on top of its
+    ``eigvalsh``.  Sampled
     mode draws ``budget`` partitions from a seeded generator, 8192 label rows
     per draw, and can only falsify: it returns ``not-woven`` with a witness,
     or the explicitly weaker ``sampled-no-counterexample``.  Each draw is
@@ -344,8 +377,11 @@ def certify_woven(
     best = (np.inf, None, -np.inf, None)
 
     if mode == "exhaustive":
-        for first, w in _exhaustive_spectra(grams, m):
-            best = _fold_extremes(best, w, first)
+        for first, ops in _exhaustive_operators(grams, m):
+            for start in range(0, len(ops), _SCREEN_ROWS):
+                s = ops[start : start + _SCREEN_ROWS]
+                if best[1] is None or not _inside_bounds(s, best[0], best[2]):
+                    best = _fold_extremes(best, np.linalg.eigvalsh(s), first + start)
         best_low, (first_low, i_low), best_up, (first_up, i_up) = best
         wit_low, wit_up = _decode_codes(
             np.array([first_low + i_low, first_up + i_up]), m, big_n
@@ -408,7 +444,8 @@ def span_criterion(
     _check_budget(budget, "span check needs", m, big_n)
     grams = _gram_tensor(fam)
     screen = (tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps
-    for first, w in _exhaustive_spectra(grams, m):
+    for first, ops in _exhaustive_operators(grams, m):
+        w = np.linalg.eigvalsh(ops)
         for row in np.flatnonzero(w[:, 0] <= screen * w[:, -1]):
             p = _partition_of(_decode_codes(np.array([first + row]), m, big_n)[0])
             if rank(synthesis_matrix(assemble_weaving(fam, p)), tol) < n:
