@@ -125,6 +125,14 @@ def op_norm(m) -> float:
 def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rtol * sigma_max * max(rows, cols)``."""
     m = as_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    threshold = tol.rank_rtol * float(s[0]) * max(m.shape)
-    return int(np.count_nonzero(s > threshold))
+    return int(_rank_from_singular_values(np.linalg.svd(m, compute_uv=False), m.shape, tol))
+
+
+def _rank_from_singular_values(s: np.ndarray, shape, tol: Tolerance):
+    """The rank rule of :func:`rank` on singular values already at hand.
+
+    ``s`` holds each matrix's singular values in descending order along its
+    last axis, and ``shape`` ends in the matrices' ``(rows, cols)``; a stack
+    of matrices gives one rank per matrix.
+    """
+    return np.count_nonzero(s > tol.rank_rtol * s[..., :1] * max(shape[-2:]), axis=-1)

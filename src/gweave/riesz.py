@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame, frame_bounds, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _rank_from_singular_values
 from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
@@ -105,9 +105,7 @@ def riesz_bounds(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> RieszBounds:
     # The coefficient-space Gram is (coeff_dim x coeff_dim); extra columns
     # beyond the ambient dimension force a kernel, hence a zero lower bound.
     lower = 0.0 if f.coeff_dim > f.ambient_dim else float(s[-1]) ** 2
-    # The rank rule of linalg.rank, on the singular values already at hand.
-    rank = int(np.count_nonzero(s > tol.rank_rtol * float(s[0]) * max(t.shape)))
-    complete = rank == f.ambient_dim
+    complete = bool(_rank_from_singular_values(s, t.shape, tol) == f.ambient_dim)
     is_basis = complete and lower > tol.frame_rtol * upper
     return RieszBounds(lower=lower, upper=upper, complete=complete, is_basis=is_basis)
 
@@ -169,7 +167,7 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
         # Singular values come sorted, so the live ones are a prefix.
-        live = (s > tol.rank_rtol * s[:, :1] * max(n, c)).sum(axis=1)
+        live = _rank_from_singular_values(s, (n, c), tol)
         span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
         if floor is not None:
             floor[first : first + len(s)] = w[:, 0]
@@ -308,7 +306,7 @@ def _range_bases(mats: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarr
     if mats.shape[-1] == 0:
         return mats, np.zeros(len(mats), dtype=np.int64)
     u, s, _ = np.linalg.svd(mats, full_matrices=False)
-    return u, (s > tol.rank_rtol * s[:, :1] * max(mats.shape[1:])).sum(axis=1)
+    return u, _rank_from_singular_values(s, mats.shape, tol)
 
 
 def _column_major(stack: np.ndarray) -> np.ndarray:
