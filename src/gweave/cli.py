@@ -5,7 +5,7 @@ Exit codes
 0   success (analysis done / woven / certificate valid)
 1   not woven
 2   missing, unreadable or malformed input, unwritable output (or bad usage)
-3   numeric failure
+3   numeric failure, including values that overflow float64
 4   sampled run finished without a conclusive answer
 5   partition budget exceeded
 6   certificate hypothesis fails (report still emitted)
@@ -387,7 +387,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Entries whose squares leave float64 end here, not in NaN bounds.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (FrameFileError, OSError) as exc:
         # OSError: a missing, unreadable or unwritable path.
         print(f"error: {exc}", file=sys.stderr)
@@ -395,7 +397,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DegenerateGFrameError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (DegenerateGFrameError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

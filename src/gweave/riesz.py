@@ -148,9 +148,9 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     applies only when both members pass ``lower > frame_rtol * upper``
     (so ``c <= n``); otherwise the inequality can fail and every
     partition is kept.  The first pass stores one float, ``s_min**2``,
-    per partition.  In the second, each chunk of ``_CHUNK`` kept codes
-    is split into groups of equal shapes (left column count, left rank,
-    right rank), and each group is one batched SVD per quantity, so each
+    per partition.  The second takes the kept codes one partition at a
+    time, in code order: an SVD per side for its range basis, one of the
+    overlap for ``a2`` and one of the joined bases for ``d3``, so each
     kept partition gets the same floats as with no screen.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
@@ -178,35 +178,20 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         low, up = min(rb.lower for rb in members), max(rb.upper for rb in members)
         slack = 1e3 * max(n, c) * np.finfo(float).eps * up
         codes = np.flatnonzero(floor <= (1 + 1e-6) * up / low * (floor.min() + slack))
-    # Column j < c is column j of the first member; column c + j, of the second.
-    t_both = np.hstack([t_first, t_second])
-    for first in range(0, len(codes), _CHUNK):
-        labels0 = _decode_codes(codes[first : first + _CHUNK], 2, big_n)
-        owner = np.repeat(labels0 == 1, fam.block_dims, axis=1)
-        left_count = c - owner.sum(axis=1)
-        for cl in np.unique(left_count):
-            rows = owner[left_count == cl]
-            # Each row's left columns in index order, then its right columns.
-            order = np.argsort(rows, axis=1, kind="stable")
-            cols = order + c * np.take_along_axis(rows, order, axis=1)
-            weave = t_both[:, cols].transpose(1, 0, 2)
-            u_left, r_left = _range_bases(weave[..., :cl], tol)
-            u_right, r_right = _range_bases(weave[..., cl:], tol)
-            for rl, rr in sorted(set(zip(r_left.tolist(), r_right.tolist()))):
-                sel = (r_left == rl) & (r_right == rr)
-                o_left = _column_major(u_left[sel, :, :rl])
-                o_right = _column_major(u_right[sel, :, :rr])
-                if rl > 0 and rr == 0:
-                    a2 = min(a2, 1.0)
-                elif rl > 0:
-                    gram = o_right.conj().swapaxes(-1, -2) @ o_left
-                    overlap = np.linalg.svd(gram, compute_uv=False)
-                    a2 = min(a2, max(0.0, 1.0 - _squares(overlap[:, 0]).max()))
-                if rl + rr > n:
-                    d3 = min(d3, 0.0)
-                elif rl + rr > 0:
-                    mix = np.concatenate([o_left, o_right], axis=-1)
-                    d3 = min(d3, _squares(np.linalg.svd(mix, compute_uv=False)[:, -1]).min())
+    for owner in np.repeat(_decode_codes(codes, 2, big_n) == 1, fam.block_dims, axis=1):
+        o_left = _range_basis(t_first[:, ~owner], tol)
+        o_right = _range_basis(t_second[:, owner], tol)
+        rl, rr = o_left.shape[1], o_right.shape[1]
+        if rl > 0 and rr == 0:
+            a2 = min(a2, 1.0)
+        elif rl > 0:
+            overlap = np.linalg.svd(o_right.conj().T @ o_left, compute_uv=False)
+            a2 = min(a2, max(0.0, 1.0 - float(overlap[0]) ** 2))
+        if rl + rr > n:
+            d3 = min(d3, 0.0)
+        elif rl + rr > 0:
+            mix = np.hstack([o_left, o_right])
+            d3 = min(d3, float(np.linalg.svd(mix, compute_uv=False)[-1]) ** 2)
     return best, float(span_low_min), float(a2), float(d3)
 
 
@@ -297,25 +282,16 @@ def permutation_weave(
     )
 
 
-def _range_bases(mats: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors of a stack of matrices, and each one's rank.
-
-    The first ``rank`` columns of each ``u`` are an orthonormal basis of
-    that matrix's numerical column range.
-    """
-    if mats.shape[-1] == 0:
-        return mats, np.zeros(len(mats), dtype=np.int64)
-    u, s, _ = np.linalg.svd(mats, full_matrices=False)
-    return u, _rank_from_singular_values(s, mats.shape, tol)
-
-
-def _column_major(stack: np.ndarray) -> np.ndarray:
-    """The stack with each matrix stored column-major.
-
-    matmul picks its BLAS route from the layout and the last bits of the
-    product depend on the route; this is the layout of a 2-D ``u[:, keep]``.
-    """
-    return np.ascontiguousarray(stack.swapaxes(-1, -2)).swapaxes(-1, -2)
+def _range_basis(mat: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """An orthonormal basis of the numerical column range of ``mat``."""
+    if mat.shape[1] == 0:
+        return mat
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    rank = _rank_from_singular_values(s, mat.shape, tol)
+    # A boolean mask copies the columns column-major; a slice would keep
+    # u's row-major strides, matmul would take another BLAS route and the
+    # overlap could differ in the last bit.
+    return u[:, np.arange(s.size) < rank]
 
 
 def equivalence_constants(
@@ -346,7 +322,9 @@ def equivalence_constants(
     partitions with ``s_min(T)**2 <= (1 + 1e-6) (nu / mu)**2 (min
     s_min**2 + 1e3 max(n, c) eps nu**2)`` are kept; the margin covers
     rounding.  Otherwise every partition is kept.  The screen stores one
-    float per partition and leaves every reported float unchanged.
+    float per partition and leaves every reported float unchanged; each
+    kept partition then takes its own range-basis, overlap and joined-basis
+    SVDs.
     """
     if fam.m != 2:
         raise ValueError("equivalence constants are defined for two-member families")

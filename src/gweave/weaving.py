@@ -262,11 +262,6 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
     return s
 
 
-def _weaving_spectra(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the weaving frame operators for a batch of label rows."""
-    return np.linalg.eigvalsh(_frame_operators(grams, labels0))
-
-
 def _exhaustive_operators(grams: np.ndarray, m: int):
     """Yield ``(first_code, operators)`` for all ``m**N`` weavings in code order.
 
@@ -397,7 +392,7 @@ def certify_woven(
             start = 0
             while start < len(labels0) and not failed:
                 rows = labels0[start : start + size]
-                w = _weaving_spectra(grams, rows)
+                w = np.linalg.eigvalsh(_frame_operators(grams, rows))
                 bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
                 failed = bool(bad.any())
                 stop = int(np.argmax(bad)) + 1 if failed else len(rows)

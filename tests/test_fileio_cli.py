@@ -811,3 +811,33 @@ class TestNumericFailureExit:
         monkeypatch.setattr(cli_mod, "frame_bounds", boom)
         assert main(["analyze", str(frame_file)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "F"],
+            ["riesz", "F"],
+            ["riesz", "PAIR"],
+            ["riesz", "F", "--permutation", "2,1"],
+            ["weave", "PAIR"],
+            ["weave", "PAIR", "--mode", "sampled"],
+            ["certify", "PAIR", "--theorem", "k"],
+        ],
+    )
+    def test_overflowing_squares_exit_3(self, tmp_path, capsys, argv):
+        # Finite entries of 1e200 square past float64: each command used
+        # to raise OverflowError or TypeError, or report NaN bounds as
+        # feasible.
+        paths = {"F": tmp_path / "f.json", "PAIR": tmp_path / "pair.json"}
+        save_frame(onb_frame(2), paths["F"])
+        save_family(GFrameFamily((onb_frame(2), onb_frame(2))), paths["PAIR"])
+        for path in paths.values():
+            # Every float in these files is a matrix entry.
+            scaled = json.loads(path.read_text(), parse_float=lambda x: 1e200 * float(x))
+            path.write_text(json.dumps(scaled))
+        out = tmp_path / "out.json"
+        command, target, *flags = argv
+        assert main([command, str(paths[target]), "--json", str(out), *flags]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+

@@ -406,7 +406,7 @@ class TestBatchedSweepsMatchReferenceLoops:
     @pytest.mark.parametrize("seed", [12, 16, 22, 25, 34])
     def test_mixed_dims_with_single_column_side(self, seed):
         # Range bases with one column take a different BLAS route in the
-        # overlap product unless laid out as the 2-D path lays them out.
+        # overlap product unless laid out column-major, as u[:, keep] is.
         dims = (2, 1, 3)
         _assert_pair_matches(GFrameFamily((_basis(dims, seed), _basis(dims, seed + 100))))
 
@@ -494,3 +494,49 @@ class TestAngleScreen:
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert equivalence_constants(fam) == expected
         assert sum(matrices) - 2**9 - 2 <= 128
+
+
+def _prefix_dims(dims):
+    """The longest prefix of ``dims`` whose block dimensions sum to at most 8."""
+    return tuple(d for i, d in enumerate(dims) if sum(dims[: i + 1]) <= 8)
+
+
+# Mixed block dimensions summing to n in [2, 8]: the first two already give
+# at least 2, and every prefix keeps n <= 8.
+_square_dims = st.lists(st.integers(1, 3), min_size=2, max_size=8).map(_prefix_dims)
+
+
+def _independent_bases(dims, seed):
+    return GFrameFamily((_basis(dims, seed), _basis(dims, seed + 7919)))
+
+
+class TestRieszProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(dims=_square_dims, seed=st.integers(0, 2**16))
+    def test_common_unitary_leaves_the_reports_unchanged(self, dims, seed):
+        # U maps every weaving's synthesis matrix T to U* T: its singular
+        # values and the principal angles between its sides stay put.
+        fam = _independent_bases(dims, seed)
+        rng = np.random.default_rng(seed)
+        n = fam.ambient_dim
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        moved = GFrameFamily(tuple(apply_operator(fr, u) for fr in fam.frames))
+        ec, ec_moved = equivalence_constants(fam), equivalence_constants(moved)
+        assert ec_moved.riesz_low == pytest.approx(ec.riesz_low, abs=1e-9 * ec.riesz_up)
+        assert ec_moved.riesz_up == pytest.approx(ec.riesz_up, rel=1e-9)
+        assert ec_moved.a2 == pytest.approx(ec.a2, abs=1e-12)
+        assert ec_moved.d3 == pytest.approx(ec.d3, abs=1e-12)
+        assert weaving_riesz_check(moved).woven == weaving_riesz_check(fam).woven
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=_square_dims, seed=st.integers(0, 2**16))
+    def test_square_pairs_agree_with_certify_woven_to_tolerance(self, dims, seed):
+        # Squared singular values of T against eigenvalues of T T*: the two
+        # agree only to rounding, up to 2.4e-8 relative on n = 12 pairs, so
+        # equality must never be asserted bitwise.
+        fam = _independent_bases(dims, seed)
+        rep, cert = weaving_riesz_check(fam), certify_woven(fam)
+        tol = 1e-9 * cert.universal_upper
+        assert rep.common_lower == pytest.approx(cert.universal_lower, abs=tol)
+        assert rep.common_upper == pytest.approx(cert.universal_upper, abs=tol)
+        assert rep.woven == (cert.status == "woven")
