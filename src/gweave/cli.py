@@ -2,6 +2,9 @@
 
 Exit codes
 ----------
+Report statuses map to 0, 1, 4 and 6 by the one table ``_EXIT_CODES``;
+``main`` maps errors to 2, 3 and 5.
+
 0   success (analysis done / woven / certificate valid)
 1   not woven
 2   missing, unreadable or malformed input, unwritable output (or bad usage)
@@ -72,15 +75,25 @@ EXIT_INCONCLUSIVE = 4
 EXIT_BUDGET = 5
 EXIT_HYPOTHESIS = 6
 
-_FAILING_STATUSES = {"hypothesis-fails", "lambda-below-gap", "falsified", "infeasible"}
+# Every status a weaving or certificate report can end in, and its exit code.
+_EXIT_CODES = {
+    **dict.fromkeys(("woven", "valid", "feasible"), EXIT_OK),
+    "not-woven": EXIT_NOT_WOVEN,
+    **dict.fromkeys(("sampled-no-counterexample", "not-falsified"), EXIT_INCONCLUSIVE),
+    **dict.fromkeys(
+        ("hypothesis-fails", "lambda-below-gap", "falsified", "infeasible"), EXIT_HYPOTHESIS
+    ),
+}
+
+# The input file each theorem of ``certify`` reads.
+_THEOREM_INPUT = {
+    **dict.fromkeys(("k", "pw", "pw-chain"), GFrameFamily),
+    **dict.fromkeys(("op-perturb", "scaled-dual"), GFrame),
+}
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        rank_rtol=args.rank_rtol,
-        frame_rtol=args.frame_rtol,
-        eq_atol=args.eq_atol,
-    )
+    return Tolerance(args.rank_rtol, args.frame_rtol, args.eq_atol)
 
 
 def _budget(args) -> int:
@@ -127,18 +140,13 @@ def _print_human(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, kind: type) -> tuple:
+    """The comma-separated ``int`` or ``float`` values of a flag."""
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(kind(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise FrameFileError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise FrameFileError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise FrameFileError(f"{flag}: expected comma-separated {noun}, got {text!r}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -181,34 +189,32 @@ def cmd_weave(args) -> int:
         "report": report_dict(report),
     }
     _emit(payload, args)
-    if report.status == "woven":
-        return EXIT_OK
-    if report.status == "not-woven":
-        return EXIT_NOT_WOVEN
-    return EXIT_INCONCLUSIVE
+    return _EXIT_CODES[report.status]
 
 
-def _certify_payloads(args, tol, budget):
+def cmd_certify(args) -> int:
+    tol = _tolerance(args)
+    budget = _budget(args)
     loaded = load_any(args.path)
     theorem = args.theorem
-    cross_family = None
-
+    if not isinstance(loaded, _THEOREM_INPUT[theorem]):
+        kind = "family" if _THEOREM_INPUT[theorem] is GFrameFamily else "single-frame"
+        raise FrameFileError(f"--theorem {theorem} needs a {kind} file")
+    cross_family = loaded
     if theorem == "k":
-        if not isinstance(loaded, GFrameFamily):
-            raise FrameFileError("--theorem k needs a family file")
         report = minimal_k(loaded, tol=tol)
-        status = "feasible" if report.feasible else "infeasible"
-        cross_family = loaded
+        status = "infeasible"
+        if report.feasible:
+            # The theorem assumes g-frame members (``frame_bounds``' rule);
+            # on others the predicted lower bound is 0 up to rounding.
+            bounds = zip(report.member_lowers, report.member_uppers)
+            g_frames = all(low > tol.frame_rtol * up for low, up in bounds)
+            status = "feasible" if g_frames else "hypothesis-fails"
     elif theorem in ("pw", "pw-chain"):
-        if not isinstance(loaded, GFrameFamily):
-            raise FrameFileError(f"--theorem {theorem} needs a family file")
-        lambdas = _parse_float_list(args.lam, "--lam") if args.lam else None
-        etas = _parse_float_list(args.eta, "--eta") if args.eta else None
-        mus = _parse_float_list(args.mu, "--mu") if args.mu else None
-        mode = {
-            "exact": "exact-lambda-only",
-            "sampled": "sampled-falsification",
-        }[args.mode]
+        lambdas = _parse_list(args.lam, "--lam", float) if args.lam else None
+        etas = _parse_list(args.eta, "--eta", float) if args.eta else None
+        mus = _parse_list(args.mu, "--mu", float) if args.mu else None
+        mode = "exact-lambda-only" if args.mode == "exact" else "sampled-falsification"
         if theorem == "pw":
             report = perturbation_certificate(
                 loaded, args.base, lambdas, etas, mus,
@@ -220,35 +226,20 @@ def _certify_payloads(args, tol, budget):
                 mode=mode, trials=args.trials, seed=args.seed, tol=tol,
             )
         status = report.status
-        cross_family = loaded
     elif theorem == "op-perturb":
-        if not isinstance(loaded, GFrame):
-            raise FrameFileError("--theorem op-perturb needs a single-frame file")
         if not args.operators:
             raise FrameFileError("--theorem op-perturb needs --operators FILE")
         ops = load_operators(args.operators, loaded.ambient_dim)
         report = operator_perturbation(loaded, ops, tol)
         status = "valid" if report.hypothesis_ok else "hypothesis-fails"
         cross_family = report.family
-    elif theorem == "scaled-dual":
-        if not isinstance(loaded, GFrame):
-            raise FrameFileError("--theorem scaled-dual needs a single-frame file")
+    else:
         report = scaled_dual_weave(loaded, tol)
         status = "valid" if report.hypothesis_ok else "hypothesis-fails"
-        if report.op_report is not None:
-            cross_family = report.op_report.family
-    else:
-        raise AssertionError(f"unhandled theorem {theorem!r}")
-    return status, report, cross_family
-
-
-def cmd_certify(args) -> int:
-    tol = _tolerance(args)
-    budget = _budget(args)
-    status, report, cross_family = _certify_payloads(args, tol, budget)
+        cross_family = None if report.op_report is None else report.op_report.family
     payload = {
         "tool": _tool_block(tol, seed=args.seed, budget=budget),
-        "theorem": args.theorem,
+        "theorem": theorem,
         "status": status,
         "certificate": report_dict(report),
     }
@@ -256,11 +247,7 @@ def cmd_certify(args) -> int:
         cross = certify_woven(cross_family, mode="exhaustive", budget=budget, tol=tol)
         payload["cross_check"] = report_dict(cross)
     _emit(payload, args)
-    if status in _FAILING_STATUSES:
-        return EXIT_HYPOTHESIS
-    if status == "not-falsified":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _EXIT_CODES[status]
 
 
 def cmd_riesz(args) -> int:
@@ -272,7 +259,7 @@ def cmd_riesz(args) -> int:
     if isinstance(loaded, GFrame):
         payload["riesz_bounds"] = report_dict(riesz_bounds(loaded, tol))
         if args.permutation:
-            pi = _parse_int_list(args.permutation, "--permutation")
+            pi = _parse_list(args.permutation, "--permutation", int)
             report = permutation_weave(loaded, pi, tol, budget=budget)
             payload["permutation_weave"] = report_dict(report)
             code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
@@ -287,8 +274,8 @@ def cmd_riesz(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    dims = _parse_int_list(args.dims, "--dims")
-    spectrum = _parse_float_list(args.spectrum, "--spectrum") if args.spectrum else None
+    dims = _parse_list(args.dims, "--dims", int)
+    spectrum = _parse_list(args.spectrum, "--spectrum", float) if args.spectrum else None
     try:
         spec = GenSpec(
             ambient_dim=args.n,
@@ -346,11 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run a sufficient-condition certificate")
     p.add_argument("path")
-    p.add_argument(
-        "--theorem",
-        required=True,
-        choices=("k", "pw", "pw-chain", "op-perturb", "scaled-dual"),
-    )
+    p.add_argument("--theorem", required=True, choices=tuple(_THEOREM_INPUT))
     p.add_argument("--base", type=int, default=1, help="base member for --theorem pw")
     p.add_argument("--lam", default=None, help="comma-separated lambda scalars")
     p.add_argument("--eta", default=None, help="comma-separated eta scalars")

@@ -45,24 +45,30 @@ def _parse_scalar(raw, field: str, where: str) -> complex:
     if field == "real":
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise FrameFileError(f"{where}: expected a real number, got {raw!r}")
-        return complex(float(raw), 0.0)
-    if (
+        raw = (raw, 0.0)
+    elif (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
         or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in raw)
     ):
         raise FrameFileError(f"{where}: expected an [re, im] pair, got {raw!r}")
-    return complex(float(raw[0]), float(raw[1]))
+    try:
+        return complex(float(raw[0]), float(raw[1]))
+    except OverflowError as exc:
+        # An integer past float64, not echoed: long ints may refuse to format.
+        raise FrameFileError(f"{where}: integer too large for float64") from exc
 
 
 def parse_matrix_entries(entries, rows: int, cols: int, field: str, where: str) -> np.ndarray:
     """Parse a nested entries array into a validated complex matrix."""
     if not isinstance(entries, list) or len(entries) != rows:
         raise FrameFileError(f"{where}: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=np.complex128)
+    # Shapes first, so a file cannot claim more memory than its entries hold.
     for r, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise FrameFileError(f"{where}[{r}]: expected {cols} entries")
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for r, row in enumerate(entries):
         for c, raw in enumerate(row):
             out[r, c] = _parse_scalar(raw, field, f"{where}[{r}][{c}]")
     if not np.all(np.isfinite(out)):

@@ -39,11 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1_000_000
-_CHUNK = 8192
 # An exhaustive chunk holds at most 2**17 frame-operator entries (2 MiB), and
 # its spectra are screened in blocks of 64 rows.
 _CHUNK_ENTRIES, _SCREEN_ROWS = 2**17, 64
-# Sampled mode checks a draw in row blocks of 16, 32, ... rows: small first
+# Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap, and 512 rows stay in cache.
 _BLOCK_FIRST, _BLOCK_CAP = 16, 512
 
@@ -266,8 +265,8 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
     """Yield ``(first_code, operators)`` for all ``m**N`` weavings in code order.
 
     A chunk holds the ``m**low`` consecutive codes that share their leading
-    ``high = N - low`` labels (``low`` is the largest with ``m**low * n**2
-    <= _CHUNK_ENTRIES``).  The shared prefix is summed once; each later
+    ``high = N - low >= 1`` labels (``low < N`` is the largest with ``m**low
+    * n**2 <= _CHUNK_ENTRIES``).  The shared prefix is summed once; each later
     index then extends every partial sum by each of its ``m`` terms.  Terms
     are added in increasing index order, so every frame operator equals the
     sequential sum over its labels bit for bit, at about two ``n x n`` adds
@@ -275,15 +274,12 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
     """
     big_n, n = grams.shape[0], grams.shape[-1]
     low = 0
-    while low < big_n and m ** (low + 1) * n * n <= _CHUNK_ENTRIES:
+    while low < big_n - 1 and m ** (low + 1) * n * n <= _CHUNK_ENTRIES:
         low += 1
     high = big_n - low
     for h in range(m**high):
-        if high:
-            level = _frame_operators(grams, _decode_codes(np.array([h]), m, high))
-        else:  # one chunk: start from the m terms of index 0
-            level = grams[0]
-        for i in range(max(high, 1), big_n):
+        level = _frame_operators(grams, _decode_codes(np.array([h]), m, high))
+        for i in range(high, big_n):
             level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
         yield h * m**low, level
 
@@ -352,13 +348,14 @@ def certify_woven(
     count.  On a family whose weavings are nearly all singular, the lower
     test fails on every block, which then pays one Cholesky on top of its
     ``eigvalsh``.  Sampled
-    mode draws ``budget`` partitions from a seeded generator, 8192 label rows
-    per draw, and can only falsify: it returns ``not-woven`` with a witness,
-    or the explicitly weaker ``sampled-no-counterexample``.  Each draw is
-    checked in row blocks of 16 rows doubling to 512, and the run stops at
-    the first failing row: a counterexample at row ``r`` costs about
-    ``2r + 16`` spectra, and a block holds at most 512 ``n x n`` complex
-    frame operators.  A ``budget`` below one is rejected with ``ValueError``.
+    mode draws ``budget`` partitions from a seeded generator and can only
+    falsify: it returns ``not-woven`` with a witness, or the explicitly
+    weaker ``sampled-no-counterexample``.  It draws and checks row blocks of
+    16 rows doubling to 512, and stops at the first failing row: a
+    counterexample at row ``r`` costs about ``2r + 16`` spectra, and a block
+    holds at most 512 ``n x n`` complex frame operators.  The generator
+    yields the same labels however the draws are cut.  A ``budget`` below
+    one is rejected with ``ValueError``.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -385,20 +382,16 @@ def certify_woven(
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
         rng = np.random.default_rng(seed)
-        checked, size = 0, _BLOCK_FIRST
-        failed = False
+        checked, size, failed = 0, _BLOCK_FIRST, False
         while checked < budget and not failed:
-            labels0 = rng.integers(0, m, size=(min(_CHUNK, budget - checked), big_n))
-            start = 0
-            while start < len(labels0) and not failed:
-                rows = labels0[start : start + size]
-                w = np.linalg.eigvalsh(_frame_operators(grams, rows))
-                bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
-                failed = bool(bad.any())
-                stop = int(np.argmax(bad)) + 1 if failed else len(rows)
-                best = _fold_extremes(best, w[:stop], rows)
-                checked += stop
-                start, size = start + size, min(2 * size, _BLOCK_CAP)
+            rows = rng.integers(0, m, size=(min(size, budget - checked), big_n))
+            w = np.linalg.eigvalsh(_frame_operators(grams, rows))
+            bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
+            failed = bool(bad.any())
+            stop = int(np.argmax(bad)) + 1 if failed else len(rows)
+            best = _fold_extremes(best, w[:stop], rows)
+            checked += stop
+            size = min(2 * size, _BLOCK_CAP)
         best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
         wit_low, wit_up = rows_low[i_low], rows_up[i_up]
         status = "not-woven" if failed else "sampled-no-counterexample"

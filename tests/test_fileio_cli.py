@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -23,8 +25,11 @@ from gweave import (
     scaled_dual_weave,
     weaving_riesz_check,
 )
+import gweave.cli
+import gweave.perturb
 import gweave.riesz
-from gweave.cli import main
+import gweave.weaving
+from gweave.cli import _EXIT_CODES, main
 from gweave.fileio import (
     FrameFileError,
     load_any,
@@ -148,6 +153,33 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(FrameFileError, match="finite"):
             load_frame(path)
+
+    def test_size_past_memory_exit_2(self, tmp_path, capsys):
+        # 2**45 complex entries are 512 TiB, more than any address space:
+        # the row lengths must be checked before the matrix is allocated.
+        path = tmp_path / "huge.json"
+        payload = {
+            "ambient_dim": 2**45,
+            "field": "real",
+            "blocks": [{"rows": 1, "entries": [[1.0]]}],
+        }
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", str(path)]) == 2
+        assert f"blocks[0].entries[0]: expected {2**45} entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_integer_past_float64_exit_2(self, tmp_path, capsys, field):
+        # 1e400 parses as inf and fails the finiteness check; an integer
+        # with 400 digits made float() raise OverflowError (exit 3).
+        huge = json.loads("1" + "0" * 400)
+        entry = huge if field == "real" else [0.0, huge]
+        path = tmp_path / "big.json"
+        payload = {"ambient_dim": 1, "field": field, "blocks": [{"rows": 1, "entries": [[entry]]}]}
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "blocks[0].entries[0][0]: integer too large for float64" in err
+        assert "0" * 400 not in err
 
     def test_frame_where_family_expected(self, frame_file):
         with pytest.raises(FrameFileError, match="frames"):
@@ -324,6 +356,63 @@ class TestCertifyCommand:
         assert payload["certificate"]["k"] == pytest.approx(0.0, abs=1e-12)
         assert payload["certificate"]["predicted_lower"] == pytest.approx(2 / 3, abs=1e-12)
         assert payload["cross_check"]["universal_lower"] >= payload["certificate"]["predicted_lower"] - 1e-8
+
+    def test_k_members_without_lower_bound_hypothesis_fails(self, tmp_path):
+        # Both members span only e1, so the family is not woven, yet every
+        # singleton constraint is feasible with K = 1/4 and predicted lower
+        # bound 0.  The theorem assumes g-frame members.
+        a = GFrame(2, (np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])))
+        b = GFrame(2, (np.array([[1.5, 0.0]]), np.array([[2.5, 0.0]])))
+        path = tmp_path / "fam.json"
+        save_family(GFrameFamily((a, b), allow_degenerate=True), path)
+        assert main(["weave", str(path)]) == 1
+        out = tmp_path / "k.json"
+        code = main(["certify", str(path), "--theorem", "k", "--cross-check",
+                     "--json", str(out)])
+        assert code == 6
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "hypothesis-fails"
+        assert payload["certificate"]["feasible"] is True
+        assert payload["certificate"]["k"] == pytest.approx(0.25, abs=1e-12)
+        assert payload["certificate"]["predicted_lower"] == 0.0
+        assert payload["cross_check"]["status"] == "not-woven"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_k_rank_deficient_members_hypothesis_fails(self, tmp_path, seed):
+        # Members in one 2-D subspace of C^4 with the same kernels: K is
+        # feasible, and the computed member lower bounds are 0 or a rounding
+        # residue of about 1e-15, which must not pass for a g-frame.
+        rng = np.random.default_rng(seed)
+        basis = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        blocks = [(rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))) @ basis
+                  for _ in range(5)]
+        scaled = [rng.uniform(0.5, 1.5) * blk for blk in blocks]
+        fam = GFrameFamily((GFrame(4, tuple(blocks)), GFrame(4, tuple(scaled))),
+                           allow_degenerate=True)
+        path = tmp_path / "fam.json"
+        save_family(fam, path)
+        out = tmp_path / "k.json"
+        assert main(["certify", str(path), "--theorem", "k", "--json", str(out)]) == 6
+        payload = json.loads(out.read_text())
+        assert payload["certificate"]["feasible"] is True
+        assert payload["status"] == "hypothesis-fails"
+
+    @pytest.mark.parametrize(
+        "theorem, wrong, message",
+        [
+            ("k", "frame", "--theorem k needs a family file"),
+            ("pw", "frame", "--theorem pw needs a family file"),
+            ("pw-chain", "frame", "--theorem pw-chain needs a family file"),
+            ("op-perturb", "family", "--theorem op-perturb needs a single-frame file"),
+            ("scaled-dual", "family", "--theorem scaled-dual needs a single-frame file"),
+        ],
+    )
+    def test_wrong_input_kind_exit_2(
+        self, frame_file, copies_family_file, capsys, theorem, wrong, message
+    ):
+        path = frame_file if wrong == "frame" else copies_family_file
+        assert main(["certify", str(path), "--theorem", theorem, "--lam", "0.1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_k_budget_does_not_cap_the_singleton_solve(self, tmp_path, capsys):
         # N = 12 has 2**12 - 1 subsets, but minimal_k solves only the 12
@@ -799,6 +888,46 @@ class TestGenerateCommand:
         ])
         assert code == 2
         assert "summing" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--dims", "1,x"), "--dims: expected comma-separated integers, got '1,x'"),
+            (("--dims", "1,1", "--spectrum", "1,y"),
+             "--spectrum: expected comma-separated numbers, got '1,y'"),
+        ],
+        ids=["dims", "spectrum"],
+    )
+    def test_bad_list_flag_exit_2(self, tmp_path, capsys, flags, message):
+        code = main(["generate", "--kind", "prescribed-spectrum", "--n", "2", *flags,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+class TestExitTable:
+    def test_every_report_status_has_its_code(self):
+        # A status missing from the table would raise KeyError, a traceback
+        # with exit 1 ("not woven").  Every string assigned to a ``status``
+        # in the modules that make reports must be a key, and no other.
+        made = set()
+        for module in (gweave.weaving, gweave.perturb, gweave.cli):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "status" for t in node.targets
+                ):
+                    made |= {
+                        c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    }
+        assert made == set(_EXIT_CODES)
+        assert _EXIT_CODES == {
+            "woven": 0, "valid": 0, "feasible": 0,
+            "not-woven": 1,
+            "sampled-no-counterexample": 4, "not-falsified": 4,
+            "hypothesis-fails": 6, "lambda-below-gap": 6, "falsified": 6, "infeasible": 6,
+        }
 
 
 class TestNumericFailureExit:
