@@ -24,11 +24,12 @@ KINDS = ("parseval", "prescribed-spectrum", "riesz-basis", "g-orthonormal", "per
 class GenSpec:
     """Recipe for a random g-frame (or perturbed pair of g-frames).
 
-    ``spectrum`` is required for the prescribed-spectrum kind (one positive
-    eigenvalue per ambient dimension).  The riesz-basis and g-orthonormal
+    ``spectrum`` is required for the prescribed-spectrum kind (one finite
+    positive eigenvalue per ambient dimension).  The riesz-basis and g-orthonormal
     kinds need block dimensions summing to the ambient dimension.  The
     perturbed kind produces a two-member family: a base frame plus a copy
-    with entrywise complex Gaussian noise of scale ``noise_scale``.
+    with entrywise complex Gaussian noise of scale ``noise_scale`` (finite,
+    nonnegative; checked for every kind).
     """
 
     ambient_dim: int
@@ -66,11 +67,15 @@ class GenSpec:
                 raise ValueError(
                     f"spectrum must have {self.ambient_dim} entries, got {len(spec)}"
                 )
+            if not all(np.isfinite(spec)):
+                raise ValueError("spectrum entries must be finite")
             if any(x <= 0 for x in spec):
                 raise ValueError("spectrum entries must be positive")
             object.__setattr__(self, "spectrum", spec)
         elif self.spectrum is not None:
             raise ValueError(f"spectrum is only meaningful for prescribed-spectrum")
+        if not np.isfinite(self.noise_scale):
+            raise ValueError("noise_scale must be finite")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be nonnegative")
 

@@ -20,9 +20,13 @@ from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
     Partition,
+    _SCREEN_ROWS,
     _check_budget,
     _decode_codes,
+    _exhaustive_operators,
     _fold_extremes,
+    _gram_tensor,
+    _inside_bounds,
     _partition_of,
 )
 
@@ -122,63 +126,112 @@ def _squares(x: np.ndarray) -> np.ndarray:
 def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     """One pass over the ``2**N`` partitions of a two-member family.
 
-    Chunks of ``_CHUNK`` codes run in lexicographic order (index 1 most
-    significant); each takes one batched SVD of the weaving synthesis
-    matrices, columns in index order.  Returns ``(best, span_low_min, a2,
-    d3)``: ``best`` as folded by ``_fold_extremes`` over squared extreme
-    singular values, keyed by 0-based label rows; ``span_low_min`` the
-    smallest squared singular value above the rank threshold; ``a2`` and
-    ``d3`` the angle constants of :func:`equivalence_constants` if
-    ``members`` (the two members' :class:`RieszBounds`) is given, else
-    ``inf``.
+    Returns ``(best, span_low_min, kept)``: ``best`` as folded by
+    ``_fold_extremes`` over squared extreme singular values of the weaving
+    synthesis matrices ``T`` (columns in index order), keyed by 0-based
+    label rows; ``span_low_min`` the smallest squared singular value above
+    the rank threshold; ``kept`` the codes that :func:`_angle_constants`
+    must visit.  ``members`` are the two members' :class:`RieszBounds`, or
+    ``None`` (then every code is kept).
 
-    The angle constants take a second pass over the partitions that can
-    attain them.  If both members have full column rank, with ``mu**2``
-    the smaller lower and ``nu**2`` the larger upper Riesz bound, every
-    weaving factors as ``T = [Q_A Q_B] diag(R_A, R_B)`` with the singular
-    values of ``R_A`` and ``R_B`` in ``[mu, nu]`` (column subsets
-    interlace), so ``s_min(T)**2 / nu**2 <= 1 - cos(theta) <= s_min(T)**2
-    / mu**2`` for the smallest principal angle ``theta`` between the two
-    sides.  ``a2`` and ``d3`` both increase with ``1 - cos(theta)``, so a
-    partition can attain them only if ``s_min(T)**2 <= (nu / mu)**2 *
-    min s_min**2``.  The screen keeps the partitions with ``s_min**2 <=
-    (1 + 1e-6) (nu / mu)**2 (min s_min**2 + 1e3 max(n, c) eps nu**2)``:
-    the relative term covers rounding in ``mu`` and ``nu``, the absolute
-    one rounding in the singular values and the angle constants.  It
-    applies only when both members pass ``lower > frame_rtol * upper``
-    (so ``c <= n``); otherwise the inequality can fail and every
-    partition is kept.  The first pass stores one float, ``s_min**2``,
-    per partition.  The second takes the kept codes one partition at a
-    time, in code order: an SVD per side for its range basis, one of the
-    overlap for ``a2`` and one of the joined bases for ``d3``, so each
-    kept partition gets the same floats as with no screen.
+    *Angle screen.*  If both members pass ``lower > frame_rtol * upper``
+    (full column rank, so ``c <= n``), with ``mu**2`` the smaller lower and
+    ``nu**2`` the larger upper Riesz bound, every weaving factors as ``T =
+    [Q_A Q_B] diag(R_A, R_B)`` with the singular values of ``R_A`` and
+    ``R_B`` in ``[mu, nu]`` (column subsets interlace), so ``s_min(T)**2 /
+    nu**2 <= 1 - cos(theta) <= s_min(T)**2 / mu**2`` for the smallest
+    principal angle ``theta`` between the two sides.  ``a2`` and ``d3``
+    both increase with ``1 - cos(theta)``, so a partition can attain them
+    only if ``s_min(T)**2 <= (nu / mu)**2 * min s_min**2``.  ``kept`` holds
+    the codes with ``s_min**2 <= thr(min s_min**2)``, where ``thr(low) =
+    (1 + 1e-6) (nu / mu)**2 (low + 1e3 max(n, c) eps nu**2)``: the relative
+    term covers rounding in ``mu`` and ``nu``, the absolute one rounding in
+    the singular values and the angle constants.  Otherwise the inequality
+    can fail and every code is kept.  The pass stores one float,
+    ``s_min**2``, per partition.
+
+    *Weaving screen.*  On a square pair (``c == n`` and the angle screen
+    applies), ``s(T)**2`` are the eigenvalues of ``S = T T* = sum_i
+    G_{i sigma_i}``.  The ``S`` come from ``_exhaustive_operators`` in code
+    order and in blocks of ``_SCREEN_ROWS``; with ``(low, up)`` the running
+    bounds, a block after the first is skipped if ``_inside_bounds(S,
+    thr(low), up)``, that is if Cholesky factors ``S - (thr(low) + delta)
+    I`` and ``(up - delta) I - S`` with ``delta = 1e3 n**2 eps up``.  A
+    skipped partition's computed ``s_min**2`` lies above ``thr(low)`` and
+    its ``s_max**2`` below ``up``: ``delta`` covers the backward error of a
+    completed Cholesky (about ``n**2 eps up``, see :func:`certify_woven`),
+    the rounding of the Gram terms and of the prefix sums (``N <= n``
+    terms, about ``(n + N) eps up``), and the SVD's error in ``s_min**2``
+    (about ``2 eps s_max s_min <= 2 eps up``, plus one rounding of the
+    square).  ``thr(low) >= low``, and only a strictly better row moves a
+    bound, so the bounds and witnesses stay exact.  The running ``low`` only
+    falls and ``thr`` is monotone in floating point too, so ``thr`` at the
+    running ``low`` is at least ``thr`` at the final one, and a skipped
+    partition (stored as ``inf``) would not have been kept either.  Every
+    other block takes the SVD of its ``T``, as the unscreened loop does, so
+    reports are those of the unscreened sweep bit for bit.  The screened
+    path leaves ``span_low_min`` at ``inf``.
+
+    Every other family (``c != n``, which only redundant or rank-deficient
+    :func:`equivalence_constants` inputs reach, and :func:`permutation_weave`,
+    which passes no ``members``) takes chunks of ``_CHUNK`` codes, each one
+    batched SVD.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     big_n, total = fam.n_indices, 2**fam.n_indices
     best = (np.inf, None, -np.inf, None)
-    span_low_min = a2 = d3 = np.inf
-    floor = np.empty(total) if members is not None else None
-    for first in range(0, total, _CHUNK):
-        labels0 = _decode_codes(np.arange(first, min(first + _CHUNK, total)), 2, big_n)
+    span_low_min = np.inf
+    screen = members is not None and all(
+        rb.lower > tol.frame_rtol * rb.upper for rb in members
+    )
+    if screen:
+        low, up = min(rb.lower for rb in members), max(rb.upper for rb in members)
+        ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
+        floor = np.full(total, np.inf)
+
+    def svd_block(first, stop):
+        """One batched SVD of the weavings ``first..stop-1``, folded in."""
+        nonlocal best
+        labels0 = _decode_codes(np.arange(first, stop), 2, big_n)
         # Columns that the partition takes from the second member.
         owner = np.repeat(labels0 == 1, fam.block_dims, axis=1)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
-        # Singular values come sorted, so the live ones are a prefix.
-        live = _rank_from_singular_values(s, (n, c), tol)
-        span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
-        if floor is not None:
-            floor[first : first + len(s)] = w[:, 0]
-    if members is None:
-        return best, float(span_low_min), float(a2), float(d3)
-    codes = np.arange(total)
-    if all(rb.lower > tol.frame_rtol * rb.upper for rb in members):
-        low, up = min(rb.lower for rb in members), max(rb.upper for rb in members)
-        slack = 1e3 * max(n, c) * np.finfo(float).eps * up
-        codes = np.flatnonzero(floor <= (1 + 1e-6) * up / low * (floor.min() + slack))
-    for owner in np.repeat(_decode_codes(codes, 2, big_n) == 1, fam.block_dims, axis=1):
+        if screen:
+            floor[first:stop] = w[:, 0]
+        return s
+
+    if screen and c == n:
+        for first, ops in _exhaustive_operators(_gram_tensor(fam), 2):
+            for start in range(0, len(ops), _SCREEN_ROWS):
+                s = ops[start : start + _SCREEN_ROWS]
+                if best[1] is None or not _inside_bounds(s, ratio * (best[0] + slack), best[2]):
+                    svd_block(first + start, first + start + len(s))
+    else:
+        for first in range(0, total, _CHUNK):
+            s = svd_block(first, min(first + _CHUNK, total))
+            # Singular values come sorted, so the live ones are a prefix.
+            live = _rank_from_singular_values(s, (n, c), tol)
+            span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
+    kept = np.flatnonzero(floor <= ratio * (best[0] + slack)) if screen else np.arange(total)
+    return best, float(span_low_min), kept
+
+
+def _angle_constants(fam: GFrameFamily, tol: Tolerance, codes: np.ndarray):
+    """``(a2, d3)`` of :func:`equivalence_constants` over the partitions
+    ``codes`` (``inf`` where none constrains them).
+
+    One partition at a time, in code order: an SVD per side for its range
+    basis, one of the overlap for ``a2`` and one of the joined bases for
+    ``d3``, so each partition gets the same floats however ``codes`` was
+    screened.
+    """
+    n = fam.ambient_dim
+    t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
+    a2 = d3 = np.inf
+    for owner in np.repeat(_decode_codes(codes, 2, fam.n_indices) == 1, fam.block_dims, axis=1):
         o_left = _range_basis(t_first[:, ~owner], tol)
         o_right = _range_basis(t_second[:, owner], tol)
         rl, rr = o_left.shape[1], o_right.shape[1]
@@ -192,12 +245,15 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         elif rl + rr > 0:
             mix = np.hstack([o_left, o_right])
             d3 = min(d3, float(np.linalg.svd(mix, compute_uv=False)[-1]) ** 2)
-    return best, float(span_low_min), float(a2), float(d3)
+    return float(a2), float(d3)
 
 
 def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: bool):
     """The :func:`weaving_riesz_check` report, and with ``angles`` the
-    :func:`equivalence_constants` report (else ``None``), from one sweep."""
+    :func:`equivalence_constants` report (else ``None``), from one sweep.
+
+    Both members are g-Riesz bases, so the sweep takes the weaving screen
+    either way."""
     if fam.m != 2:
         raise ValueError("the Riesz weaving check is defined for two-member families")
     members = [riesz_bounds(fr, tol) for fr in fam.frames]
@@ -205,7 +261,7 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
         if not rb.is_basis:
             raise ValueError(f"member {j} is not a g-Riesz basis")
     total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
-    best, _, a2, d3 = _riesz_sweep(fam, tol, members if angles else None)
+    best, _, kept = _riesz_sweep(fam, tol, members)
     best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
     report = WeavingRieszReport(
         woven=best_low > tol.frame_rtol * best_up,
@@ -215,7 +271,9 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
         witness_upper=_partition_of(rows_up[i_up]),
         partitions_checked=total,
     )
-    return report, _equivalence_report(fam, best_low, best_up, a2, d3) if angles else None
+    if not angles:
+        return report, None
+    return report, _equivalence_report(fam, best_low, best_up, *_angle_constants(fam, tol, kept))
 
 
 def weaving_riesz_check(
@@ -229,7 +287,9 @@ def weaving_riesz_check(
     synthesis matrix and an injective weaving is automatically onto: if all
     weavings keep a positive lower Riesz constant, every weaving is a
     g-Riesz basis and the pair is woven.  Witnesses are the first partition
-    in lexicographic order that attains each bound.
+    in lexicographic order that attains each bound.  Blocks of weavings
+    that a Cholesky test proves unable to move either bound skip their SVD
+    (see ``_riesz_sweep``), which changes no reported float.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=False)[0]
 
@@ -246,6 +306,13 @@ def permutation_weave(
     g-frame sequence for its span with lower bound at least the base lower
     bound and upper bound at most twice the base upper bound; the pair is
     woven only for the identity permutation.
+
+    The sweep takes no Cholesky screen, only chunks of 128 codes, each one
+    batched SVD.  A weaving is nonsingular only if each cycle of ``pi``
+    takes one member throughout, so just ``2**(cycles of pi)`` of the
+    ``2**N`` weavings are; nearly every block of 64 then holds a singular
+    frame operator ``S``, which fails the lower test on ``S - thr I`` for
+    every ``thr >= 0``.  ``span_lower_min`` also needs every partition.
     """
     rb = riesz_bounds(f, tol)
     if not rb.is_basis:
@@ -266,7 +333,7 @@ def permutation_weave(
 
     _check_budget(budget, "permutation weave needs", 2, big_n)
     fb = frame_bounds(f, tol)
-    best, span_low_min, _, _ = _riesz_sweep(fam, tol)
+    best, span_low_min, _ = _riesz_sweep(fam, tol)
     best_low, (rows_low, i_low), best_up, _ = best
     woven = best_low > tol.frame_rtol * best_up
     return PermutationWeaveReport(
@@ -314,24 +381,22 @@ def equivalence_constants(
     :func:`weaving_riesz_check`, so on a pair of g-Riesz bases they are the
     same floats as its ``common_lower``/``common_upper``.
 
-    The angle quantities are computed only on partitions that can attain
-    ``a2`` and ``d3``.  When both members pass ``lower > frame_rtol *
-    upper`` (full column rank), ``s_min(T)**2 / nu**2 <= 1 - cos(theta) <=
-    s_min(T)**2 / mu**2`` for every weaving ``T``, with ``mu**2`` the
-    smaller lower and ``nu**2`` the larger upper member bound, so only
-    partitions with ``s_min(T)**2 <= (1 + 1e-6) (nu / mu)**2 (min
-    s_min**2 + 1e3 max(n, c) eps nu**2)`` are kept; the margin covers
-    rounding.  Otherwise every partition is kept.  The screen stores one
-    float per partition and leaves every reported float unchanged; each
-    kept partition then takes its own range-basis, overlap and joined-basis
-    SVDs.
+    Two screens skip work that cannot change a reported float; their
+    proofs and rounding margins are in ``_riesz_sweep``.  The angle
+    quantities are computed only on partitions that can attain ``a2`` and
+    ``d3``.  On a square pair (``c == n``, both members past ``lower >
+    frame_rtol * upper``) blocks of 64 weavings take the weaving SVD only
+    if a Cholesky test on their frame operators cannot prove them inside
+    the running bounds and above the angle threshold.  A member with
+    ``lower <= frame_rtol * upper`` (redundant or rank deficient) turns
+    both screens off, and ``c != n`` the weaving screen.
     """
     if fam.m != 2:
         raise ValueError("equivalence constants are defined for two-member families")
     _check_budget(budget, "equivalence constants need", 2, fam.n_indices, "partitions")
     members = [riesz_bounds(fr, tol) for fr in fam.frames]
-    (low, _, up, _), _, a2, d3 = _riesz_sweep(fam, tol, members)
-    return _equivalence_report(fam, low, up, a2, d3)
+    (low, _, up, _), _, kept = _riesz_sweep(fam, tol, members)
+    return _equivalence_report(fam, low, up, *_angle_constants(fam, tol, kept))
 
 
 def _equivalence_report(fam, low, up, a2, d3) -> EquivalenceConstants:

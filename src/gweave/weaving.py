@@ -14,6 +14,7 @@ norm inequality.  :func:`report_dict` is the JSON form of every report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import product
 
 import numpy as np
 
@@ -39,9 +40,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1_000_000
-# An exhaustive chunk holds at most 2**17 frame-operator entries (2 MiB), and
-# its spectra are screened in blocks of 64 rows.
-_CHUNK_ENTRIES, _SCREEN_ROWS = 2**17, 64
+# An exhaustive chunk holds at most 2**15 frame-operator entries (512 KiB),
+# and its operators are screened in blocks of 64 rows.  The weaving sweeps
+# and the square Riesz sweeps share both constants.
+_CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap, and 512 rows stay in cache.
 _BLOCK_FIRST, _BLOCK_CAP = 16, 512
@@ -266,19 +268,30 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
 
     A chunk holds the ``m**low`` consecutive codes that share their leading
     ``high = N - low >= 1`` labels (``low < N`` is the largest with ``m**low
-    * n**2 <= _CHUNK_ENTRIES``).  The shared prefix is summed once; each later
-    index then extends every partial sum by each of its ``m`` terms.  Terms
-    are added in increasing index order, so every frame operator equals the
-    sequential sum over its labels bit for bit, at about two ``n x n`` adds
-    per weaving.
+    * n**2 <= _CHUNK_ENTRIES``).  The partial sums of the shared prefix are
+    kept from the previous chunk up to its first changed label, so a chunk
+    adds fewer than two prefix terms on average (``m / (m - 1)``); each
+    later index then extends every partial sum by each of its ``m`` terms.
+    Terms are added in increasing index order, so every frame operator
+    equals the sequential sum over its labels bit for bit, at about two ``n
+    x n`` adds per weaving.  The sums do not depend on where the chunks are
+    cut, so ``_CHUNK_ENTRIES`` changes memory and speed, never a bit of a
+    result.  Serves exhaustive :func:`certify_woven`,
+    :func:`span_criterion` and the screened square Riesz sweep.
     """
     big_n, n = grams.shape[0], grams.shape[-1]
     low = 0
     while low < big_n - 1 and m ** (low + 1) * n * n <= _CHUNK_ENTRIES:
         low += 1
     high = big_n - low
-    for h in range(m**high):
-        level = _frame_operators(grams, _decode_codes(np.array([h]), m, high))
+    sums, prev = [], ()
+    for h, labels in enumerate(product(range(m), repeat=high)):
+        keep = next((i for i, (a, b) in enumerate(zip(prev, labels)) if a != b), 0)
+        del sums[keep:]
+        for i in range(keep, high):
+            term = grams[i, labels[i]]
+            sums.append(sums[-1] + term if i else term)
+        level, prev = sums[-1][None], labels
         for i in range(high, big_n):
             level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
         yield h * m**low, level
@@ -332,8 +345,8 @@ def certify_woven(
     Exhaustive mode enumerates all ``m**N`` partitions (requires
     ``m**N <= budget``) and reports the true universal bounds; the woven
     verdict is ``universal_lower > frame_rtol * universal_upper``.  Frame
-    operators come in chunks of at most ``2**17`` entries (2 MiB), cut into
-    blocks of 64 rows.  With ``(low, up)`` the bounds so far and ``delta =
+    operators come in chunks of at most ``2**15`` entries (512 KiB), cut
+    into blocks of 64 rows.  With ``(low, up)`` the bounds so far and ``delta =
     1e3 * n**2 * eps * up``, each block after the first is skipped if
     Cholesky factors both ``S - (low + delta) I`` and ``(up - delta) I - S``
     for all its operators ``S``; otherwise it takes ``eigvalsh``.  A

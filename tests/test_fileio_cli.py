@@ -905,6 +905,27 @@ class TestGenerateCommand:
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--kind", "prescribed-spectrum", "--spectrum", "inf,1"),
+             "spectrum entries must be finite"),
+            (("--kind", "prescribed-spectrum", "--spectrum", "nan,1"),
+             "spectrum entries must be finite"),
+            (("--kind", "perturbed", "--noise-scale", "inf"), "noise_scale must be finite"),
+            (("--kind", "perturbed", "--noise-scale", "nan"), "noise_scale must be finite"),
+        ],
+        ids=["spectrum-inf", "spectrum-nan", "noise-inf", "noise-nan"],
+    )
+    def test_non_finite_scalars_exit_2(self, tmp_path, capsys, flags, message):
+        # inf used to exit 3 from a numpy warning in generate; nan exited 2
+        # only when save rejected the non-finite entries it produced.
+        out = tmp_path / "x.json"
+        code = main(["generate", "--n", "2", "--dims", "1,1", *flags, "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitTable:
     def test_every_report_status_has_its_code(self):

@@ -38,6 +38,19 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError, match="only meaningful"):
             GenSpec(2, (1, 1), "parseval", seed=0, spectrum=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_spectrum_entries_must_be_finite(self, bad):
+        # inf passed the positivity test and failed later in matmul; nan
+        # failed only when the written file was checked.
+        with pytest.raises(ValueError, match="spectrum entries must be finite"):
+            GenSpec(2, (1, 1), "prescribed-spectrum", seed=0, spectrum=(bad, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["perturbed", "parseval"])
+    def test_noise_scale_must_be_finite(self, bad, kind):
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            GenSpec(2, (1, 1), kind, seed=0, noise_scale=bad)
+
 
 class TestGenerate:
     def test_parseval_bounds(self):

@@ -480,9 +480,10 @@ class TestAngleScreen:
     @pytest.mark.parametrize("seed", range(4))
     def test_angle_stage_runs_on_few_partitions(self, seed, monkeypatch):
         # Two independent bases, as the benchmark pairs them.  The weaving
-        # pass sends its 2**9 matrices to svd, the members' Riesz bounds 2;
-        # the rest is the angle stage, at most 4 per kept partition.  With
-        # no screen it is 2044 (four per partition less the empty sides).
+        # pass sends at most its 2**9 matrices to svd (the Cholesky screen
+        # skips some), the members' Riesz bounds 2; the rest is the angle
+        # stage, at most 4 per kept partition.  With no screen it is 2044
+        # (four per partition less the empty sides).
         fam = GFrameFamily(tuple(_basis((1,) * 9, seed + 1000 * j) for j in range(2)))
         expected = equivalence_constants(fam)
         svd, matrices = np.linalg.svd, []
@@ -540,3 +541,66 @@ class TestRieszProperties:
         assert rep.common_lower == pytest.approx(cert.universal_lower, abs=tol)
         assert rep.common_upper == pytest.approx(cert.universal_upper, abs=tol)
         assert rep.woven == (cert.status == "woven")
+
+
+def _counting_svd(monkeypatch) -> list[int]:
+    """Patch ``np.linalg.svd`` to record how many matrices each call takes."""
+    svd, matrices = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return matrices
+
+
+def _diagonal_pair(seed: int, rel: float, tied: str, n: int = 10) -> GFrameFamily:
+    """Two g-Riesz bases whose weavings have singular values ``t_{i sigma_i}``.
+
+    Block i of member j is ``t_ij`` times row i of one random unitary ``Q``,
+    so a weaving's synthesis matrix is ``Q* diag(t_{i sigma_i})``.  Index 0
+    holds the smallest (``tied="lower"``) or largest entries, with ``t_02 =
+    t_01 (1 + rel z)``: every weaving then sits within ``rel`` of that bound,
+    and which one attains it is decided by rounding.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    t = rng.uniform(1.0, 2.0, (n, 2))
+    t[0] = 0.5 if tied == "lower" else 3.0
+    t[0, 1] *= 1 + rel * rng.standard_normal()
+    return GFrameFamily(tuple(
+        GFrame(n, tuple(t[i, j] * q[i : i + 1] for i in range(n))) for j in range(2)
+    ))
+
+
+class TestWeavingScreen:
+    """On square pairs the weaving SVDs are screened by a Cholesky test on
+    the frame operators: the reports must equal the unscreened loops."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_most_weaving_svds_skipped(self, seed, monkeypatch):
+        # Two independent bases, as the benchmark pairs them: 4096 weavings,
+        # of which an unscreened sweep sends every one to svd.
+        fam = GFrameFamily(tuple(_basis((1,) * 12, seed + 1000 * j) for j in range(2)))
+        expected = _weaving_riesz_reference(fam)
+        matrices = _counting_svd(monkeypatch)
+        assert weaving_riesz_check(fam) == expected
+        assert sum(matrices) - 2 <= 2**11
+
+    @pytest.mark.parametrize("tied", ["lower", "upper"])
+    @pytest.mark.parametrize("rel", [0.0, 1e-14])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_diagonal_ties(self, tied, rel, seed):
+        fam = _diagonal_pair(seed, rel, tied)
+        # The first member alone is the weaving with every label 1.
+        s = np.linalg.svd(synthesis_matrix(fam.frames[0]), compute_uv=False)
+        t = [np.linalg.norm(b) for b in fam.frames[0].blocks]
+        np.testing.assert_allclose(s, sorted(t, reverse=True), rtol=1e-14)
+        _assert_pair_matches(fam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=_square_dims, seed=st.integers(0, 2**16))
+    def test_matches_reference_on_square_pairs(self, dims, seed):
+        _assert_pair_matches(_independent_bases(dims, seed))
+

@@ -28,6 +28,7 @@ from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL, rank
 from gweave.weaving import (
     _BLOCK_FIRST,
+    _CHUNK_ENTRIES,
     DEFAULT_BUDGET,
     WeavingReport,
     _decode_codes,
@@ -636,8 +637,9 @@ class TestEngineMatchesGatherReference:
         assert rep == _certify_reference(fam)
         assert rep.partitions_checked == m**big_n
 
-    # (2, 17) has a four-label prefix, so the prefix sum order shows.
-    @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9), (2, 17)])
+    # (2, 17) has a four-label prefix and (3, 10) a two-label one, so the
+    # prefix sum order and the partial sums kept across chunks show.
+    @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9), (2, 17), (3, 10)])
     def test_spectra_in_code_order(self, m, big_n):
         fam = noisy_family(2, (1,) * big_n, m, seed=m + big_n, noise=0.3)
         grams = _gram_tensor(fam)
@@ -819,7 +821,7 @@ class TestExhaustiveScreen:
         fam = noisy_family(n, (2,) * big_n, 2, seed=5, noise=0.2)
         rows = [len(s) for _, s in _exhaustive_operators(_gram_tensor(fam), 2)]
         assert sum(rows) == 2**big_n
-        assert max(rows) * n * n <= 2**17
+        assert max(rows) * n * n <= _CHUNK_ENTRIES
 
     # Exact ties differ only by rounding; near ties by about 1e-14
     # relative.  Both sit well inside the screen's margin.
