@@ -20,7 +20,6 @@ from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
     Partition,
-    _SCREEN_ROWS,
     _check_budget,
     _decode_codes,
     _exhaustive_operators,
@@ -40,9 +39,6 @@ __all__ = [
     "permutation_weave",
     "equivalence_constants",
 ]
-
-_CHUNK = 128
-
 
 @dataclass(frozen=True)
 class RieszBounds:
@@ -130,9 +126,10 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     ``_fold_extremes`` over squared extreme singular values of the weaving
     synthesis matrices ``T`` (columns in index order), keyed by 0-based
     label rows; ``span_low_min`` the smallest squared singular value above
-    the rank threshold; ``kept`` the codes that :func:`_angle_constants`
-    must visit.  ``members`` are the two members' :class:`RieszBounds`, or
-    ``None`` (then every code is kept).
+    the rank threshold, computed only without ``members`` (else ``inf``);
+    ``kept`` the codes that :func:`_angle_constants` must visit.
+    ``members`` are the two members' :class:`RieszBounds`, or ``None`` (then
+    every code is kept).
 
     *Angle screen.*  If both members pass ``lower > frame_rtol * upper``
     (full column rank, so ``c <= n``), with ``mu**2`` the smaller lower and
@@ -150,32 +147,34 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     can fail and every code is kept.  The pass stores one float,
     ``s_min**2``, per partition.
 
-    *Weaving screen.*  On a square pair (``c == n`` and the angle screen
-    applies), ``s(T)**2`` are the eigenvalues of ``S = T T* = sum_i
-    G_{i sigma_i}``.  The ``S`` come from ``_exhaustive_operators`` in code
-    order and in blocks of ``_SCREEN_ROWS``; with ``(low, up)`` the running
+    *Weaving screen.*  The sweep walks the blocks of
+    ``_exhaustive_operators`` in code order, each holding the frame
+    operators ``S = T T* = sum_i G_{i sigma_i}`` of at most ``_SCREEN_ROWS``
+    weavings.  On a square pair (``c == n`` and the angle screen applies),
+    ``s(T)**2`` are the eigenvalues of ``S``; with ``(low, up)`` the running
     bounds, a block after the first is skipped if ``_inside_bounds(S,
     thr(low), up)``, that is if Cholesky factors ``S - (thr(low) + delta)
     I`` and ``(up - delta) I - S`` with ``delta = 1e3 n**2 eps up``.  A
     skipped partition's computed ``s_min**2`` lies above ``thr(low)`` and
     its ``s_max**2`` below ``up``: ``delta`` covers the backward error of a
     completed Cholesky (about ``n**2 eps up``, see :func:`certify_woven`),
-    the rounding of the Gram terms and of the prefix sums (``N <= n``
-    terms, about ``(n + N) eps up``), and the SVD's error in ``s_min**2``
-    (about ``2 eps s_max s_min <= 2 eps up``, plus one rounding of the
-    square).  ``thr(low) >= low``, and only a strictly better row moves a
-    bound, so the bounds and witnesses stay exact.  The running ``low`` only
-    falls and ``thr`` is monotone in floating point too, so ``thr`` at the
-    running ``low`` is at least ``thr`` at the final one, and a skipped
-    partition (stored as ``inf``) would not have been kept either.  Every
-    other block takes the SVD of its ``T``, as the unscreened loop does, so
-    reports are those of the unscreened sweep bit for bit.  The screened
-    path leaves ``span_low_min`` at ``inf``.
+    the rounding of the Gram terms and of the prefix sums (``N <= n`` terms,
+    about ``(n + N) eps up``), and the SVD's error in ``s_min**2`` (about
+    ``2 eps s_max s_min <= 2 eps up``, plus one rounding of the square).
+    ``thr(low) >= low``, and only a strictly better row moves a bound, so
+    the bounds and witnesses stay exact.  The running ``low`` only falls and
+    ``thr`` is monotone in floating point too, so ``thr`` at the running
+    ``low`` is at least ``thr`` at the final one, and a skipped partition
+    (stored as ``inf``) would not have been kept either.  Every other block
+    takes one batched SVD of its ``T``, so reports are those of a sweep that
+    takes every SVD, bit for bit.
 
     Every other family (``c != n``, which only redundant or rank-deficient
     :func:`equivalence_constants` inputs reach, and :func:`permutation_weave`,
-    which passes no ``members``) takes chunks of ``_CHUNK`` codes, each one
-    batched SVD.
+    which passes no ``members``) takes the SVD of every block and never
+    reads its ``S``: about two ``n x n`` adds per weaving spent for one walk.
+    Where ``n**2`` is large a chunk holds fewer than ``_SCREEN_ROWS`` rows,
+    and so does each SVD batch (16 at ``n = 40``).
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
@@ -190,9 +189,11 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
         floor = np.full(total, np.inf)
 
-    def svd_block(first, stop):
-        """One batched SVD of the weavings ``first..stop-1``, folded in."""
-        nonlocal best
+    for first, ops in _exhaustive_operators(_gram_tensor(fam), 2):
+        if screen and c == n and best[1] is not None:
+            if _inside_bounds(ops, ratio * (best[0] + slack), best[2]):
+                continue
+        stop = first + len(ops)
         labels0 = _decode_codes(np.arange(first, stop), 2, big_n)
         # Columns that the partition takes from the second member.
         owner = np.repeat(labels0 == 1, fam.block_dims, axis=1)
@@ -201,17 +202,7 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         best = _fold_extremes(best, w, labels0)
         if screen:
             floor[first:stop] = w[:, 0]
-        return s
-
-    if screen and c == n:
-        for first, ops in _exhaustive_operators(_gram_tensor(fam), 2):
-            for start in range(0, len(ops), _SCREEN_ROWS):
-                s = ops[start : start + _SCREEN_ROWS]
-                if best[1] is None or not _inside_bounds(s, ratio * (best[0] + slack), best[2]):
-                    svd_block(first + start, first + start + len(s))
-    else:
-        for first in range(0, total, _CHUNK):
-            s = svd_block(first, min(first + _CHUNK, total))
+        if members is None:
             # Singular values come sorted, so the live ones are a prefix.
             live = _rank_from_singular_values(s, (n, c), tol)
             span_low_min = min(span_low_min, _squares(s[np.arange(len(s)), live - 1]).min())
@@ -307,12 +298,14 @@ def permutation_weave(
     bound and upper bound at most twice the base upper bound; the pair is
     woven only for the identity permutation.
 
-    The sweep takes no Cholesky screen, only chunks of 128 codes, each one
-    batched SVD.  A weaving is nonsingular only if each cycle of ``pi``
-    takes one member throughout, so just ``2**(cycles of pi)`` of the
-    ``2**N`` weavings are; nearly every block of 64 then holds a singular
-    frame operator ``S``, which fails the lower test on ``S - thr I`` for
-    every ``thr >= 0``.  ``span_lower_min`` also needs every partition.
+    The sweep walks the exhaustive engine's blocks of 64 weavings without
+    the Cholesky screen, one batched SVD per block.  A weaving is
+    nonsingular only if each cycle of ``pi`` takes one member throughout, so
+    just ``2**(cycles of pi)`` of the ``2**N`` weavings are; nearly every
+    block then holds a singular frame operator ``S``, which fails the lower
+    test on ``S - thr I`` for every ``thr >= 0``.  ``span_lower_min`` also
+    needs every partition.  The members are checked as g-Riesz bases under
+    ``tol``, not the default tolerance.
     """
     rb = riesz_bounds(f, tol)
     if not rb.is_basis:
@@ -329,7 +322,8 @@ def permutation_weave(
                 f"but pi({i}) = {target} has dim {dims[target - 1]}"
             )
     recoded = GFrame(f.ambient_dim, tuple(f.blocks[target - 1] for target in pi))
-    fam = GFrameFamily((f, recoded))
+    # Both members have the blocks of f, already a basis under tol.
+    fam = GFrameFamily((f, recoded), allow_degenerate=True)
 
     _check_budget(budget, "permutation weave needs", 2, big_n)
     fb = frame_bounds(f, tol)

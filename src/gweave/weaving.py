@@ -41,8 +41,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 1_000_000
 # An exhaustive chunk holds at most 2**15 frame-operator entries (512 KiB),
-# and its operators are screened in blocks of 64 rows.  The weaving sweeps
-# and the square Riesz sweeps share both constants.
+# and the engine yields it in blocks of 64 rows: the unit that every
+# exhaustive sweep, weaving or Riesz, screens or diagonalises.
 _CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap, and 512 rows stay in cache.
@@ -264,20 +264,22 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
 
 
 def _exhaustive_operators(grams: np.ndarray, m: int):
-    """Yield ``(first_code, operators)`` for all ``m**N`` weavings in code order.
+    """Yield ``(first_code, block)`` for all ``m**N`` weavings in code order,
+    ``block`` the frame operators of at most ``_SCREEN_ROWS`` consecutive
+    codes starting at ``first_code``.
 
     A chunk holds the ``m**low`` consecutive codes that share their leading
     ``high = N - low >= 1`` labels (``low < N`` is the largest with ``m**low
-    * n**2 <= _CHUNK_ENTRIES``).  The partial sums of the shared prefix are
-    kept from the previous chunk up to its first changed label, so a chunk
-    adds fewer than two prefix terms on average (``m / (m - 1)``); each
-    later index then extends every partial sum by each of its ``m`` terms.
-    Terms are added in increasing index order, so every frame operator
-    equals the sequential sum over its labels bit for bit, at about two ``n
-    x n`` adds per weaving.  The sums do not depend on where the chunks are
-    cut, so ``_CHUNK_ENTRIES`` changes memory and speed, never a bit of a
-    result.  Serves exhaustive :func:`certify_woven`,
-    :func:`span_criterion` and the screened square Riesz sweep.
+    * n**2 <= _CHUNK_ENTRIES``), and each block is a view of one chunk.  The
+    partial sums of the shared prefix are kept from the previous chunk up to
+    its first changed label, so a chunk adds fewer than two prefix terms on
+    average (``m / (m - 1)``); each later index then extends every partial
+    sum by each of its ``m`` terms.  Terms are added in increasing index
+    order, so every frame operator equals the sequential sum over its labels
+    bit for bit, at about two ``n x n`` adds per weaving.  The sums do not
+    depend on where the chunks are cut, so ``_CHUNK_ENTRIES`` changes memory
+    and speed, never a bit of a result.  Serves exhaustive
+    :func:`certify_woven`, :func:`span_criterion` and every Riesz sweep.
     """
     big_n, n = grams.shape[0], grams.shape[-1]
     low = 0
@@ -294,7 +296,8 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
         level, prev = sums[-1][None], labels
         for i in range(high, big_n):
             level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
-        yield h * m**low, level
+        for start in range(0, len(level), _SCREEN_ROWS):
+            yield h * m**low + start, level[start : start + _SCREEN_ROWS]
 
 
 def _inside_bounds(s: np.ndarray, low: float, up: float) -> bool:
@@ -345,16 +348,16 @@ def certify_woven(
     Exhaustive mode enumerates all ``m**N`` partitions (requires
     ``m**N <= budget``) and reports the true universal bounds; the woven
     verdict is ``universal_lower > frame_rtol * universal_upper``.  Frame
-    operators come in chunks of at most ``2**15`` entries (512 KiB), cut
-    into blocks of 64 rows.  With ``(low, up)`` the bounds so far and ``delta =
-    1e3 * n**2 * eps * up``, each block after the first is skipped if
-    Cholesky factors both ``S - (low + delta) I`` and ``(up - delta) I - S``
-    for all its operators ``S``; otherwise it takes ``eigvalsh``.  A
-    Cholesky that completes is exact for a matrix within ``gamma_{n+1}
-    |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy and Stability
-    of Numerical Algorithms*, sec. 10.1), that is within about ``n**2 *
-    eps * up``: both tests passing keep every ``S`` of norm near ``up``.
-    ``eigvalsh`` is backward stable, within a few ``n * eps * up``.
+    operators come from the engine in blocks of 64 rows, views of chunks of
+    at most ``2**15`` entries (512 KiB).  With ``(low, up)`` the bounds so
+    far and ``delta = 1e3 * n**2 * eps * up``, each block after the first is
+    skipped if Cholesky factors both ``S - (low + delta) I`` and ``(up -
+    delta) I - S`` for all its operators ``S``; otherwise it takes
+    ``eigvalsh``.  A Cholesky that completes is exact for a matrix within
+    ``gamma_{n+1} |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 10.1), that is within about
+    ``n**2 * eps * up``: both tests passing keep every ``S`` of norm near
+    ``up``.  ``eigvalsh`` is backward stable, within a few ``n * eps * up``.
     ``delta`` covers both, so the computed spectra of a skipped block lie in
     ``[low, up]`` (both kernels read the lower triangle).  Only a strictly
     better row moves a bound, so skipping changes no bound, witness or
@@ -382,11 +385,9 @@ def certify_woven(
     best = (np.inf, None, -np.inf, None)
 
     if mode == "exhaustive":
-        for first, ops in _exhaustive_operators(grams, m):
-            for start in range(0, len(ops), _SCREEN_ROWS):
-                s = ops[start : start + _SCREEN_ROWS]
-                if best[1] is None or not _inside_bounds(s, best[0], best[2]):
-                    best = _fold_extremes(best, np.linalg.eigvalsh(s), first + start)
+        for first, s in _exhaustive_operators(grams, m):
+            if best[1] is None or not _inside_bounds(s, best[0], best[2]):
+                best = _fold_extremes(best, np.linalg.eigvalsh(s), first)
         best_low, (first_low, i_low), best_up, (first_up, i_up) = best
         wit_low, wit_up = _decode_codes(
             np.array([first_low + i_low, first_up + i_up]), m, big_n

@@ -55,6 +55,15 @@ def riesz_pair(n, seed, noise=0.2) -> GFrameFamily:
     return GFrameFamily((base, GFrame(n, tuple(blocks))))
 
 
+def ill_conditioned_basis(seed: int = 0) -> GFrame:
+    """A g-Riesz basis of C^3 (1-dim blocks) with squared singular values
+    ``(1, 1, 1e-11)``: a basis at ``frame_rtol = 1e-12``, not at the default."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    t = q * np.sqrt([1.0, 1.0, 1e-11])
+    return GFrame(3, tuple(t[:, i : i + 1].conj().T for i in range(3)))
+
+
 def noisy_family(n, dims, m, seed, noise=0.03) -> GFrameFamily:
     """m near-identical frames: a base plus independent small perturbations.
 

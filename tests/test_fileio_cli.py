@@ -39,7 +39,14 @@ from gweave.fileio import (
     save_frame,
 )
 
-from _support import noisy_family, onb_frame, random_frame, riesz_pair, swapped_onb_family
+from _support import (
+    ill_conditioned_basis,
+    noisy_family,
+    onb_frame,
+    random_frame,
+    riesz_pair,
+    swapped_onb_family,
+)
 
 
 @pytest.fixture()
@@ -783,6 +790,14 @@ class TestRieszCommand:
         assert main(["riesz", str(frame_file), "--permutation", "1,2"]) == 0
         assert main(["riesz", str(frame_file), "--permutation", "2,1"]) == 1
 
+    def test_permutation_at_the_given_frame_rtol(self, tmp_path):
+        # A g-Riesz basis only at --frame-rtol 1e-12, not at the default.
+        path = tmp_path / "narrow.json"
+        save_frame(ill_conditioned_basis(), path)
+        for pi, code in (("1,2,3", 0), ("2,1,3", 1)):
+            args = ["riesz", str(path), "--permutation", pi, "--frame-rtol", "1e-12"]
+            assert main(args) == code
+
     def test_family_report(self, swapped_family_file, tmp_path):
         out = tmp_path / "r.json"
         code = main(["riesz", str(swapped_family_file), "--json", str(out)])
@@ -823,7 +838,7 @@ class TestRieszCommand:
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_sections_equal_the_library_reports(self, tmp_path, monkeypatch, seed):
         monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
-        # N = 9: 512 partitions, four chunks of the sweep.
+        # N = 9: 512 partitions, eight blocks of the sweep.
         fam = riesz_pair(9, seed)
         path, out = tmp_path / "pair.json", tmp_path / "r.json"
         save_family(fam, path)

@@ -22,10 +22,10 @@ from gweave import (
     weaving_riesz_check,
 )
 from gweave.generate import GenSpec, generate
-from gweave.linalg import DEFAULT_TOL
+from gweave.linalg import DEFAULT_TOL, Tolerance
 from gweave.riesz import EquivalenceConstants, PermutationWeaveReport, WeavingRieszReport
 
-from _support import onb_frame, random_frame, riesz_pair, rotation
+from _support import ill_conditioned_basis, onb_frame, random_frame, riesz_pair, rotation
 
 
 E1 = np.array([[1.0, 0.0]])
@@ -156,6 +156,16 @@ class TestPermutationWeave:
         with pytest.raises(ValueError, match="Riesz basis"):
             permutation_weave(GFrame(2, (E1, E2, E1)), (1, 2, 3))
 
+    @pytest.mark.parametrize("pi, woven", [((1, 2, 3), True), ((2, 1, 3), False)])
+    def test_members_checked_at_the_callers_tolerance(self, pi, woven):
+        # A basis only at the caller's frame_rtol: the default tolerance
+        # would classify it as g-bessel-only.
+        f, tol = ill_conditioned_basis(), Tolerance(frame_rtol=1e-12)
+        assert riesz_bounds(f, tol).is_basis and not frame_bounds(f).is_frame
+        rep = permutation_weave(f, pi, tol)
+        assert rep.woven is woven
+        assert dataclasses.astuple(rep) == dataclasses.astuple(_permutation_reference(f, pi, tol))
+
 
 class TestBudget:
     @pytest.mark.parametrize("budget", [0, -3])
@@ -280,7 +290,8 @@ def _weaving_riesz_reference(fam, tol=DEFAULT_TOL):
 
 def _permutation_reference(f, pi, tol=DEFAULT_TOL):
     big_n = f.n_blocks
-    fam = GFrameFamily((f, GFrame(f.ambient_dim, tuple(f.blocks[t - 1] for t in pi))))
+    recoded = GFrame(f.ambient_dim, tuple(f.blocks[t - 1] for t in pi))
+    fam = GFrameFamily((f, recoded), allow_degenerate=True)
     fb = frame_bounds(f, tol)
     maxdim = max(f.ambient_dim, f.coeff_dim)
     best_low, best_up = np.inf, -np.inf
@@ -378,7 +389,7 @@ def _assert_permutation_matches(f, pi):
 class TestBatchedSweepsMatchReferenceLoops:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_multi_chunk_pair_with_late_witnesses(self, seed):
-        fam = riesz_pair(9, seed=seed)  # 512 partitions: 4 chunks of 128
+        fam = riesz_pair(9, seed=seed)  # 512 partitions: 8 blocks of 64
         rep = weaving_riesz_check(fam)
         assert min(_code(rep.witness_lower), _code(rep.witness_upper)) >= 128
         _assert_pair_matches(fam)
@@ -390,9 +401,20 @@ class TestBatchedSweepsMatchReferenceLoops:
         f = _basis((1,) * 9, 3)
         _assert_permutation_matches(f, pi)
 
-    def test_permutation_witness_opens_the_second_chunk(self):
-        rep = permutation_weave(_basis((1,) * 9, 3), (2, 1, 3, 4, 5, 6, 7, 8, 9))
-        assert _code(rep.witness) == 128
+    # Witnesses that open the third and the second block of 64.  On the
+    # orthonormal basis every singular weaving has s_min exactly 0, so the
+    # witness is the first singular code: 2**(9 - 3) for swapping 2 and 3.
+    @pytest.mark.parametrize(
+        "f, pi, code",
+        [
+            (_basis((1,) * 9, 3), (2, 1, 3, 4, 5, 6, 7, 8, 9), 128),
+            (onb_frame(9), (1, 3, 2, 4, 5, 6, 7, 8, 9), 64),
+        ],
+        ids=["code-128", "code-64"],
+    )
+    def test_permutation_witness_opens_a_block(self, f, pi, code):
+        assert _code(permutation_weave(f, pi).witness) == code
+        _assert_permutation_matches(f, pi)
 
     def test_ties_across_chunks_keep_the_first_partition(self):
         f = _basis((1,) * 9, 5)
@@ -458,6 +480,18 @@ def _scaled_riesz_sequence(dims, extra, seed, decades):
 
 
 class TestAngleScreen:
+    @pytest.mark.parametrize("dims, extra, seed", [((1,) * 9, 1, 0), ((1, 2) * 4 + (1,), 2, 1)])
+    def test_matches_reference_past_one_block(self, dims, extra, seed):
+        # c < n: the angle screen applies and the weaving screen does not,
+        # so all 512 partitions take the SVD, in eight blocks of 64.
+        fam = GFrameFamily(
+            tuple(_scaled_riesz_sequence(dims, extra, seed + 7919 * j, 1.0) for j in range(2)),
+            allow_degenerate=True,
+        )
+        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
+            _equivalence_reference(fam)
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 3), min_size=2, max_size=6),

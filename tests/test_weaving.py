@@ -29,6 +29,7 @@ from gweave.linalg import DEFAULT_TOL, rank
 from gweave.weaving import (
     _BLOCK_FIRST,
     _CHUNK_ENTRIES,
+    _SCREEN_ROWS,
     DEFAULT_BUDGET,
     WeavingReport,
     _decode_codes,
@@ -817,11 +818,14 @@ class TestExhaustiveScreen:
         assert sum(matrices) <= 2**15 // 4
 
     def test_chunks_bounded_by_entries(self):
+        # Each block is a view of its chunk, so the chunk cap shows in the
+        # array the block views, not in the block's own rows.
         n, big_n = 16, 13
         fam = noisy_family(n, (2,) * big_n, 2, seed=5, noise=0.2)
-        rows = [len(s) for _, s in _exhaustive_operators(_gram_tensor(fam), 2)]
-        assert sum(rows) == 2**big_n
-        assert max(rows) * n * n <= _CHUNK_ENTRIES
+        blocks = [s for _, s in _exhaustive_operators(_gram_tensor(fam), 2)]
+        assert sum(map(len, blocks)) == 2**big_n
+        assert max(map(len, blocks)) <= _SCREEN_ROWS
+        assert max(s.base.size for s in blocks) <= _CHUNK_ENTRIES
 
     # Exact ties differ only by rounding; near ties by about 1e-14
     # relative.  Both sit well inside the screen's margin.
@@ -899,3 +903,31 @@ def test_common_scaling_scales_bounds(seed, modulus, sign):
     assert rep.status == base.status
     assert rep.universal_lower == pytest.approx(abs(c) ** 2 * base.universal_lower, rel=1e-12)
     assert rep.universal_upper == pytest.approx(abs(c) ** 2 * base.universal_upper, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 4),
+    m=st.integers(2, 3),
+    dims=st.lists(st.integers(1, 2), min_size=4, max_size=6),
+)
+def test_common_unitary_leaves_the_report_unchanged(seed, n, m, dims):
+    # b -> b U maps every frame operator S to U* S U, same spectrum.  Both
+    # sweeps agree to rounding, a few n * eps * upper; the bounds are
+    # compared at 1e-12 * upper.  With noise 0.1, on 500 seeded draws of
+    # these shapes every weaving kept lower / upper above 0.26, far from
+    # frame_rtol, and the two best weavings of each bound differed by more
+    # than 3e-6 * upper, so neither the status nor a witness flips on
+    # rounding.
+    fam = noisy_family(n, tuple(dims), m, seed=seed, noise=0.1)
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    base = certify_woven(fam)
+    rep = certify_woven(GFrameFamily(tuple(apply_operator(fr, u) for fr in fam.frames)))
+    assert (rep.status, rep.witness_lower, rep.witness_upper) == (
+        base.status, base.witness_lower, base.witness_upper
+    )
+    tol = 1e-12 * base.universal_upper
+    assert rep.universal_lower == pytest.approx(base.universal_lower, abs=tol)
+    assert rep.universal_upper == pytest.approx(base.universal_upper, abs=tol)
