@@ -45,8 +45,10 @@ DEFAULT_BUDGET = 1_000_000
 # exhaustive sweep, weaving or Riesz, screens or diagonalises.
 _CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
-# blocks make an early counterexample cheap, and 512 rows stay in cache.
-_BLOCK_FIRST, _BLOCK_CAP = 16, 512
+# blocks make an early counterexample cheap.  With most blocks screened, the
+# frame-operator sums and the Cholesky tests dominate, and they ran faster at
+# 256 rows than at 512 or 128.
+_BLOCK_FIRST, _BLOCK_CAP = 16, 256
 
 
 class BudgetExceededError(RuntimeError):
@@ -363,15 +365,27 @@ def certify_woven(
     better row moves a bound, so skipping changes no bound, witness or
     count.  On a family whose weavings are nearly all singular, the lower
     test fails on every block, which then pays one Cholesky on top of its
-    ``eigvalsh``.  Sampled
-    mode draws ``budget`` partitions from a seeded generator and can only
-    falsify: it returns ``not-woven`` with a witness, or the explicitly
+    ``eigvalsh``.
+
+    Sampled mode draws ``budget`` partitions from a seeded generator and can
+    only falsify: it returns ``not-woven`` with a witness, or the explicitly
     weaker ``sampled-no-counterexample``.  It draws and checks row blocks of
-    16 rows doubling to 512, and stops at the first failing row: a
-    counterexample at row ``r`` costs about ``2r + 16`` spectra, and a block
-    holds at most 512 ``n x n`` complex frame operators.  The generator
-    yields the same labels however the draws are cut.  A ``budget`` below
-    one is rejected with ``ValueError``.
+    16 rows doubling to 256, and stops at the first failing row: a
+    counterexample at row ``r`` costs about ``2r + 16`` spectra.  A block
+    holds at most 256 ``n x n`` complex frame operators, and the screen
+    adds two temporaries of that size.  The generator yields the same
+    labels however the draws are cut.  Each block after the first takes
+    the same Cholesky screen, gated: it is skipped, its rows counted and
+    not folded, only if ``low > frame_rtol * up`` and both tests pass.  By
+    the proof above the computed spectra of a skipped block lie in ``[low,
+    up]``, so no bound, witness or count can change; and none of its rows
+    can fail, since ``w0 >= low > frame_rtol * up >= frame_rtol * w_last``
+    (a rounded product is monotone).  The gate is needed: ``low`` and
+    ``up`` come from different rows, so every row so far can pass while
+    ``low <= frame_rtol * up``, and a later block inside ``[low, up]`` can
+    then hold a failing row.  A not-woven family whose first block fails
+    never reaches the screen.  A ``budget`` below one is rejected with
+    ``ValueError``.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -399,13 +413,17 @@ def certify_woven(
         checked, size, failed = 0, _BLOCK_FIRST, False
         while checked < budget and not failed:
             rows = rng.integers(0, m, size=(min(size, budget - checked), big_n))
-            w = np.linalg.eigvalsh(_frame_operators(grams, rows))
+            s, size = _frame_operators(grams, rows), min(2 * size, _BLOCK_CAP)
+            low, low_at, up, _ = best
+            if low_at is not None and low > tol.frame_rtol * up and _inside_bounds(s, low, up):
+                checked += len(rows)
+                continue
+            w = np.linalg.eigvalsh(s)
             bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
             failed = bool(bad.any())
             stop = int(np.argmax(bad)) + 1 if failed else len(rows)
             best = _fold_extremes(best, w[:stop], rows)
             checked += stop
-            size = min(2 * size, _BLOCK_CAP)
         best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
         wit_low, wit_up = rows_low[i_low], rows_up[i_up]
         status = "not-woven" if failed else "sampled-no-counterexample"

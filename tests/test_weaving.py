@@ -36,6 +36,7 @@ from gweave.weaving import (
     _exhaustive_operators,
     _frame_operators,
     _gram_tensor,
+    _inside_bounds,
     _partition_of,
 )
 
@@ -743,7 +744,8 @@ class TestSampledRowBlocks:
     with whole-draw checking wherever the first failing row falls."""
 
     # Row 0; the first block's last row and the next block's first; the
-    # first 512-row block; a draw's last row; the second and third draws.
+    # first block at the cap's last row and the next one's first; a draw's
+    # last row; the second and third draws.
     @pytest.mark.parametrize("row", [0, 15, 16, 495, 496, 8191, 8192, 8892, 16387])
     def test_first_failure_at_row(self, row):
         fam = _family_failing_first_at(seed=7, row=row)
@@ -828,13 +830,16 @@ class TestExhaustiveScreen:
         assert max(s.base.size for s in blocks) <= _CHUNK_ENTRIES
 
     # Exact ties differ only by rounding; near ties by about 1e-14
-    # relative.  Both sit well inside the screen's margin.
+    # relative.  Both sit well inside the screen's margin.  Sampled mode
+    # draws half of the 2**15 weavings.
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     @pytest.mark.parametrize("tied", ["lower", "upper"])
     @pytest.mark.parametrize("rel", [0.0, 1e-14])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_near_ties(self, tied, rel, seed):
+    def test_near_ties(self, tied, rel, seed, mode):
         fam = _tied_family(seed, rel, tied)
-        assert certify_woven(fam) == _certify_reference(fam)
+        kw = {"mode": mode, "budget": 2**14, "seed": seed} if mode == "sampled" else {}
+        assert certify_woven(fam, **kw) == _certify_reference(fam, **kw)
 
     # All but 2**(n/2) weavings are exactly singular, so the lower test
     # fails on every block.
@@ -845,14 +850,73 @@ class TestExhaustiveScreen:
         assert certify_woven(fam) == _certify_reference(fam)
 
 
+def _gate_family(seed: int, big_n: int = 12) -> GFrameFamily:
+    """Two members of diagonal blocks whose weavings' spectra spread over 1e13.
+
+    Every frame operator is ``diag(p, q)``.  Member 2 adds 1e13 to ``q`` at
+    index 1 and 1e4 to ``p`` at index 2; every other index adds a seeded
+    uniform ``[0, 100)`` to both in either member.  The weavings labelled
+    ``(2, 1, ...)`` fail (``p < 1e3 <= frame_rtol * q``) and all others
+    pass, so rows that all pass can still set ``low <= frame_rtol * up``:
+    the lower bound from a ``(1, ...)`` weaving, the upper from a ``(2, 2,
+    ...)`` one.
+    """
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.0, 100.0, size=(big_n, 2, 2))  # (index, member, coordinate)
+    diag[:2] = 0.0
+    diag[0, 1, 1], diag[1, 1, 0] = 1e13, 1e4
+    members = tuple(
+        GFrame(2, tuple(np.diag(np.sqrt(diag[i, j])) for i in range(big_n))) for j in range(2)
+    )
+    return GFrameFamily(members)
+
+
+class TestSampledScreen:
+    """Sampled mode skips the spectra of row blocks that the Cholesky test
+    shows can neither move the running bounds nor hold a failing row: exact
+    equality with the sampled sweep that diagonalises every drawn row."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_most_spectra_skipped(self, seed, monkeypatch):
+        fam = noisy_family(3, (1, 2) * 7 + (1,), 2, seed, noise=0.2)
+        expected = _certify_reference(fam, mode="sampled", budget=2**14, seed=seed)
+        matrices = _counting_eigvalsh(monkeypatch)
+        assert certify_woven(fam, mode="sampled", budget=2**14, seed=seed) == expected
+        assert expected.partitions_checked == 2**14
+        assert sum(matrices) <= 2**14 // 4
+
+    # On these seeds the first block passes with low <= frame_rtol * up and
+    # the second lies inside [low, up] with failing rows: without the gate
+    # the screen would skip them.
+    @pytest.mark.parametrize("seed", [100, 138])
+    def test_gate_keeps_failing_rows_inside_the_bounds(self, seed):
+        fam, rtol = _gate_family(seed), DEFAULT_TOL.frame_rtol
+        grams = _gram_tensor(fam)
+        rows = np.random.default_rng(seed).integers(0, 2, size=(3 * _BLOCK_FIRST, fam.n_indices))
+        first, second = np.split(_frame_operators(grams, rows), [_BLOCK_FIRST])
+        w = np.linalg.eigvalsh(first)
+        low, up = w[:, 0].min(), w[:, -1].max()
+        assert (w[:, 0] > rtol * w[:, -1]).all() and low <= rtol * up
+        assert _inside_bounds(second, low, up)
+        w = np.linalg.eigvalsh(second)
+        assert (w[:, 0] <= rtol * w[:, -1]).any()
+
+        rep = certify_woven(fam, mode="sampled", budget=2**10, seed=seed)
+        assert rep.status == "not-woven"
+        assert _BLOCK_FIRST < rep.partitions_checked <= 3 * _BLOCK_FIRST
+        assert rep == _certify_reference(fam, mode="sampled", budget=2**10, seed=seed)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     m=st.integers(2, 3),
     dims=st.lists(st.integers(1, 3), min_size=2, max_size=10),
     n=st.integers(2, 4),
+    mode=st.sampled_from(["exhaustive", "sampled"]),
+    sample_seed=st.integers(0, 2**16),
 )
-def test_screened_sweep_matches_reference(seed, m, dims, n):
+def test_screened_sweep_matches_reference(seed, m, dims, n, mode, sample_seed):
     # Block rows (synthesis columns) scaled by 10**u, u uniform in [-3, 3].
     n = min(n, sum(dims))
     rng = np.random.default_rng(seed)
@@ -865,7 +929,8 @@ def test_screened_sweep_matches_reference(seed, m, dims, n):
         for _ in range(m)
     )
     fam = GFrameFamily(members, allow_degenerate=True)
-    assert certify_woven(fam) == _certify_reference(fam)
+    kw = {"mode": mode, "budget": 2**12, "seed": sample_seed} if mode == "sampled" else {}
+    assert certify_woven(fam, **kw) == _certify_reference(fam, **kw)
 
 
 def _swapped_members(fam: GFrameFamily) -> GFrameFamily:
