@@ -1,127 +1,24 @@
-"""gweave: finite-dimensional g-frame analysis and weaving certification."""
+"""gweave: finite-dimensional g-frame analysis and weaving certification.
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    hermitian_extremes,
-    op_norm,
-    pinv,
-    rank,
-    singular_extremes,
-)
-from .gframe import (
-    CoefficientVector,
-    DegenerateGFrameError,
-    FrameBounds,
-    GFrame,
-    analysis_matrix,
-    apply_operator,
-    apply_synthesis,
-    canonical_dual,
-    frame_bounds,
-    frame_operator,
-    induced_frame,
-    is_g_orthonormal,
-    synthesis_matrix,
-)
-from .weaving import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    GFrameFamily,
-    Partition,
-    RemovalReport,
-    WeavingReport,
-    assemble_weaving,
-    bessel_sum_bound,
-    certify_woven,
-    frame_op_norm_check,
-    removal_bound,
-    report_dict,
-    restrict_family,
-    scaled_family,
-    span_criterion,
-)
-from .riesz import (
-    EquivalenceConstants,
-    PermutationWeaveReport,
-    RieszBounds,
-    WeavingRieszReport,
-    equivalence_constants,
-    permutation_weave,
-    riesz_bounds,
-    weaving_riesz_check,
-)
-from .perturb import (
-    KCertificate,
-    OperatorPerturbationReport,
-    PerturbationCertificate,
-    ScaledDualReport,
-    chained_certificate,
-    minimal_k,
-    operator_perturbation,
-    perturbation_certificate,
-    scaled_dual_weave,
-)
-from .generate import KINDS, GenSpec, generate, random_partition
+The package exports exactly the names each module lists in its own
+``__all__``; ``generate`` is the function, not its submodule.
+"""
+
+from . import generate as _generate, gframe, linalg, perturb, riesz, weaving
+from .linalg import *
+from .gframe import *
+from .weaving import *
+from .riesz import *
+from .perturb import *
+from .generate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Tolerance",
-    "DEFAULT_TOL",
-    "DEFAULT_BUDGET",
-    "hermitian_extremes",
-    "singular_extremes",
-    "pinv",
-    "op_norm",
-    "rank",
-    "GFrame",
-    "CoefficientVector",
-    "FrameBounds",
-    "DegenerateGFrameError",
-    "synthesis_matrix",
-    "analysis_matrix",
-    "frame_operator",
-    "frame_bounds",
-    "canonical_dual",
-    "induced_frame",
-    "is_g_orthonormal",
-    "apply_operator",
-    "apply_synthesis",
-    "GFrameFamily",
-    "Partition",
-    "report_dict",
-    "WeavingReport",
-    "RemovalReport",
-    "BudgetExceededError",
-    "assemble_weaving",
-    "certify_woven",
-    "span_criterion",
-    "bessel_sum_bound",
-    "scaled_family",
-    "removal_bound",
-    "frame_op_norm_check",
-    "restrict_family",
-    "RieszBounds",
-    "EquivalenceConstants",
-    "WeavingRieszReport",
-    "PermutationWeaveReport",
-    "riesz_bounds",
-    "weaving_riesz_check",
-    "permutation_weave",
-    "equivalence_constants",
-    "KCertificate",
-    "PerturbationCertificate",
-    "OperatorPerturbationReport",
-    "ScaledDualReport",
-    "minimal_k",
-    "perturbation_certificate",
-    "chained_certificate",
-    "operator_perturbation",
-    "scaled_dual_weave",
-    "GenSpec",
-    "KINDS",
-    "generate",
-    "random_partition",
+    *(
+        name
+        for module in (linalg, gframe, weaving, riesz, perturb, _generate)
+        for name in module.__all__
+    ),
 ]

@@ -25,16 +25,15 @@ output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .fileio import (
     FrameFileError,
+    _dump,
     load_any,
     load_family,
     load_frame,
@@ -122,9 +121,8 @@ def _tool_block(tol: Tolerance, seed=None, budget=None) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.json is not None:
-        Path(args.json).write_text(text)
+        _dump(payload, args.json)
     _print_human(payload)
 
 
@@ -255,22 +253,24 @@ def cmd_riesz(args) -> int:
     budget = _budget(args)
     loaded = load_any(args.path)
     payload = {"tool": _tool_block(tol, budget=budget)}
-    code = EXIT_OK
+    report = None
     if isinstance(loaded, GFrame):
         payload["riesz_bounds"] = report_dict(riesz_bounds(loaded, tol))
         if args.permutation:
             pi = _parse_list(args.permutation, "--permutation", int)
             report = permutation_weave(loaded, pi, tol, budget=budget)
             payload["permutation_weave"] = report_dict(report)
-            code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
+    elif args.permutation:
+        raise FrameFileError("--permutation needs a single-frame file")
     else:
         # One sweep serves both reports.
         report, constants = _riesz_pair_reports(loaded, tol, budget, angles=True)
         payload["weaving_riesz"] = report_dict(report)
         payload["equivalence_constants"] = report_dict(constants)
-        code = EXIT_OK if report.woven else EXIT_NOT_WOVEN
     _emit(payload, args)
-    return code
+    if report is None:
+        return EXIT_OK
+    return _EXIT_CODES["woven" if report.woven else "not-woven"]
 
 
 def cmd_generate(args) -> int:

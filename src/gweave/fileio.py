@@ -98,10 +98,8 @@ def frame_from_payload(payload, where: str = "frame") -> GFrame:
             raise FrameFileError(f"{spot}.rows: expected a positive integer")
         entries = _require(item, "entries", spot)
         blocks.append(parse_matrix_entries(entries, rows, ambient, field, f"{spot}.entries"))
-    try:
-        return GFrame(ambient, tuple(blocks))
-    except ValueError as exc:
-        raise FrameFileError(f"{where}: {exc}") from exc
+    # The checks above leave GFrame nothing to reject.
+    return GFrame(ambient, tuple(blocks))
 
 
 def _payload_from_path(path) -> dict:
@@ -112,6 +110,8 @@ def _payload_from_path(path) -> dict:
         raise FrameFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FrameFileError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(payload, dict):
         raise FrameFileError(f"{path}: expected a top-level object")
     return payload

@@ -88,21 +88,13 @@ def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def _split_rows(mat: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    out, at = [], 0
-    for d in dims:
-        out.append(mat[at : at + d, :])
-        at += d
-    return tuple(out)
-
-
 def _stacked_frame(spec: GenSpec, singulars: np.ndarray, rng) -> GFrame:
     """Frame via an analysis matrix with prescribed singular values."""
     n, total = spec.ambient_dim, sum(spec.block_dims)
     u = _random_unitary(total, rng)[:, :n]
     v = _random_unitary(n, rng)
     analysis = (u * singulars) @ v.conj().T
-    return GFrame(n, _split_rows(analysis, spec.block_dims))
+    return GFrame(n, np.split(analysis, np.cumsum(spec.block_dims)[:-1]))
 
 
 def generate(spec: GenSpec) -> GFrame | GFrameFamily:
@@ -132,7 +124,7 @@ def generate(spec: GenSpec) -> GFrame | GFrameFamily:
         return _stacked_frame(spec, singulars, rng)
     if spec.kind == "g-orthonormal":
         analysis = _random_unitary(spec.ambient_dim, rng)
-        return GFrame(spec.ambient_dim, _split_rows(analysis, spec.block_dims))
+        return GFrame(spec.ambient_dim, np.split(analysis, np.cumsum(spec.block_dims)[:-1]))
     raise AssertionError(f"unhandled kind {spec.kind!r}")
 
 

@@ -115,11 +115,7 @@ class CoefficientVector:
         v = np.asarray(vec, dtype=np.complex128)
         if v.ndim != 1 or v.size != sum(dims):
             raise ValueError(f"expected a flat vector of length {sum(dims)}")
-        out, at = [], 0
-        for d in dims:
-            out.append(v[at : at + d])
-            at += d
-        return cls(tuple(out))
+        return cls(tuple(np.split(v, np.cumsum(dims)[:-1])))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.stacked()))

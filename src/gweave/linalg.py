@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "as_matrix",
     "hermitian_extremes",
     "singular_extremes",
     "pinv",

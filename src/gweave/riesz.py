@@ -253,13 +253,13 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
             raise ValueError(f"member {j} is not a g-Riesz basis")
     total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
     best, _, kept = _riesz_sweep(fam, tol, members)
-    best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
+    best_low, labels_low, best_up, labels_up = best
     report = WeavingRieszReport(
         woven=best_low > tol.frame_rtol * best_up,
         common_lower=max(best_low, 0.0),
         common_upper=best_up,
-        witness_lower=_partition_of(rows_low[i_low]),
-        witness_upper=_partition_of(rows_up[i_up]),
+        witness_lower=_partition_of(labels_low),
+        witness_upper=_partition_of(labels_up),
         partitions_checked=total,
     )
     if not angles:
@@ -328,7 +328,7 @@ def permutation_weave(
     _check_budget(budget, "permutation weave needs", 2, big_n)
     fb = frame_bounds(f, tol)
     best, span_low_min, _ = _riesz_sweep(fam, tol)
-    best_low, (rows_low, i_low), best_up, _ = best
+    best_low, labels_low, best_up, _ = best
     woven = best_low > tol.frame_rtol * best_up
     return PermutationWeaveReport(
         permutation=pi,
@@ -339,7 +339,7 @@ def permutation_weave(
         universal_lower=max(best_low, 0.0),
         universal_upper=best_up,
         span_lower_min=span_low_min,
-        witness=None if woven else _partition_of(rows_low[i_low]),
+        witness=None if woven else _partition_of(labels_low),
     )
 
 

@@ -320,21 +320,23 @@ def _partition_of(labels0) -> Partition:
     return Partition(tuple(int(x) + 1 for x in labels0))
 
 
-def _fold_extremes(best: tuple, w: np.ndarray, key) -> tuple:
+def _fold_extremes(best: tuple, w: np.ndarray, keys) -> tuple:
     """Fold one chunk of spectra into ``best = (low, low_at, up, up_at)``.
 
-    ``low_at`` and ``up_at`` are ``(key, row)`` of the first weaving that
-    attains each bound: ``argmin``/``argmax`` return the first occurrence
-    and a later chunk must be strictly better, so ties keep the earliest
-    weaving in enumeration order.
+    Row ``r`` of ``w`` belongs to the weaving ``keys[r]``: its code (a
+    ``range`` of codes) or its 0-based label row.  ``low_at`` and ``up_at``
+    are the keys of the first weaving that attains each bound:
+    ``argmin``/``argmax`` return the first occurrence and a later chunk must
+    be strictly better, so ties keep the earliest weaving in enumeration
+    order, which in exhaustive order is the lexicographically smallest.
     """
     low, low_at, up, up_at = best
     i = int(np.argmin(w[:, 0]))
     if w[i, 0] < low:
-        low, low_at = float(w[i, 0]), (key, i)
+        low, low_at = float(w[i, 0]), keys[i]
     i = int(np.argmax(w[:, -1]))
     if w[i, -1] > up:
-        up, up_at = float(w[i, -1]), (key, i)
+        up, up_at = float(w[i, -1]), keys[i]
     return low, low_at, up, up_at
 
 
@@ -401,11 +403,9 @@ def certify_woven(
     if mode == "exhaustive":
         for first, s in _exhaustive_operators(grams, m):
             if best[1] is None or not _inside_bounds(s, best[0], best[2]):
-                best = _fold_extremes(best, np.linalg.eigvalsh(s), first)
-        best_low, (first_low, i_low), best_up, (first_up, i_up) = best
-        wit_low, wit_up = _decode_codes(
-            np.array([first_low + i_low, first_up + i_up]), m, big_n
-        )
+                best = _fold_extremes(best, np.linalg.eigvalsh(s), range(first, first + len(s)))
+        best_low, code_low, best_up, code_up = best
+        wit_low, wit_up = _decode_codes(np.array([code_low, code_up]), m, big_n)
         checked = total
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
@@ -424,8 +424,7 @@ def certify_woven(
             stop = int(np.argmax(bad)) + 1 if failed else len(rows)
             best = _fold_extremes(best, w[:stop], rows)
             checked += stop
-        best_low, (rows_low, i_low), best_up, (rows_up, i_up) = best
-        wit_low, wit_up = rows_low[i_low], rows_up[i_up]
+        best_low, wit_low, best_up, wit_up = best
         status = "not-woven" if failed else "sampled-no-counterexample"
 
     return WeavingReport(
@@ -567,14 +566,10 @@ def removal_bound(
     if len(drop) >= fam.n_indices:
         raise ValueError("cannot drop every index")
     base_low, base_up = _resolve_universal(fam, universal, budget, tol)
+    removed_upper = 0.0
     if drop:
-        partial = np.zeros((fam.ambient_dim, fam.ambient_dim), dtype=np.complex128)
-        for i in drop:
-            b = fam.frames[0].blocks[i - 1]
-            partial += b.conj().T @ b
+        partial = frame_operator(restrict_family(fam, drop).frames[0])
         removed_upper = hermitian_extremes(partial, tol)[1]
-    else:
-        removed_upper = 0.0
     keep = [i for i in range(1, fam.n_indices + 1) if i not in drop]
     return RemovalReport(
         restricted=restrict_family(fam, keep),
@@ -606,11 +601,10 @@ def frame_op_norm_check(
     s_psi = frame_operator(assemble_weaving(fam, p))
     norm_psi = hermitian_extremes(s_psi)[1]
 
+    grams = _gram_tensor(fam)
     lhs = np.zeros((n, n), dtype=np.complex128)
-    for j, fr in enumerate(fam.frames):
-        r = np.zeros((n, n), dtype=np.complex128)
-        for i in np.flatnonzero(labels0 == j):
-            b = fr.blocks[i]
-            r += b.conj().T @ b
+    for j in range(fam.m):
+        # Member j's Gram terms over its own group, summed in index order.
+        r = grams[labels0 == j, j].sum(axis=0)
         lhs += r.conj().T @ r
     return hermitian_extremes(lhs)[1] - b_upper * norm_psi

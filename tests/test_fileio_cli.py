@@ -1,6 +1,10 @@
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,51 @@ class TestMalformedFiles:
         with pytest.raises(FrameFileError, match="frames"):
             load_family(frame_file)
 
+    _FRAME = {"ambient_dim": 2, "field": "real", "blocks": [{"rows": 1, "entries": [[1.0, 0.0]]}]}
+    _DEEP = "[" * 200_000 + "]" * 200_000
+
+    @pytest.mark.parametrize(
+        "command, content, where, message",
+        [
+            ("analyze", {**_FRAME, "blocks": [{"rows": 1, "entries": [["x", 0.0]]}]},
+             ".blocks[0].entries[0][0]", "expected a real number, got 'x'"),
+            ("analyze", {**_FRAME, "ambient_dim": 0}, ".ambient_dim",
+             "expected a positive integer"),
+            ("analyze", {**_FRAME, "ambient_dim": True}, ".ambient_dim",
+             "expected a positive integer"),
+            ("analyze", {**_FRAME, "field": "quaternion"}, ".field",
+             "expected 'real' or 'complex', got 'quaternion'"),
+            ("analyze", {**_FRAME, "blocks": []}, ".blocks", "expected a nonempty list"),
+            ("analyze", {**_FRAME, "blocks": [1]}, ".blocks[0]", "expected an object"),
+            ("analyze", {**_FRAME, "blocks": [{"rows": 0, "entries": []}]}, ".blocks[0].rows",
+             "expected a positive integer"),
+            ("analyze", {"frames": [_FRAME, _FRAME]}, "",
+             "found a family file where a frame file was expected"),
+            ("weave", {"frames": [1, 2]}, ".frames[0]", "expected an object"),
+            ("weave", {"frames": [_FRAME]}, ".frames",
+             "expected a list of at least two frames"),
+            ("weave", {"frames": [_FRAME, {**_FRAME, "ambient_dim": 1,
+                                           "blocks": [{"rows": 1, "entries": [[1.0]]}]}]},
+             "", "member 2: ambient_dim differs from member 1"),
+            ("analyze", _DEEP, "", "JSON nested too deeply"),
+            ("weave", _DEEP, "", "JSON nested too deeply"),
+            ("analyze", '{"frames": ' + _DEEP + "}", "", "JSON nested too deeply"),
+            ("weave", '{"frames": ' + _DEEP + "}", "", "JSON nested too deeply"),
+        ],
+        ids=["real-entry", "ambient-dim-0", "ambient-dim-bool", "field", "no-blocks",
+             "block-not-object", "rows-0", "family-for-frame", "member-not-object",
+             "one-member", "members-differ", "deep-analyze", "deep-weave",
+             "deep-frames-analyze", "deep-frames-weave"],
+    )
+    def test_frame_file_errors_exit_2(self, tmp_path, capsys, command, content, where, message):
+        # A nesting past the recursion limit used to escape as a
+        # RecursionError traceback, exit 1 ("not woven").
+        path = tmp_path / "bad.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}{where}: {message}\n"
+
 
 class TestAnalyzeCommand:
     def test_identity_onb(self, frame_file, tmp_path, capsys):
@@ -317,6 +366,11 @@ class TestWeaveCommand:
         assert main(["certify", str(frame_file), "--theorem", "scaled-dual"]) == 2
         assert "budget must be >= 1" in capsys.readouterr().err
 
+    def test_env_budget_not_an_integer_exit_2(self, copies_family_file, monkeypatch, capsys):
+        monkeypatch.setenv("GWEAVE_BUDGET", "abc")
+        assert main(["weave", str(copies_family_file)]) == 2
+        assert capsys.readouterr().err == "error: GWEAVE_BUDGET must be an integer, got 'abc'\n"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -412,6 +466,7 @@ class TestCertifyCommand:
             ("pw-chain", "frame", "--theorem pw-chain needs a family file"),
             ("op-perturb", "family", "--theorem op-perturb needs a single-frame file"),
             ("scaled-dual", "family", "--theorem scaled-dual needs a single-frame file"),
+            ("op-perturb", "frame", "--theorem op-perturb needs --operators FILE"),
         ],
     )
     def test_wrong_input_kind_exit_2(
@@ -790,6 +845,14 @@ class TestRieszCommand:
         assert main(["riesz", str(frame_file), "--permutation", "1,2"]) == 0
         assert main(["riesz", str(frame_file), "--permutation", "2,1"]) == 1
 
+    def test_permutation_on_a_pair_exits_2(self, copies_family_file, tmp_path, capsys):
+        # The flag used to be ignored on a pair file, which then exited 0.
+        out = tmp_path / "r.json"
+        args = ["riesz", str(copies_family_file), "--permutation", "9,9,9", "--json", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --permutation needs a single-frame file\n"
+        assert not out.exists()
+
     def test_permutation_at_the_given_frame_rtol(self, tmp_path):
         # A g-Riesz basis only at --frame-rtol 1e-12, not at the default.
         path = tmp_path / "narrow.json"
@@ -964,6 +1027,17 @@ class TestExitTable:
             "sampled-no-counterexample": 4, "not-falsified": 4,
             "hypothesis-fails": 6, "lambda-below-gap": 6, "falsified": 6, "infeasible": 6,
         }
+
+
+class TestModuleEntryPoint:
+    def test_version(self):
+        # ``python -m gweave.cli`` runs the same main as the console script.
+        src = str(Path(gweave.cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "gweave.cli", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"gweave {__version__}\n", "")
 
 
 class TestNumericFailureExit:

@@ -167,6 +167,22 @@ class TestPermutationWeave:
         assert dataclasses.astuple(rep) == dataclasses.astuple(_permutation_reference(f, pi, tol))
 
 
+class TestPreconditions:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda f: weaving_riesz_check(GFrameFamily((f, f, f))),
+             "the Riesz weaving check is defined for two-member families"),
+            (lambda f: permutation_weave(f, (1, 1)), "pi must be a permutation of 1..2"),
+        ],
+        ids=["three-members", "repeated-index"],
+    )
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call(onb_frame(2))
+        assert str(info.value) == message
+
+
 class TestBudget:
     @pytest.mark.parametrize("budget", [0, -3])
     def test_rejects_budget_below_one(self, budget):

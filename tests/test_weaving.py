@@ -431,6 +431,27 @@ class TestRestrictFamily:
             restrict_family(swapped_onb_family(), ())
 
 
+class TestPreconditions:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda fam: certify_woven(fam, mode="greedy"),
+             "mode must be 'exhaustive' or 'sampled', got 'greedy'"),
+            (lambda fam: restrict_family(fam, (0, 1)), "indices must lie in 1..2"),
+            (lambda fam: restrict_family(fam, (3,)), "indices must lie in 1..2"),
+            (lambda fam: removal_bound(GFrameFamily(fam.frames + fam.frames[:1]), (1,)),
+             "removal analysis is defined for two-member families"),
+            (lambda fam: removal_bound(fam, (3,)), "indices must lie in 1..2"),
+        ],
+        ids=["mode", "restrict-below", "restrict-above", "removal-three-members",
+             "removal-above"],
+    )
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call(swapped_onb_family())
+        assert str(info.value) == message
+
+
 class TestFrameOpNormCheck:
     def test_single_member_partition(self):
         fam = noisy_family(2, (1, 1, 1), 2, seed=5)
