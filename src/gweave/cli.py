@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -209,20 +210,19 @@ def cmd_certify(args) -> int:
             g_frames = all(low > tol.frame_rtol * up for low, up in bounds)
             status = "feasible" if g_frames else "hypothesis-fails"
     elif theorem in ("pw", "pw-chain"):
-        lambdas = _parse_list(args.lam, "--lam", float) if args.lam else None
-        etas = _parse_list(args.eta, "--eta", float) if args.eta else None
-        mus = _parse_list(args.mu, "--mu", float) if args.mu else None
-        mode = "exact-lambda-only" if args.mode == "exact" else "sampled-falsification"
-        if theorem == "pw":
-            report = perturbation_certificate(
-                loaded, args.base, lambdas, etas, mus,
-                mode=mode, trials=args.trials, seed=args.seed, tol=tol,
-            )
-        else:
-            report = chained_certificate(
-                loaded, lambdas, etas, mus,
-                mode=mode, trials=args.trials, seed=args.seed, tol=tol,
-            )
+        lambdas, etas, mus = (
+            None if text is None else _parse_list(text, flag, float)
+            for flag, text in (("--lam", args.lam), ("--eta", args.eta), ("--mu", args.mu))
+        )
+        certificate = (
+            partial(perturbation_certificate, base=args.base) if theorem == "pw"
+            else chained_certificate
+        )
+        report = certificate(
+            loaded, lambdas=lambdas, etas=etas, mus=mus,
+            mode="exact-lambda-only" if args.mode == "exact" else "sampled-falsification",
+            trials=args.trials, seed=args.seed, tol=tol,
+        )
         status = report.status
     elif theorem == "op-perturb":
         if not args.operators:
@@ -256,11 +256,11 @@ def cmd_riesz(args) -> int:
     report = None
     if isinstance(loaded, GFrame):
         payload["riesz_bounds"] = report_dict(riesz_bounds(loaded, tol))
-        if args.permutation:
+        if args.permutation is not None:
             pi = _parse_list(args.permutation, "--permutation", int)
             report = permutation_weave(loaded, pi, tol, budget=budget)
             payload["permutation_weave"] = report_dict(report)
-    elif args.permutation:
+    elif args.permutation is not None:
         raise FrameFileError("--permutation needs a single-frame file")
     else:
         # One sweep serves both reports.
@@ -275,19 +275,9 @@ def cmd_riesz(args) -> int:
 
 def cmd_generate(args) -> int:
     dims = _parse_list(args.dims, "--dims", int)
-    spectrum = _parse_list(args.spectrum, "--spectrum", float) if args.spectrum else None
-    try:
-        spec = GenSpec(
-            ambient_dim=args.n,
-            block_dims=dims,
-            kind=args.kind,
-            seed=args.seed,
-            spectrum=spectrum,
-            noise_scale=args.noise_scale,
-        )
-        made = generate(spec)
-    except ValueError as exc:
-        raise FrameFileError(str(exc)) from exc
+    spectrum = None if args.spectrum is None else _parse_list(args.spectrum, "--spectrum", float)
+    made = generate(GenSpec(ambient_dim=args.n, block_dims=dims, kind=args.kind, seed=args.seed,
+                            spectrum=spectrum, noise_scale=args.noise_scale))
     if isinstance(made, GFrame):
         save_frame(made, args.out)
         kind_written = "frame"
@@ -373,18 +363,16 @@ def main(argv=None) -> int:
         # Entries whose squares leave float64 end here, not in NaN bounds.
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
-    except (FrameFileError, OSError) as exc:
-        # OSError: a missing, unreadable or unwritable path.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (DegenerateGFrameError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # precondition violations (wrong member count, non-basis input, ...)
+    except (OSError, ValueError) as exc:
+        # A bad path, a malformed input (FrameFileError) or a violated
+        # precondition; DegenerateGFrameError and LinAlgError, which are
+        # ValueErrors too, exit 3 above.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -151,12 +151,15 @@ def analysis_matrix(f: GFrame) -> np.ndarray:
     return np.vstack(f.blocks)
 
 
+def _gram_terms(blocks) -> np.ndarray:
+    """The Gram terms ``b* b`` of a sequence of blocks; shape (len, n, n)."""
+    return np.array([b.conj().T @ b for b in blocks])
+
+
 def frame_operator(f: GFrame) -> np.ndarray:
-    """The ``n x n`` Hermitian PSD operator summing ``block* block`` terms."""
-    s = np.zeros((f.ambient_dim, f.ambient_dim), dtype=np.complex128)
-    for b in f.blocks:
-        s += b.conj().T @ b
-    return s
+    """The ``n x n`` Hermitian PSD operator summing ``block* block`` terms
+    in block order from zero (``.sum(axis=0)`` sums pairwise at ``n = 1``)."""
+    return sum(_gram_terms(f.blocks))
 
 
 def frame_bounds(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> FrameBounds:
@@ -237,13 +240,19 @@ def apply_operator(f: GFrame, t, tol: Tolerance = DEFAULT_TOL) -> GFrame:
     ``[A / ||T^-1||^2, B ||T||^2]``; a singular operator would destroy the
     lower bound, so it is rejected.
     """
+    t = _invertible(t, f.ambient_dim, tol)
+    return GFrame(f.ambient_dim, tuple(b @ t for b in f.blocks))
+
+
+def _invertible(t, n: int, tol: Tolerance, name: str = "operator") -> np.ndarray:
+    """``t`` as a matrix, checked to be ``n x n`` and of rank ``n`` at ``tol``;
+    ``name`` starts the error messages."""
     t = as_matrix(t)
-    n = f.ambient_dim
     if t.shape != (n, n):
-        raise ValueError(f"operator must be {n} x {n}, got {t.shape}")
+        raise ValueError(f"{name} must be {n} x {n}, got {t.shape}")
     if rank(t, tol) < n:
-        raise ValueError("operator is singular at the working tolerance")
-    return GFrame(n, tuple(b @ t for b in f.blocks))
+        raise ValueError(f"{name} is singular at the working tolerance")
+    return t
 
 
 def apply_synthesis(f: GFrame, coeffs: CoefficientVector) -> np.ndarray:

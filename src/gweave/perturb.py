@@ -31,11 +31,13 @@ import numpy as np
 
 from .gframe import (
     GFrame,
+    _gram_terms,
     _inverse_frame_operator,
+    _invertible,
     frame_bounds,
     synthesis_matrix,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm, rank
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm
 from .weaving import GFrameFamily, _gram_tensor
 
 __all__ = [
@@ -128,11 +130,11 @@ class ScaledDualReport:
     base_upper: float
     ratio: float | None
     hypothesis_ok: bool
-    scale: float | None
-    deviation_norm: float | None
-    deviation_bound: float | None
-    op_report: OperatorPerturbationReport | None
-    scaled_dual: GFrame | None = field(metadata={"json": False})
+    scale: float | None = None
+    deviation_norm: float | None = None
+    deviation_bound: float | None = None
+    op_report: OperatorPerturbationReport | None = None
+    scaled_dual: GFrame | None = field(default=None, metadata={"json": False})
 
 
 def _max_ratios(
@@ -202,7 +204,6 @@ def minimal_k(fam: GFrameFamily, tol: Tolerance = DEFAULT_TOL) -> KCertificate:
     yields the first-occurrence witness of the full subset order.
     """
     big_n, m = fam.n_indices, fam.m
-    n = fam.ambient_dim
     grams = _make_hermitian(_gram_tensor(fam))
     pairs = [(j, l) for j in range(m) for l in range(j + 1, m)]
     shape = (big_n, len(pairs), 2)
@@ -210,12 +211,9 @@ def minimal_k(fam: GFrameFamily, tol: Tolerance = DEFAULT_TOL) -> KCertificate:
     infeasible = np.empty(shape, dtype=bool)
     # One pair at a time keeps the stacks at 2 matrices per index for any m.
     for p, (j, l) in enumerate(pairs):
-        diff = np.empty((big_n, 1, n, n), dtype=np.complex128)
-        for i, (a, b) in enumerate(zip(fam.frames[j].blocks, fam.frames[l].blocks)):
-            d = a - b
-            diff[i, 0] = d.conj().T @ d
+        diff = _gram_terms([a - b for a, b in zip(fam.frames[j].blocks, fam.frames[l].blocks)])
         ratios[:, p], infeasible[:, p] = _max_ratios(
-            _make_hermitian(diff), grams[:, [j, l]], tol
+            _make_hermitian(diff[:, None]), grams[:, [j, l]], tol
         )
     if infeasible.any():
         i, p, _ = np.unravel_index(np.argmax(infeasible), shape)
@@ -438,10 +436,7 @@ def _operator_perturbation(f: GFrame, operators, tol: Tolerance, fb) -> Operator
     if len(ops) not in (1, big_n):
         raise ValueError(f"expected one operator per index ({big_n}), got {len(ops)}")
     for idx, t in enumerate(ops, start=1):
-        if t.shape != (n, n):
-            raise ValueError(f"operator {idx} must be {n} x {n}, got {t.shape}")
-        if rank(t, tol) < n:
-            raise ValueError(f"operator {idx} is singular at the working tolerance")
+        _invertible(t, n, tol, f"operator {idx}")
     a_low, b_up = fb.lower, fb.upper
     dev = max(op_norm(np.eye(n) - t) for t in ops)
     ops *= big_n // len(ops)
@@ -474,11 +469,7 @@ def scaled_dual_weave(f: GFrame, tol: Tolerance = DEFAULT_TOL) -> ScaledDualRepo
     a_low, b_up = fb.lower, fb.upper
     ratio = float(b_up / a_low) if fb.is_frame and a_low > 0 else None
     if ratio is None or ratio >= 2.0:
-        return ScaledDualReport(
-            base_lower=a_low, base_upper=b_up, ratio=ratio, hypothesis_ok=False,
-            scale=None, deviation_norm=None, deviation_bound=None,
-            op_report=None, scaled_dual=None,
-        )
+        return ScaledDualReport(a_low, b_up, ratio, hypothesis_ok=False)
     scale = 2.0 * a_low * b_up / (a_low + b_up)
     op_report = _operator_perturbation(f, scale * _inverse_frame_operator(f), tol, fb)
     return ScaledDualReport(

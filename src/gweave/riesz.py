@@ -119,6 +119,13 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
+def _owned_columns(fam: GFrameFamily, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based label rows of the partitions ``codes`` of a pair, and per
+    row the mask of the synthesis columns taken from the second member."""
+    labels0 = _decode_codes(codes, 2, fam.n_indices)
+    return labels0, np.repeat(labels0 == 1, fam.block_dims, axis=1)
+
+
 def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     """One pass over the ``2**N`` partitions of a two-member family.
 
@@ -178,7 +185,7 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
-    big_n, total = fam.n_indices, 2**fam.n_indices
+    total = 2**fam.n_indices
     best = (np.inf, None, -np.inf, None)
     span_low_min = np.inf
     screen = members is not None and all(
@@ -194,9 +201,7 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
             if _inside_bounds(ops, ratio * (best[0] + slack), best[2]):
                 continue
         stop = first + len(ops)
-        labels0 = _decode_codes(np.arange(first, stop), 2, big_n)
-        # Columns that the partition takes from the second member.
-        owner = np.repeat(labels0 == 1, fam.block_dims, axis=1)
+        labels0, owner = _owned_columns(fam, np.arange(first, stop))
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
@@ -222,7 +227,7 @@ def _angle_constants(fam: GFrameFamily, tol: Tolerance, codes: np.ndarray):
     n = fam.ambient_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     a2 = d3 = np.inf
-    for owner in np.repeat(_decode_codes(codes, 2, fam.n_indices) == 1, fam.block_dims, axis=1):
+    for owner in _owned_columns(fam, codes)[1]:
         o_left = _range_basis(t_first[:, ~owner], tol)
         o_right = _range_basis(t_second[:, owner], tol)
         rl, rr = o_left.shape[1], o_right.shape[1]

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .gframe import GFrame, frame_bounds, frame_operator, synthesis_matrix
+from .gframe import GFrame, _gram_terms, frame_bounds, frame_operator, synthesis_matrix
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_extremes, rank
 
 __all__ = [
@@ -232,12 +232,7 @@ def assemble_weaving(fam: GFrameFamily, p: Partition) -> GFrame:
 
 def _gram_tensor(fam: GFrameFamily) -> np.ndarray:
     """Per-(index, member) Gram terms ``block* block``; shape (N, m, n, n)."""
-    n, big_n, m = fam.ambient_dim, fam.n_indices, fam.m
-    g = np.empty((big_n, m, n, n), dtype=np.complex128)
-    for j, fr in enumerate(fam.frames):
-        for i, b in enumerate(fr.blocks):
-            g[i, j] = b.conj().T @ b
-    return g
+    return np.stack([_gram_terms(fr.blocks) for fr in fam.frames], axis=1)
 
 
 def _decode_codes(codes: np.ndarray, m: int, big_n: int) -> np.ndarray:
@@ -392,23 +387,19 @@ def certify_woven(
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     m, big_n = fam.m, fam.n_indices
-    if mode == "exhaustive":
-        total = _check_budget(budget, "exhaustive certification needs", m, big_n)
-    else:
-        _check_budget(budget)
-    grams = _gram_tensor(fam)
-
     best = (np.inf, None, -np.inf, None)
 
     if mode == "exhaustive":
-        for first, s in _exhaustive_operators(grams, m):
+        checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
+        for first, s in _exhaustive_operators(_gram_tensor(fam), m):
             if best[1] is None or not _inside_bounds(s, best[0], best[2]):
                 best = _fold_extremes(best, np.linalg.eigvalsh(s), range(first, first + len(s)))
         best_low, code_low, best_up, code_up = best
         wit_low, wit_up = _decode_codes(np.array([code_low, code_up]), m, big_n)
-        checked = total
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
+        _check_budget(budget)
+        grams = _gram_tensor(fam)
         rng = np.random.default_rng(seed)
         checked, size, failed = 0, _BLOCK_FIRST, False
         while checked < budget and not failed:

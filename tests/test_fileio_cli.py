@@ -593,6 +593,27 @@ class TestCertifyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--lam", ""), "lambdas must have 1 entries, got 0"),
+            (("--lam", "0.1", "--eta", ""), "etas must have 1 entries, got 0"),
+            (("--lam", "0.1", "--mu", "", "--mode", "sampled"), "mus must have 1 entries, got 0"),
+        ],
+        ids=["lam", "eta", "mu"],
+    )
+    @pytest.mark.parametrize("theorem", ["pw", "pw-chain"])
+    def test_empty_scalar_list_exits_2(self, tmp_path, capsys, flags, message, theorem):
+        # An empty list used to count as no flag, that is as zeros.
+        f = onb_frame(2)
+        path = tmp_path / "fam.json"
+        save_family(GFrameFamily((f, apply_operator(f, 1.1 * np.eye(2)))), path)
+        out = tmp_path / "pw.json"
+        code = main(["certify", str(path), "--theorem", theorem, *flags, "--json", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, where, message",
         [
             ('{"matrices": ', "", "invalid JSON"),
@@ -660,10 +681,6 @@ _SCALED_DUAL_KEYS = (
 class TestReportSections:
     """Every section of the JSON reports that no benchmark fingerprint covers:
     its exact key set, and each value against the report attribute."""
-
-    @pytest.fixture(autouse=True)
-    def _default_budget(self, monkeypatch):
-        monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
 
     @staticmethod
     def _run(args, tmp_path, code):
@@ -853,6 +870,15 @@ class TestRieszCommand:
         assert capsys.readouterr().err == "error: --permutation needs a single-frame file\n"
         assert not out.exists()
 
+    def test_empty_permutation_exits_2(self, frame_file, copies_family_file, tmp_path, capsys):
+        # An empty list used to count as no flag: exit 0 with the bounds only.
+        out = tmp_path / "r.json"
+        assert main(["riesz", str(frame_file), "--permutation", "", "--json", str(out)]) == 2
+        assert capsys.readouterr().err == "error: pi must be a permutation of 1..2\n"
+        assert not out.exists()
+        assert main(["riesz", str(copies_family_file), "--permutation", ""]) == 2
+        assert capsys.readouterr().err == "error: --permutation needs a single-frame file\n"
+
     def test_permutation_at_the_given_frame_rtol(self, tmp_path):
         # A g-Riesz basis only at --frame-rtol 1e-12, not at the default.
         path = tmp_path / "narrow.json"
@@ -889,7 +915,6 @@ class TestRieszCommand:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(gweave.riesz, "_riesz_sweep", counted)
-        monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
         return calls
 
     def test_pair_sweeps_once(self, tmp_path, sweeps):
@@ -899,8 +924,7 @@ class TestRieszCommand:
         assert len(sweeps) == 1
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_pair_sections_equal_the_library_reports(self, tmp_path, monkeypatch, seed):
-        monkeypatch.delenv("GWEAVE_BUDGET", raising=False)
+    def test_pair_sections_equal_the_library_reports(self, tmp_path, seed):
         # N = 9: 512 partitions, eight blocks of the sweep.
         fam = riesz_pair(9, seed)
         path, out = tmp_path / "pair.json", tmp_path / "r.json"
@@ -974,14 +998,25 @@ class TestGenerateCommand:
             (("--dims", "1,x"), "--dims: expected comma-separated integers, got '1,x'"),
             (("--dims", "1,1", "--spectrum", "1,y"),
              "--spectrum: expected comma-separated numbers, got '1,y'"),
+            (("--dims", "1,1", "--spectrum", ""), "spectrum must have 2 entries, got 0"),
         ],
-        ids=["dims", "spectrum"],
+        ids=["dims", "spectrum", "spectrum-empty"],
     )
     def test_bad_list_flag_exit_2(self, tmp_path, capsys, flags, message):
         code = main(["generate", "--kind", "prescribed-spectrum", "--n", "2", *flags,
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_empty_spectrum_is_a_given_flag(self, tmp_path, capsys):
+        # It used to count as no flag, and a Parseval frame was written.
+        out = tmp_path / "x.json"
+        code = main(["generate", "--kind", "parseval", "--n", "2", "--dims", "1,1",
+                     "--spectrum", "", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: spectrum is only meaningful for prescribed-spectrum\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

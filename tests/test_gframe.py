@@ -5,6 +5,7 @@ from gweave import (
     CoefficientVector,
     DegenerateGFrameError,
     GFrame,
+    GFrameFamily,
     apply_operator,
     apply_synthesis,
     canonical_dual,
@@ -12,11 +13,14 @@ from gweave import (
     frame_operator,
     induced_frame,
     is_g_orthonormal,
+    minimal_k,
     op_norm,
     rank,
     synthesis_matrix,
 )
+from gweave import perturb
 from gweave.generate import GenSpec, generate
+from gweave.weaving import _gram_tensor
 
 from _support import onb_frame, random_frame
 
@@ -266,3 +270,75 @@ class TestApplyOperator:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
             apply_operator(onb_frame(2), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (np.eye(3), "operator must be 2 x 2, got (3, 3)"),
+            (np.diag([1.0, 0.0]), "operator is singular at the working tolerance"),
+            # Coercion comes first: a non-finite operator of the wrong shape.
+            (np.full((3, 3), np.nan), "matrix entries must be finite (no NaN/Inf)"),
+        ],
+        ids=["shape", "singular", "non-finite"],
+    )
+    def test_messages(self, t, message):
+        with pytest.raises(ValueError) as exc:
+            apply_operator(onb_frame(2), t)
+        assert str(exc.value) == message
+
+
+def _real_mixed_frame(n, seed):
+    """Nine real blocks of 1, 2 and 3 rows: their complex products carry
+    signed zeros in the imaginary parts."""
+    rng = np.random.default_rng(seed)
+    return GFrame(n, tuple(rng.standard_normal((d, n)) for d in (1, 2, 3) * 3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestGramTerms:
+    """Every Gram term ``b* b`` and frame operator equals the per-block
+    loop bit for bit, negative zeros included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_frame_operator_is_the_sequential_sum(self, n):
+        f = _real_mixed_frame(n, seed=n)
+        expected = np.zeros((n, n), dtype=np.complex128)
+        for b in f.blocks:
+            expected += b.conj().T @ b
+        assert np.array_equal(_bits(frame_operator(f)), _bits(expected))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gram_tensor_holds_each_product(self, n):
+        fam = GFrameFamily(
+            tuple(_real_mixed_frame(n, seed) for seed in range(2)), allow_degenerate=True
+        )
+        grams = _gram_tensor(fam)
+        assert grams.shape == (9, 2, n, n)
+        for j, fr in enumerate(fam.frames):
+            for i, b in enumerate(fr.blocks):
+                assert np.array_equal(_bits(grams[i, j]), _bits(b.conj().T @ b))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_minimal_k_difference_grams(self, n, monkeypatch):
+        fam = GFrameFamily(
+            tuple(_real_mixed_frame(n, seed) for seed in range(3)), allow_degenerate=True
+        )
+        seen = []
+        solve = perturb._max_ratios
+
+        def spy(d_sym, m_sym, tol):
+            seen.append(d_sym.copy())
+            return solve(d_sym, m_sym, tol)
+
+        monkeypatch.setattr(perturb, "_max_ratios", spy)
+        minimal_k(fam)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        assert len(seen) == len(pairs)
+        for d_sym, (j, l) in zip(seen, pairs):
+            assert d_sym.shape == (9, 1, n, n)
+            for i, (a, b) in enumerate(zip(fam.frames[j].blocks, fam.frames[l].blocks)):
+                g = (a - b).conj().T @ (a - b)
+                assert np.array_equal(_bits(d_sym[i, 0]), _bits((g + g.conj().T) / 2.0))

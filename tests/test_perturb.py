@@ -624,6 +624,24 @@ class TestOperatorPerturbation:
         with pytest.raises(ValueError, match="one operator per index"):
             operator_perturbation(onb_frame(2), [np.eye(2)] * 3)
 
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ([np.eye(2), np.ones((2, 3))], "operator 2 must be 2 x 2, got (2, 3)"),
+            (np.diag([1.0, 0.0]), "operator 1 is singular at the working tolerance"),
+            ([np.eye(2), np.diag([0.0, 1.0])], "operator 2 is singular at the working tolerance"),
+            # The count is checked before any shape or rank ...
+            ([np.eye(3)] * 3, "expected one operator per index (2), got 3"),
+            # ... and after every operator is coerced.
+            ([np.eye(3)] * 2 + [[[np.inf]]], "matrix entries must be finite (no NaN/Inf)"),
+        ],
+        ids=["shape", "singular-broadcast", "singular-second", "count", "non-finite"],
+    )
+    def test_messages(self, ops, message):
+        with pytest.raises(ValueError) as exc:
+            operator_perturbation(onb_frame(2), ops)
+        assert str(exc.value) == message
+
 
 class TestScaledDualWeave:
     def test_parseval_self_dual(self):
