@@ -151,14 +151,14 @@ def analysis_matrix(f: GFrame) -> np.ndarray:
     return np.vstack(f.blocks)
 
 
-def _gram_terms(blocks) -> np.ndarray:
-    """The Gram terms ``b* b`` of a sequence of blocks; shape (len, n, n)."""
-    return np.array([b.conj().T @ b for b in blocks])
+def _gram_terms(blocks):
+    """The Gram terms ``b* b`` of a sequence of blocks, one at a time."""
+    return (b.conj().T @ b for b in blocks)
 
 
 def frame_operator(f: GFrame) -> np.ndarray:
     """The ``n x n`` Hermitian PSD operator summing ``block* block`` terms
-    in block order from zero (``.sum(axis=0)`` sums pairwise at ``n = 1``)."""
+    in block order from zero, holding one term at a time."""
     return sum(_gram_terms(f.blocks))
 
 

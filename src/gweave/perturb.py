@@ -211,7 +211,8 @@ def minimal_k(fam: GFrameFamily, tol: Tolerance = DEFAULT_TOL) -> KCertificate:
     infeasible = np.empty(shape, dtype=bool)
     # One pair at a time keeps the stacks at 2 matrices per index for any m.
     for p, (j, l) in enumerate(pairs):
-        diff = _gram_terms([a - b for a, b in zip(fam.frames[j].blocks, fam.frames[l].blocks)])
+        pair_blocks = zip(fam.frames[j].blocks, fam.frames[l].blocks)
+        diff = np.array([*_gram_terms(a - b for a, b in pair_blocks)])
         ratios[:, p], infeasible[:, p] = _max_ratios(
             _make_hermitian(diff[:, None]), grams[:, [j, l]], tol
         )

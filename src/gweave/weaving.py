@@ -232,7 +232,7 @@ def assemble_weaving(fam: GFrameFamily, p: Partition) -> GFrame:
 
 def _gram_tensor(fam: GFrameFamily) -> np.ndarray:
     """Per-(index, member) Gram terms ``block* block``; shape (N, m, n, n)."""
-    return np.stack([_gram_terms(fr.blocks) for fr in fam.frames], axis=1)
+    return np.array([[*_gram_terms(at_i)] for at_i in zip(*(fr.blocks for fr in fam.frames))])
 
 
 def _decode_codes(codes: np.ndarray, m: int, big_n: int) -> np.ndarray:

@@ -1,21 +1,20 @@
-"""Check every benchmark call against its stored fingerprint, without timing.
+"""Check every benchmark call once against its stored fingerprint.
 
     python3 tools/check_fingerprints.py SEED...
 
 For every workload of ``perfbench/workloads.py``, at full and smoke
 shapes, and for each seed given (taken modulo the instance seeds, as
-``perfbench/run.py`` takes it), this writes the calls' inputs, runs each
-call once through ``gweave.cli.main`` and reports the problems that
-``harness.check`` records: an error or a missing report, a missing
-fingerprint, an exit code or report that departs from
-``perfbench/fingerprints.jsonl`` by the rules of ``harness.differences``,
-and a report without an item count.  It prints one ``FAIL`` line per
-problem and a summary line, and exits 1 if any call is incorrect.
+``perfbench/run.py`` takes it), this writes the calls' inputs and runs
+one cycle of them with ``harness.run_cycle``, which checks each call
+against ``perfbench/fingerprints.jsonl`` as the benchmark does.  It prints
+one ``FAIL`` line per problem and a summary line, and exits 1 if any call
+is incorrect.
 
-No call is timed or repeated, so all 32 instance seeds run in a minute or
-two.  The package and the workloads are imported from the checkout that
-holds this file, ``GWEAVE_BUDGET`` is ignored as the benchmark ignores it,
-and nothing is written outside a temporary directory.
+No call is repeated and no warm-up or timing loop runs, so all 32 instance
+seeds run in a few minutes.  The package and the workloads are imported
+from the checkout that holds this file, ``GWEAVE_BUDGET`` is ignored as
+the benchmark ignores it, and nothing is written outside a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -31,25 +30,6 @@ os.environ.pop("GWEAVE_BUDGET", None)
 
 import harness  # noqa: E402
 import workloads  # noqa: E402
-
-
-def problems(call, given, instance_seed: int, report_path: Path, expected) -> list[str]:
-    """The problems ``harness.check`` records for one call, without its timing."""
-    code, report, error = harness.invoke(call, given.path, instance_seed, report_path)
-    found = [] if error is None else [error]
-    if expected is None:
-        found.append("no stored fingerprint")
-    else:
-        got = harness.fingerprint(code, report)
-        if got["exit"] != expected["exit"]:
-            found.append(f"exit code {got['exit']}, expected {expected['exit']}")
-        found += harness.differences(expected["report"], got["report"], "report", given.members)
-    if report is not None:
-        try:
-            call.items(report)
-        except (KeyError, TypeError) as exc:
-            found.append(f"no item count in report: {exc!r}")
-    return found
 
 
 def main(argv: list[str]) -> int:
@@ -68,12 +48,11 @@ def main(argv: list[str]) -> int:
                 for seed in seeds:
                     expected = harness.load_fingerprints(key, seed)
                     inputs = harness.write_inputs(workload, seed, work / f"inputs-{calls}")
-                    for call, given in zip(workload.calls, inputs):
-                        found = problems(call, given, seed, report_path, expected.get(call.name))
-                        for problem in found:
-                            print(f"FAIL {key} seed {seed} {call.name}: {problem}", flush=True)
+                    for record in harness.run_cycle(workload, inputs, seed, report_path, expected):
+                        for problem in record.problems:
+                            print(f"FAIL {key} seed {seed} {record.call}: {problem}", flush=True)
                         calls += 1
-                        incorrect += bool(found)
+                        incorrect += bool(record.problems)
     print(f"{calls} calls, {incorrect} incorrect")
     return 1 if incorrect else 0
 
