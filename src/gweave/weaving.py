@@ -267,30 +267,26 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
 
     A chunk holds the ``m**low`` consecutive codes that share their leading
     ``high = N - low >= 1`` labels (``low < N`` is the largest with ``m**low
-    * n**2 <= _CHUNK_ENTRIES``), and each block is a view of one chunk.  The
-    partial sums of the shared prefix are kept from the previous chunk up to
-    its first changed label, so a chunk adds fewer than two prefix terms on
-    average (``m / (m - 1)``); each later index then extends every partial
-    sum by each of its ``m`` terms.  Terms are added in increasing index
-    order, so every frame operator equals the sequential sum over its labels
-    bit for bit, at about two ``n x n`` adds per weaving.  The sums do not
-    depend on where the chunks are cut, so ``_CHUNK_ENTRIES`` changes memory
-    and speed, never a bit of a result.  Serves exhaustive
-    :func:`certify_woven`, :func:`span_criterion` and every Riesz sweep.
+    * n**2 <= _CHUNK_ENTRIES``), and each block is a view of one chunk.
+    Each chunk sums its shared prefix from index 0, then each later index
+    extends every partial sum by each of its ``m`` terms; nothing is kept
+    from one chunk to the next.  Terms are added in increasing index order,
+    so every frame operator equals the sequential sum over its labels bit
+    for bit.  The sums do not depend on where the chunks are cut, so
+    ``_CHUNK_ENTRIES`` changes memory and speed, never a bit of a result.
+    Serves exhaustive :func:`certify_woven`, :func:`span_criterion` and
+    every Riesz sweep.
     """
     big_n, n = grams.shape[0], grams.shape[-1]
     low = 0
     while low < big_n - 1 and m ** (low + 1) * n * n <= _CHUNK_ENTRIES:
         low += 1
     high = big_n - low
-    sums, prev = [], ()
     for h, labels in enumerate(product(range(m), repeat=high)):
-        keep = next((i for i, (a, b) in enumerate(zip(prev, labels)) if a != b), 0)
-        del sums[keep:]
-        for i in range(keep, high):
-            term = grams[i, labels[i]]
-            sums.append(sums[-1] + term if i else term)
-        level, prev = sums[-1][None], labels
+        level = grams[0, labels[0]].copy()  # a copy: the adds write into it
+        for i in range(1, high):
+            level += grams[i, labels[i]]
+        level = level[None]
         for i in range(high, big_n):
             level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
         for start in range(0, len(level), _SCREEN_ROWS):
@@ -348,21 +344,7 @@ def certify_woven(
     ``m**N <= budget``) and reports the true universal bounds; the woven
     verdict is ``universal_lower > frame_rtol * universal_upper``.  Frame
     operators come from the engine in blocks of 64 rows, views of chunks of
-    at most ``2**15`` entries (512 KiB).  With ``(low, up)`` the bounds so
-    far and ``delta = 1e3 * n**2 * eps * up``, each block after the first is
-    skipped if Cholesky factors both ``S - (low + delta) I`` and ``(up -
-    delta) I - S`` for all its operators ``S``; otherwise it takes
-    ``eigvalsh``.  A Cholesky that completes is exact for a matrix within
-    ``gamma_{n+1} |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy
-    and Stability of Numerical Algorithms*, sec. 10.1), that is within about
-    ``n**2 * eps * up``: both tests passing keep every ``S`` of norm near
-    ``up``.  ``eigvalsh`` is backward stable, within a few ``n * eps * up``.
-    ``delta`` covers both, so the computed spectra of a skipped block lie in
-    ``[low, up]`` (both kernels read the lower triangle).  Only a strictly
-    better row moves a bound, so skipping changes no bound, witness or
-    count.  On a family whose weavings are nearly all singular, the lower
-    test fails on every block, which then pays one Cholesky on top of its
-    ``eigvalsh``.
+    at most ``2**15`` entries (512 KiB).
 
     Sampled mode draws ``budget`` partitions from a seeded generator and can
     only falsify: it returns ``not-woven`` with a witness, or the explicitly
@@ -371,28 +353,45 @@ def certify_woven(
     counterexample at row ``r`` costs about ``2r + 16`` spectra.  A block
     holds at most 256 ``n x n`` complex frame operators, and the screen
     adds two temporaries of that size.  The generator yields the same
-    labels however the draws are cut.  Each block after the first takes
-    the same Cholesky screen, gated: it is skipped, its rows counted and
-    not folded, only if ``low > frame_rtol * up`` and both tests pass.  By
-    the proof above the computed spectra of a skipped block lie in ``[low,
-    up]``, so no bound, witness or count can change; and none of its rows
-    can fail, since ``w0 >= low > frame_rtol * up >= frame_rtol * w_last``
-    (a rounded product is monotone).  The gate is needed: ``low`` and
-    ``up`` come from different rows, so every row so far can pass while
-    ``low <= frame_rtol * up``, and a later block inside ``[low, up]`` can
-    then hold a failing row.  A not-woven family whose first block fails
-    never reaches the screen.  A ``budget`` below one is rejected with
-    ``ValueError``.
+    labels however the draws are cut.  A ``budget`` below one is rejected
+    with ``ValueError``.
+
+    Both modes skip a block after the first, its rows counted and not
+    folded, by one rule: with ``(low, up)`` the bounds so far, ``floor =
+    max(low, frame_rtol * up)`` and ``delta = 1e3 * n**2 * eps * up``, if
+    Cholesky factors both ``S - (floor + delta) I`` and ``(up - delta) I -
+    S`` for all its operators ``S``; otherwise the block takes
+    ``eigvalsh``.  A Cholesky that completes is exact for a matrix within
+    ``gamma_{n+1} |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 10.1), that is within about
+    ``n**2 * eps * up``: both tests passing keep every ``S`` of norm near
+    ``up``.  ``eigvalsh`` is backward stable, within a few ``n * eps * up``.
+    ``delta`` covers both, so the computed spectra of a skipped row lie in
+    ``(floor, up)`` (both kernels read the lower triangle): ``w0 > floor >=
+    low`` and ``w_last < up``, and only a strictly better row moves a bound,
+    so no bound, witness or count changes; and ``w0 > floor >= frame_rtol *
+    up >= frame_rtol * w_last`` (a rounded product is monotone), so no
+    skipped row fails.  ``low`` and ``up`` come from different rows, so
+    ``low <= frame_rtol * up`` can hold while every row so far passes; the
+    floor then keeps a failing row out of the skipped blocks.  On a woven
+    family ``low > frame_rtol * up`` at every step and the floor is ``low``.
+    On a family whose weavings are nearly all singular, the lower test fails
+    on every block, which then pays one Cholesky on top of its
+    ``eigvalsh``.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     m, big_n = fam.m, fam.n_indices
     best = (np.inf, None, -np.inf, None)
 
+    def skip(s):
+        low, low_at, up, _ = best
+        return low_at is not None and _inside_bounds(s, max(low, tol.frame_rtol * up), up)
+
     if mode == "exhaustive":
         checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
         for first, s in _exhaustive_operators(_gram_tensor(fam), m):
-            if best[1] is None or not _inside_bounds(s, best[0], best[2]):
+            if not skip(s):
                 best = _fold_extremes(best, np.linalg.eigvalsh(s), range(first, first + len(s)))
         best_low, code_low, best_up, code_up = best
         wit_low, wit_up = _decode_codes(np.array([code_low, code_up]), m, big_n)
@@ -405,8 +404,7 @@ def certify_woven(
         while checked < budget and not failed:
             rows = rng.integers(0, m, size=(min(size, budget - checked), big_n))
             s, size = _frame_operators(grams, rows), min(2 * size, _BLOCK_CAP)
-            low, low_at, up, _ = best
-            if low_at is not None and low > tol.frame_rtol * up and _inside_bounds(s, low, up):
+            if skip(s):
                 checked += len(rows)
                 continue
             w = np.linalg.eigvalsh(s)
@@ -592,10 +590,9 @@ def frame_op_norm_check(
     s_psi = frame_operator(assemble_weaving(fam, p))
     norm_psi = hermitian_extremes(s_psi)[1]
 
-    grams = _gram_tensor(fam)
     lhs = np.zeros((n, n), dtype=np.complex128)
-    for j in range(fam.m):
-        # Member j's Gram terms over its own group, summed in index order.
-        r = grams[labels0 == j, j].sum(axis=0)
+    for j, fr in enumerate(fam.frames):
+        # Member j's Gram terms over its own group, summed in index order from zero.
+        r = sum(_gram_terms(b for b, l in zip(fr.blocks, labels0) if l == j), np.zeros((n, n)))
         lhs += r.conj().T @ r
     return hermitian_extremes(lhs)[1] - b_upper * norm_psi

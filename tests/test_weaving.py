@@ -17,6 +17,8 @@ from gweave import (
     certify_woven,
     frame_bounds,
     frame_op_norm_check,
+    frame_operator,
+    hermitian_extremes,
     op_norm,
     removal_bound,
     restrict_family,
@@ -490,6 +492,22 @@ class TestFrameOpNormCheck:
         lhs = sum(np.sum(np.abs(r @ f) ** 2, axis=0) for r in parts)
         assert np.max(lhs) - shift <= value + 1e-12
 
+    # At n = 1 an axis sum over a group need not add in index order, which
+    # moves last bits; each group is summed one term at a time from zero.
+    @pytest.mark.parametrize("seed, labels", [(1, (1,) * 8), (8, (1, 2) * 4)])
+    def test_groups_summed_in_index_order(self, seed, labels):
+        fam, p = noisy_family(1, (1,) * 8, 2, seed=seed), Partition(labels)
+        lhs = np.zeros((1, 1), dtype=np.complex128)
+        for j, fr in enumerate(fam.frames):
+            r = np.zeros((1, 1))
+            for b, label in zip(fr.blocks, labels):
+                if label == j + 1:
+                    r = r + b.conj().T @ b
+            lhs += r.conj().T @ r
+        norm_psi = hermitian_extremes(frame_operator(assemble_weaving(fam, p)))[1]
+        expected = hermitian_extremes(lhs)[1] - bessel_sum_bound(fam) * norm_psi
+        assert frame_op_norm_check(fam, p) == expected
+
 
 class TestDualWeaving:
     def test_weaving_dual_bound_counterexample(self):
@@ -661,15 +679,16 @@ class TestEngineMatchesGatherReference:
         assert rep.partitions_checked == m**big_n
 
     # (2, 17) has a four-label prefix and (3, 10) a two-label one, so the
-    # prefix sum order and the partial sums kept across chunks show.
+    # order in which each chunk sums its prefix from index 0 shows.
     @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9), (2, 17), (3, 10)])
     def test_spectra_in_code_order(self, m, big_n):
         fam = noisy_family(2, (1,) * big_n, m, seed=m + big_n, noise=0.3)
         grams = _gram_tensor(fam)
         firsts, operators = zip(*_exhaustive_operators(grams, m))
         assert firsts == tuple(np.cumsum((0,) + tuple(map(len, operators[:-1]))))
-        codes = np.arange(m**big_n, dtype=np.int64)
-        expected = _reference_spectra(grams, _decode_codes(codes, m, big_n))
+        labels0 = _decode_codes(np.arange(m**big_n, dtype=np.int64), m, big_n)
+        assert np.array_equal(np.concatenate(operators), _frame_operators(grams, labels0))
+        expected = _reference_spectra(grams, labels0)
         assert np.array_equal(np.linalg.eigvalsh(np.concatenate(operators)), expected)
 
     def test_not_woven_witness_past_first_chunk(self):
@@ -892,6 +911,21 @@ def _gate_family(seed: int, big_n: int = 12) -> GFrameFamily:
     return GFrameFamily(members)
 
 
+def _scale_gap_family() -> GFrameFamily:
+    """Two ``n = 1`` members of 5 blocks, one of entries near 1e-7 and one near 1.
+
+    At ``n = 1`` a weaving fails only if ``S = 0``, so none fails; but the
+    weaving labelled all 1 has ``S`` near 1e-14 and every other one near 1
+    or more, so once it is drawn ``low <= frame_rtol * up``.
+    """
+    rng = np.random.default_rng(0)
+    members = tuple(
+        GFrame(1, tuple(c * rng.uniform(0.5, 1.5, (1, 1)) for _ in range(5)))
+        for c in (1e-7, 1.0)
+    )
+    return GFrameFamily(members)
+
+
 class TestSampledScreen:
     """Sampled mode skips the spectra of row blocks that the Cholesky test
     shows can neither move the running bounds nor hold a failing row: exact
@@ -907,8 +941,8 @@ class TestSampledScreen:
         assert sum(matrices) <= 2**14 // 4
 
     # On these seeds the first block passes with low <= frame_rtol * up and
-    # the second lies inside [low, up] with failing rows: without the gate
-    # the screen would skip them.
+    # the second lies inside [low, up] with failing rows: a screen floored
+    # at low alone would skip them, the floor frame_rtol * up keeps them.
     @pytest.mark.parametrize("seed", [100, 138])
     def test_gate_keeps_failing_rows_inside_the_bounds(self, seed):
         fam, rtol = _gate_family(seed), DEFAULT_TOL.frame_rtol
@@ -926,6 +960,18 @@ class TestSampledScreen:
         assert rep.status == "not-woven"
         assert _BLOCK_FIRST < rep.partitions_checked <= 3 * _BLOCK_FIRST
         assert rep == _certify_reference(fam, mode="sampled", budget=2**10, seed=seed)
+
+    # Every row passes while low <= frame_rtol * up: the floor frame_rtol *
+    # up still lets a block of weavings away from both bounds be skipped.
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_blocks_skipped_while_low_is_below_the_floor(self, seed, monkeypatch):
+        fam = _scale_gap_family()
+        expected = _certify_reference(fam, mode="sampled", budget=2**9, seed=seed)
+        assert expected.status == "sampled-no-counterexample"
+        assert expected.universal_lower <= DEFAULT_TOL.frame_rtol * expected.universal_upper
+        matrices = _counting_eigvalsh(monkeypatch)
+        assert certify_woven(fam, mode="sampled", budget=2**9, seed=seed) == expected
+        assert sum(matrices) < 2**9
 
 
 @settings(max_examples=30, deadline=None)
