@@ -20,6 +20,7 @@ from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
     Partition,
+    _SCREEN_ROWS,
     _check_budget,
     _decode_codes,
     _exhaustive_operators,
@@ -178,10 +179,9 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
 
     Every other family (``c != n``, which only redundant or rank-deficient
     :func:`equivalence_constants` inputs reach, and :func:`permutation_weave`,
-    which passes no ``members``) takes the SVD of every block and never
-    reads its ``S``: about two ``n x n`` adds per weaving spent for one walk.
-    Where ``n**2`` is large a chunk holds fewer than ``_SCREEN_ROWS`` rows,
-    and so does each SVD batch (16 at ``n = 40``).
+    which passes no ``members``) builds no frame operator: it takes the SVD
+    of every block of ``_SCREEN_ROWS`` consecutive codes.  SVDs are per
+    matrix, so the block size changes no bit of a result.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
@@ -196,8 +196,14 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
         floor = np.full(total, np.inf)
 
-    for first, ops in _exhaustive_operators(_gram_tensor(fam), 2):
-        if screen and c == n and best[1] is not None:
+    square = screen and c == n
+    # Only the weaving screen reads the frame operators; other sweeps walk the codes.
+    blocks = _exhaustive_operators(_gram_tensor(fam), 2) if square else (
+        (first, range(first, min(first + _SCREEN_ROWS, total)))
+        for first in range(0, total, _SCREEN_ROWS)
+    )
+    for first, ops in blocks:
+        if square and best[1] is not None:
             if _inside_bounds(ops, ratio * (best[0] + slack), best[2]):
                 continue
         stop = first + len(ops)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import product
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .gframe import GFrame, _gram_terms, frame_bounds, frame_operator, synthesis_matrix
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_extremes, rank
@@ -49,6 +50,12 @@ _CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
 # frame-operator sums and the Cholesky tests dominate, and they ran faster at
 # 256 rows than at 512 or 128.
 _BLOCK_FIRST, _BLOCK_CAP = 16, 256
+# A branch-and-bound batch holds at most 2**13 frame-operator entries (128
+# KiB), and the search keeps at most one batch per index.  Against 64 rows,
+# batches of this size made the woven weave-exhaustive calls about 1.4x
+# faster.  2**14 entries were as fast on them (12% faster at 2**20, n = 6)
+# but raised weave-exhaustive's peak RSS by 1.3 MB; 2**12 were 22% slower.
+_BATCH_ENTRIES = 2**13
 
 
 class BudgetExceededError(RuntimeError):
@@ -293,18 +300,50 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
             yield h * m**low + start, level[start : start + _SCREEN_ROWS]
 
 
+def _factors(a: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``a``, whether Cholesky factors it.
+
+    The LAPACK kernel of ``np.linalg.cholesky``, which raises for the whole
+    stack if one matrix fails; called directly, it fills a failing
+    matrix's factor with NaN instead.
+    """
+    with np.errstate(all="ignore"):
+        return ~np.isnan(_umath_linalg.cholesky_lo(a)[..., -1, -1])
+
+
 def _inside_bounds(s: np.ndarray, low: float, up: float) -> bool:
     """Whether Cholesky factors both ``S - (low + delta) I`` and ``(up -
     delta) I - S`` for every operator ``S`` of the stack ``s``, with
     ``delta = 1e3 * n**2 * eps * up`` (see :func:`certify_woven`)."""
     eye = np.eye(s.shape[-1])
     delta = 1e3 * s.shape[-1] ** 2 * np.finfo(float).eps * up
-    try:
-        np.linalg.cholesky(s - (low + delta) * eye)
-        np.linalg.cholesky((up - delta) * eye - s)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool(_factors(s - (low + delta) * eye).all() and _factors((up - delta) * eye - s).all())
+
+
+def _envelopes(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix sums ``SH[k]`` and ``SK[k]`` over ``i >= k`` of matrix bounds
+    ``H_i <= G_ij <= K_i`` (Loewner order) on each index's Gram terms; shape
+    ``(N + 1, n, n)`` each, ``SH[N] = SK[N] = 0``.
+
+    With ``M_i = mean_j G_ij`` and ``E_ij = G_ij - M_i = E_ij^+ - E_ij^-``
+    (positive and negative parts from one ``eigh``), ``K_i = M_i + sum_j
+    E_ij^+`` and ``H_i = M_i - sum_j E_ij^-``.  Every part is positive
+    semidefinite, so ``G_ij = M_i + E_ij^+ - E_ij^- <= M_i + E_ij^+ <= K_i``
+    and ``G_ij >= M_i - E_ij^- >= H_i``.  Summed over ``i >= k``: a prefix
+    sum ``S`` over the indices ``< k`` and any completion ``S_sigma`` of it
+    satisfy ``S + SH[k] <= S_sigma <= S + SK[k]``, and ``S <= S_sigma``
+    since Gram terms are semidefinite.  This is a matrix form of the
+    paper's pairwise-difference condition: for ``m = 2``, ``K_i`` and
+    ``H_i`` are the mean plus and minus half of ``|G_i1 - G_i2|``.
+    """
+    mean = grams.mean(axis=1)
+    w, v = np.linalg.eigh(grams - mean[:, None])
+    vh = v.conj().swapaxes(-1, -2)
+    pos, neg = (((v * np.maximum(x, 0.0)[..., None, :]) @ vh).sum(axis=1) for x in (w, -w))
+    zero = np.zeros_like(mean[:1])
+    return tuple(
+        np.concatenate((np.cumsum(t[::-1], axis=0)[::-1], zero)) for t in (mean - neg, mean + pos)
+    )
 
 
 def _partition_of(labels0) -> Partition:
@@ -331,6 +370,84 @@ def _fold_extremes(best: tuple, w: np.ndarray, keys) -> tuple:
     return low, low_at, up, up_at
 
 
+def _seed_weavings(grams: np.ndarray, sh: np.ndarray, sk: np.ndarray) -> np.ndarray:
+    """Four 0-based label rows likely to attain the bounds: two for the
+    lower side, then two for the upper.
+
+    Each is an alternating search: take the extreme eigenvector ``f`` of
+    ``S_sigma`` (smallest for the lower side) and set ``sigma_i = argmin_j
+    <G_ij f, f>`` (argmax for the upper side), until ``sigma`` repeats, at
+    most ``N`` steps.  In exact arithmetic no step worsens the extreme
+    eigenvalue.  One search starts from each index's member of smallest
+    (largest) trace, the other from a greedy dive that fixes one index at a
+    time by ``lambda_min(S + G_kj + SH[k + 1])`` (``lambda_max`` with
+    ``SK``).
+    """
+    big_n = len(grams)
+    at = np.arange(big_n)
+    rows = []
+    for side, pick, suffix in ((0, np.argmin, sh), (-1, np.argmax, sk)):
+        s, dive = np.zeros_like(grams[0, 0]), []
+        for k in range(big_n):
+            dive.append(int(pick(np.linalg.eigvalsh(s + grams[k] + suffix[k + 1])[:, side])))
+            s = s + grams[k, dive[-1]]
+        for labels in (pick(np.einsum("imaa->im", grams).real, axis=1), np.array(dive)):
+            for _ in range(big_n):
+                f = np.linalg.eigh(grams[at, labels].sum(axis=0))[1][:, side]
+                step = pick(np.einsum("a,imab,b->im", f.conj(), grams, f).real, axis=1)
+                if np.array_equal(step, labels):
+                    break
+                labels = step
+            rows.append(labels)
+    return np.array(rows)
+
+
+def _search_extremes(grams: np.ndarray, envelopes, seeds: np.ndarray, tol: Tolerance) -> tuple:
+    """The exhaustive ``(low, low_at, up, up_at)`` by branch and bound, keyed
+    by 0-based label rows.
+
+    ``envelopes`` are ``_envelopes(grams)``, and ``seeds`` the computed
+    spectra of some weavings, summed as the engine sums them.  The result
+    is that of folding every weaving's spectrum in code order; the proof is
+    in :func:`certify_woven`.
+    """
+    big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
+    sh, sk = envelopes
+    seed_low, seed_up = float(seeds[:, 0].min()), float(seeds[:, -1].max())
+    eye = np.eye(n)
+    delta = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.linalg.eigvalsh(sk[0])[-1]
+    rows = max(1, _BATCH_ENTRIES // n**2)
+    best = (np.inf, None, -np.inf, None)
+    # (k, prefix sums over the indices < k, their labels, whether each is
+    # proven below the upper bound, next child): the children of row r are
+    # the codes r * m + j, visited from `next child` on.
+    stack = [(0, None, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=bool), 0)]
+    while stack:
+        k, parents, labels, under, start = stack.pop()
+        stop = min(start + rows, len(labels) * m)
+        if stop < len(labels) * m:
+            stack.append((k, parents, labels, under, stop))
+        r, j = np.divmod(np.arange(start, stop), m)
+        s = grams[0, j] if k == 0 else parents[r] + grams[k, j]
+        labels, under, k = np.column_stack((labels[r], j)), under[r], k + 1
+        low, up = min(seed_low, best[0]), max(seed_up, best[2])
+        floor = max(low, tol.frame_rtol * up) + delta
+        test = ~under
+        under[test] = _factors((up - delta) * eye - (s[test] + sk[k]))
+        drop = under.copy()
+        drop[under] = _factors(s[under] + sh[k] - floor * eye)
+        if k < big_n:
+            test = under & ~drop
+            drop[test] = _factors(s[test] - floor * eye)
+        keep = ~drop
+        if k == big_n:
+            if keep.any():
+                best = _fold_extremes(best, np.linalg.eigvalsh(s[keep]), labels[keep])
+        elif keep.any():
+            stack.append((k, s[keep], labels[keep], under[keep], 0))
+    return best
+
+
 def certify_woven(
     fam: GFrameFamily,
     mode: str = "exhaustive",
@@ -340,11 +457,49 @@ def certify_woven(
 ) -> WeavingReport:
     """Certify whether the family is woven.
 
-    Exhaustive mode enumerates all ``m**N`` partitions (requires
-    ``m**N <= budget``) and reports the true universal bounds; the woven
-    verdict is ``universal_lower > frame_rtol * universal_upper``.  Frame
-    operators come from the engine in blocks of 64 rows, views of chunks of
-    at most ``2**15`` entries (512 KiB).
+    Exhaustive mode covers all ``m**N`` partitions (requires ``m**N <=
+    budget``, checked before any work) and reports the true universal
+    bounds; the woven verdict is ``universal_lower > frame_rtol *
+    universal_upper``.  Its report is that of diagonalising every weaving
+    in code order, bit for bit.  It first takes the spectra of four seed
+    weavings (:func:`_seed_weavings`).  If one fails, the family is not
+    woven, and the engine walks every weaving in blocks of 64 rows (views
+    of chunks of at most ``2**15`` entries, 512 KiB) under the skip rule
+    below.  Otherwise a depth-first search over label prefixes, in code
+    order, drops whole subtrees of weavings proven inside the bounds.
+    With ``(low, up)`` the bounds so far merged with the seeds' values,
+    ``floor = max(low, frame_rtol * up)``, ``S`` a prefix's sum over the
+    indices ``< k`` and ``SH``, ``SK`` the suffix sums of
+    :func:`_envelopes`, the prefix is dropped if Cholesky factors ``(up -
+    delta) I - (S + SK[k])``, and also ``S + SH[k] - (floor + delta) I`` or
+    ``S - (floor + delta) I``.  A prefix that passes the first test proves
+    it for its whole subtree (``up`` only grows), so its descendants skip
+    it.  At ``k = N`` both suffix sums are zero: the block skip rule per
+    weaving, with the larger ``delta`` below.  The weavings left take
+    ``eigvalsh`` and are folded in code order.  Prefix sums extend the
+    engine's sums term by term in index order, so a weaving's sum is the
+    engine's bit for bit.  A seed's spectrum is computed as a weaving's
+    is, so ``low`` and ``up`` never pass the true bounds, and the first
+    weaving attaining each is never dropped; the fold, which starts empty,
+    finds it.  Batches hold at most ``2**13`` entries, and the search keeps
+    one batch per index.
+
+    The search's ``delta`` is ``1e3 * n**2 * eps * (N + m) * U``, with ``U =
+    lambda_max(SK[0])`` at least every weaving's ``lambda_max``.  For a
+    semidefinite term ``|g_ab| <= sqrt(g_aa g_bb)``, so the entrywise
+    absolute values of a weaving's terms sum to a matrix of norm at most
+    ``tr S_sigma <= n U``, and each ``||K_i||``, ``||H_i|| <= m ||K_i||``
+    likewise.  ``delta`` then covers: the backward error of a completed
+    Cholesky, about ``n**2 * eps`` times the tested matrix's norm, at most
+    ``2 U``; the rounding of the envelopes (a mean, one ``eigh`` and its
+    products: about ``m * n * eps * ||G_ij||`` per index, at most ``m * n**2
+    * eps * U`` in all); the rounding of the ``N``-term sums of ``S``,
+    ``SH`` and ``SK`` and of a weaving's own sum, about ``N * eps`` times
+    those norms, at most ``N * m * n * eps * U``; and the leaf ``eigvalsh``
+    error, a few ``n * eps * U``.  On 300 seeded families with Gram terms
+    spread over twelve decades, the prefix bounds never crossed a weaving's
+    computed spectrum by more than ``delta / 8000``; the tests allow
+    ``delta / 10``.
 
     Sampled mode draws ``budget`` partitions from a seeded generator and can
     only falsify: it returns ``not-woven`` with a witness, or the explicitly
@@ -390,11 +545,17 @@ def certify_woven(
 
     if mode == "exhaustive":
         checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
-        for first, s in _exhaustive_operators(_gram_tensor(fam), m):
-            if not skip(s):
-                best = _fold_extremes(best, np.linalg.eigvalsh(s), range(first, first + len(s)))
-        best_low, code_low, best_up, code_up = best
-        wit_low, wit_up = _decode_codes(np.array([code_low, code_up]), m, big_n)
+        grams = _gram_tensor(fam)
+        envelopes = _envelopes(grams)
+        seeds = np.linalg.eigvalsh(_frame_operators(grams, _seed_weavings(grams, *envelopes)))
+        if (seeds[:, 0] > tol.frame_rtol * seeds[:, -1]).all():
+            best_low, wit_low, best_up, wit_up = _search_extremes(grams, envelopes, seeds, tol)
+        else:
+            for first, s in _exhaustive_operators(grams, m):
+                if not skip(s):
+                    best = _fold_extremes(best, np.linalg.eigvalsh(s), range(first, first + len(s)))
+            best_low, code_low, best_up, code_up = best
+            wit_low, wit_up = _decode_codes(np.array([code_low, code_up]), m, big_n)
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
         _check_budget(budget)

@@ -1,8 +1,9 @@
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gweave import (
@@ -35,11 +36,15 @@ from gweave.weaving import (
     DEFAULT_BUDGET,
     WeavingReport,
     _decode_codes,
+    _envelopes,
     _exhaustive_operators,
+    _factors,
     _frame_operators,
     _gram_tensor,
     _inside_bounds,
     _partition_of,
+    _search_extremes,
+    _seed_weavings,
 )
 
 from _support import (
@@ -889,6 +894,18 @@ class TestExhaustiveScreen:
         fam = GFrameFamily((f, GFrame(n, f.blocks[::-1])))
         assert certify_woven(fam) == _certify_reference(fam)
 
+    # The branch-and-bound search diagonalises its seeds' dives (60 of the
+    # matrices here) and the few weavings no subtree test drops; the engine
+    # took 1474-2818 here, and the search 69-78.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_woven_search_takes_few_spectra(self, seed, monkeypatch):
+        fam = noisy_family(3, (1, 2) * 7 + (1,), 2, seed, noise=0.2)
+        expected = _certify_reference(fam)
+        assert expected.status == "woven"
+        matrices = _counting_eigvalsh(monkeypatch)
+        assert certify_woven(fam) == expected
+        assert sum(matrices) <= 256
+
 
 def _gate_family(seed: int, big_n: int = 12) -> GFrameFamily:
     """Two members of diagonal blocks whose weavings' spectra spread over 1e13.
@@ -1063,3 +1080,161 @@ def test_common_unitary_leaves_the_report_unchanged(seed, n, m, dims):
     tol = 1e-12 * base.universal_upper
     assert rep.universal_lower == pytest.approx(base.universal_lower, abs=tol)
     assert rep.universal_upper == pytest.approx(base.universal_upper, abs=tol)
+
+
+def _seed_spectra(fam: GFrameFamily):
+    """The Gram tensor, its envelopes and the seed weavings' spectra, as
+    exhaustive :func:`certify_woven` computes them."""
+    grams = _gram_tensor(fam)
+    envelopes = _envelopes(grams)
+    return grams, envelopes, np.linalg.eigvalsh(
+        _frame_operators(grams, _seed_weavings(grams, *envelopes))
+    )
+
+
+def _searched(fam: GFrameFamily) -> tuple:
+    """The branch-and-bound search's bounds and witnesses, as a report has them."""
+    low, low_at, up, up_at = _search_extremes(*_seed_spectra(fam), DEFAULT_TOL)
+    return max(low, 0.0), max(up, 0.0), _partition_of(low_at), _partition_of(up_at)
+
+
+def _bounds_and_witnesses(rep: WeavingReport) -> tuple:
+    return rep.universal_lower, rep.universal_upper, rep.witness_lower, rep.witness_upper
+
+
+def _seeds_fail(fam: GFrameFamily) -> bool:
+    """Whether a seed weaving fails, which sends exhaustive mode to the engine."""
+    w = _seed_spectra(fam)[2]
+    return bool((w[:, 0] <= DEFAULT_TOL.frame_rtol * w[:, -1]).any())
+
+
+def _scaled_random_family(seed: int, m: int, dims, n: int) -> GFrameFamily:
+    """``m`` random members whose block rows are scaled by ``10**u``, ``u``
+    uniform in ``[-3, 3]``: Gram terms spread over twelve decades."""
+    rng = np.random.default_rng(seed)
+    members = tuple(
+        GFrame(n, tuple(
+            10.0 ** rng.uniform(-3.0, 3.0, (d, 1))
+            * (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))
+            for d in dims
+        ))
+        for _ in range(m)
+    )
+    return GFrameFamily(members, allow_degenerate=True)
+
+
+class TestBranchAndBound:
+    """Exhaustive mode on woven families: a depth-first search that drops
+    whole subtrees of weavings proven inside the running bounds."""
+
+    def test_factors_matches_cholesky_row_by_row(self):
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        pd = z @ z.conj().swapaxes(-1, -2) + 0.1 * np.eye(4)
+        singular = pd.copy()
+        singular[:, :, 0] = singular[:, :, 1] = singular[:, 0, :] = singular[:, 1, :] = 0.0
+        stack = np.concatenate([pd, pd - 3.0 * np.eye(4), -pd, singular, np.zeros((1, 4, 4))])
+        expected = []
+        for a in stack:
+            try:
+                np.linalg.cholesky(a)
+                expected.append(True)
+            except np.linalg.LinAlgError:
+                expected.append(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _factors(stack)
+        assert got.tolist() == expected
+        assert got[:6].all() and not got[-13:].any()
+
+    # H_i and K_i alone: the suffix sums of a one-index family.  The
+    # rounding of the mean, the eigh and the products stays below about n m
+    # eps max_j ||G_ij|| (0.6 of it at most on 300 seeded draws); eps_H is
+    # 100 times that.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 4),
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+        n=st.integers(1, 6),
+    )
+    def test_envelopes_bracket_every_gram_term(self, seed, m, dims, n):
+        grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
+        for at_i in grams:
+            (h, _), (k, _) = _envelopes(at_i[None])
+            scale = np.linalg.norm(at_i, 2, axis=(-2, -1)).max()
+            shift = 1e2 * n * m * np.finfo(float).eps * scale * np.eye(n)
+            assert _factors(at_i - h + shift).all()
+            assert _factors(k - at_i + shift).all()
+
+    # For a prefix over the indices < k and any completion sigma:
+    # max(lmin(S_P), lmin(S_P + SH[k])) <= lmin(S_sigma) and lmax(S_sigma)
+    # <= lmax(S_P + SK[k]), up to rounding.  The margin is a tenth of the
+    # search's delta, 1e2 n**2 (N + m) eps U; on 300 seeded draws the
+    # bounds never crossed by more than 0.12 n**2 (N + m) eps U.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 3),
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+        n=st.integers(1, 6),
+        cut=st.integers(0, 8),
+        completions=st.integers(0, 2**16),
+    )
+    def test_prefix_bounds_hold_for_every_completion(self, seed, m, dims, n, cut, completions):
+        grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
+        big_n, k = len(dims), min(cut, len(dims))
+        sh, sk = _envelopes(grams)
+        margin = 1e2 * n**2 * (big_n + m) * np.finfo(float).eps * np.linalg.eigvalsh(sk[0])[-1]
+        labels = np.random.default_rng(completions).integers(0, m, size=(8, big_n))
+        labels[:, :k] = labels[0, :k]
+        prefix = _frame_operators(grams, labels[:1, :k])[0] if k else np.zeros((n, n))
+        lower = max(np.linalg.eigvalsh(prefix)[0], np.linalg.eigvalsh(prefix + sh[k])[0])
+        upper = np.linalg.eigvalsh(prefix + sk[k])[-1]
+        w = np.linalg.eigvalsh(_frame_operators(grams, labels))
+        assert (w[:, 0] >= lower - margin).all()
+        assert (w[:, -1] <= upper + margin).all()
+
+    # From n = 2 on: at n = 1 the reference sums over a contiguous axis,
+    # which numpy does pairwise, not in index order as both sweeps do.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 3),
+        dims=st.lists(st.integers(1, 3), min_size=2, max_size=12),
+        n=st.integers(2, 5),
+        noise=st.sampled_from([0.03, 0.2, 0.6]),
+    )
+    def test_search_matches_reference(self, seed, m, dims, n, noise):
+        assume(m ** len(dims) <= 4096)
+        fam = noisy_family(min(n, sum(dims)), tuple(dims), m, seed=seed, noise=noise)
+        expected = _certify_reference(fam)
+        assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
+
+    # Every weaving ties: nothing is dropped, and the witnesses are the
+    # first weaving in code order.
+    @pytest.mark.parametrize("m, big_n", [(2, 12), (3, 7)])
+    def test_duplicate_members(self, m, big_n):
+        f = random_frame(3, (1, 2) * (big_n // 2) + (1,) * (big_n % 2), seed=big_n)
+        fam = GFrameFamily((f,) * m)
+        expected = _certify_reference(fam)
+        assert not _seeds_fail(fam)
+        assert certify_woven(fam) == expected
+        assert expected.witness_lower.labels == expected.witness_upper.labels == (1,) * big_n
+
+    # The seeds find the failing weaving, so certify_woven keeps the
+    # engine; the search alone is exact on these families too.
+    @pytest.mark.parametrize(
+        "make",
+        [swapped_onb_family, _late_failure_family,
+         lambda: _single_failure_family((1, 0, 1, 1, 0, 0, 1, 0, 1, 1))],
+        ids=["swapped-onb", "late-failure", "single-failure"],
+    )
+    def test_not_woven_families(self, make):
+        fam = make()
+        expected = _certify_reference(fam)
+        assert expected.status == "not-woven"
+        assert _seeds_fail(fam)
+        assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
