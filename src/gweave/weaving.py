@@ -42,8 +42,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 1_000_000
 # An exhaustive chunk holds at most 2**15 frame-operator entries (512 KiB),
-# and the engine yields it in blocks of 64 rows: the unit that every
-# exhaustive sweep, weaving or Riesz, screens or diagonalises.
+# and the engine yields it in blocks of 64 rows: the unit that the span
+# check diagonalises and the square Riesz sweep screens.
 _CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap.  With most blocks screened, the
@@ -193,7 +193,8 @@ class WeavingReport:
     ``status`` is ``"woven"`` (exhaustive only), ``"not-woven"`` or
     ``"sampled-no-counterexample"``.  The witnesses achieve the reported
     universal bounds; ties are broken by the lexicographically smallest
-    label vector.
+    label vector.  The lower bound is the least ``max(lambda_min, 0)``, so
+    every weaving whose computed ``lambda_min <= 0`` ties at 0.
     """
 
     status: str
@@ -281,8 +282,7 @@ def _exhaustive_operators(grams: np.ndarray, m: int):
     so every frame operator equals the sequential sum over its labels bit
     for bit.  The sums do not depend on where the chunks are cut, so
     ``_CHUNK_ENTRIES`` changes memory and speed, never a bit of a result.
-    Serves exhaustive :func:`certify_woven`, :func:`span_criterion` and
-    every Riesz sweep.
+    Serves :func:`span_criterion` and the square Riesz sweep.
     """
     big_n, n = grams.shape[0], grams.shape[-1]
     low = 0
@@ -353,17 +353,20 @@ def _partition_of(labels0) -> Partition:
 def _fold_extremes(best: tuple, w: np.ndarray, keys) -> tuple:
     """Fold one chunk of spectra into ``best = (low, low_at, up, up_at)``.
 
-    Row ``r`` of ``w`` belongs to the weaving ``keys[r]``: its code (a
-    ``range`` of codes) or its 0-based label row.  ``low_at`` and ``up_at``
-    are the keys of the first weaving that attains each bound:
-    ``argmin``/``argmax`` return the first occurrence and a later chunk must
-    be strictly better, so ties keep the earliest weaving in enumeration
-    order, which in exhaustive order is the lexicographically smallest.
+    Row ``r`` of ``w`` belongs to the weaving with the 0-based labels
+    ``keys[r]``.  The lower side folds ``max(w[r, 0], 0)``, so every weaving
+    whose computed ``lambda_min <= 0`` ties at 0, the reported bound.
+    ``low_at`` and ``up_at`` are the keys of the first weaving that attains
+    each bound: ``argmin``/``argmax`` return the first occurrence and a later
+    chunk must be strictly better, so ties keep the earliest weaving in
+    enumeration order, which in exhaustive order is the lexicographically
+    smallest.
     """
     low, low_at, up, up_at = best
-    i = int(np.argmin(w[:, 0]))
-    if w[i, 0] < low:
-        low, low_at = float(w[i, 0]), keys[i]
+    lows = np.maximum(w[:, 0], 0.0)  # a copy: at n = 1 column 0 is also column -1
+    i = int(np.argmin(lows))
+    if lows[i] < low:
+        low, low_at = float(lows[i]), keys[i]
     i = int(np.argmax(w[:, -1]))
     if w[i, -1] > up:
         up, up_at = float(w[i, -1]), keys[i]
@@ -435,10 +438,11 @@ def _search_extremes(grams: np.ndarray, envelopes, seeds: np.ndarray, tol: Toler
         test = ~under
         under[test] = _factors((up - delta) * eye - (s[test] + sk[k]))
         drop = under.copy()
-        drop[under] = _factors(s[under] + sh[k] - floor * eye)
-        if k < big_n:
-            test = under & ~drop
-            drop[test] = _factors(s[test] - floor * eye)
+        if best[0] > 0.0:  # once the fold holds 0, no weaving moves the lower side
+            drop[under] = _factors(s[under] + sh[k] - floor * eye)
+            if k < big_n:
+                test = under & ~drop
+                drop[test] = _factors(s[test] - floor * eye)
         keep = ~drop
         if k == big_n:
             if keep.any():
@@ -461,28 +465,33 @@ def certify_woven(
     budget``, checked before any work) and reports the true universal
     bounds; the woven verdict is ``universal_lower > frame_rtol *
     universal_upper``.  Its report is that of diagonalising every weaving
-    in code order, bit for bit.  It first takes the spectra of four seed
-    weavings (:func:`_seed_weavings`).  If one fails, the family is not
-    woven, and the engine walks every weaving in blocks of 64 rows (views
-    of chunks of at most ``2**15`` entries, 512 KiB) under the skip rule
-    below.  Otherwise a depth-first search over label prefixes, in code
-    order, drops whole subtrees of weavings proven inside the bounds.
-    With ``(low, up)`` the bounds so far merged with the seeds' values,
-    ``floor = max(low, frame_rtol * up)``, ``S`` a prefix's sum over the
-    indices ``< k`` and ``SH``, ``SK`` the suffix sums of
+    and folding the spectra in code order (:func:`_fold_extremes`), bit for
+    bit.  It first takes the spectra of four seed weavings
+    (:func:`_seed_weavings`); then a depth-first search over label prefixes,
+    in code order, drops whole subtrees of weavings proven unable to move a
+    bound.  With ``(low, up)`` the bounds so far merged with the seeds'
+    values, ``floor = max(low, frame_rtol * up)``, ``S`` a prefix's sum over
+    the indices ``< k`` and ``SH``, ``SK`` the suffix sums of
     :func:`_envelopes`, the prefix is dropped if Cholesky factors ``(up -
     delta) I - (S + SK[k])``, and also ``S + SH[k] - (floor + delta) I`` or
     ``S - (floor + delta) I``.  A prefix that passes the first test proves
     it for its whole subtree (``up`` only grows), so its descendants skip
-    it.  At ``k = N`` both suffix sums are zero: the block skip rule per
-    weaving, with the larger ``delta`` below.  The weavings left take
-    ``eigvalsh`` and are folded in code order.  Prefix sums extend the
-    engine's sums term by term in index order, so a weaving's sum is the
-    engine's bit for bit.  A seed's spectrum is computed as a weaving's
-    is, so ``low`` and ``up`` never pass the true bounds, and the first
-    weaving attaining each is never dropped; the fold, which starts empty,
-    finds it.  Batches hold at most ``2**13`` entries, and the search keeps
-    one batch per index.
+    it.  At ``k = N`` both suffix sums are zero: sampled mode's skip rule
+    below, per weaving, with the larger ``delta`` below.  The weavings left
+    take ``eigvalsh`` and are folded in code order.  Prefix sums extend term
+    by term in index order, so a weaving's sum is the sequential sum of its
+    terms bit for bit.  A seed's spectrum is computed as a weaving's is, so
+    ``low`` and ``up`` never pass the true bounds, and the first weaving
+    attaining each is never dropped; the fold, which starts empty, finds it.
+    Batches hold at most ``2**13`` entries, and the search keeps one batch
+    per index.
+
+    The lower side folds ``max(lambda_min, 0)``, so once the fold holds 0
+    no weaving can move it (only a strictly smaller value would), and from
+    there on the search skips both lower tests.  A not-woven family none of
+    whose weavings rounds to ``lambda_min <= 0`` keeps them to the end, and
+    every subtree holding a weaving at or below ``floor`` is searched down
+    to its leaves.
 
     The search's ``delta`` is ``1e3 * n**2 * eps * (N + m) * U``, with ``U =
     lambda_max(SK[0])`` at least every weaving's ``lambda_max``.  For a
@@ -511,7 +520,7 @@ def certify_woven(
     labels however the draws are cut.  A ``budget`` below one is rejected
     with ``ValueError``.
 
-    Both modes skip a block after the first, its rows counted and not
+    Sampled mode skips a block after the first, its rows counted and not
     folded, by one rule: with ``(low, up)`` the bounds so far, ``floor =
     max(low, frame_rtol * up)`` and ``delta = 1e3 * n**2 * eps * up``, if
     Cholesky factors both ``S - (floor + delta) I`` and ``(up - delta) I -
@@ -530,42 +539,28 @@ def certify_woven(
     ``low <= frame_rtol * up`` can hold while every row so far passes; the
     floor then keeps a failing row out of the skipped blocks.  On a woven
     family ``low > frame_rtol * up`` at every step and the floor is ``low``.
-    On a family whose weavings are nearly all singular, the lower test fails
-    on every block, which then pays one Cholesky on top of its
-    ``eigvalsh``.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     m, big_n = fam.m, fam.n_indices
-    best = (np.inf, None, -np.inf, None)
-
-    def skip(s):
-        low, low_at, up, _ = best
-        return low_at is not None and _inside_bounds(s, max(low, tol.frame_rtol * up), up)
-
     if mode == "exhaustive":
         checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
         grams = _gram_tensor(fam)
         envelopes = _envelopes(grams)
         seeds = np.linalg.eigvalsh(_frame_operators(grams, _seed_weavings(grams, *envelopes)))
-        if (seeds[:, 0] > tol.frame_rtol * seeds[:, -1]).all():
-            best_low, wit_low, best_up, wit_up = _search_extremes(grams, envelopes, seeds, tol)
-        else:
-            for first, s in _exhaustive_operators(grams, m):
-                if not skip(s):
-                    best = _fold_extremes(best, np.linalg.eigvalsh(s), range(first, first + len(s)))
-            best_low, code_low, best_up, code_up = best
-            wit_low, wit_up = _decode_codes(np.array([code_low, code_up]), m, big_n)
+        best_low, wit_low, best_up, wit_up = _search_extremes(grams, envelopes, seeds, tol)
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
         _check_budget(budget)
         grams = _gram_tensor(fam)
         rng = np.random.default_rng(seed)
+        best = (np.inf, None, -np.inf, None)
         checked, size, failed = 0, _BLOCK_FIRST, False
         while checked < budget and not failed:
             rows = rng.integers(0, m, size=(min(size, budget - checked), big_n))
             s, size = _frame_operators(grams, rows), min(2 * size, _BLOCK_CAP)
-            if skip(s):
+            low, low_at, up, _ = best
+            if low_at is not None and _inside_bounds(s, max(low, tol.frame_rtol * up), up):
                 checked += len(rows)
                 continue
             w = np.linalg.eigvalsh(s)
@@ -579,7 +574,7 @@ def certify_woven(
 
     return WeavingReport(
         status=status,
-        universal_lower=max(best_low, 0.0),
+        universal_lower=best_low,
         universal_upper=max(best_up, 0.0),
         witness_lower=_partition_of(wit_low),
         witness_upper=_partition_of(wit_up),

@@ -585,13 +585,17 @@ class TestTransport:
 
 
 # The weaving sweep as it was before prefix sums: every chunk of 8192 codes
-# is decoded, gathered into a (rows, N, n, n) tensor, summed, and reduced
-# row by row.  The engine must reproduce it exactly.
+# is decoded, each row's terms gathered and added in index order, and the
+# spectra reduced row by row, the lower side at max(lambda_min, 0).  The
+# engine must reproduce it exactly.
 _REFERENCE_CHUNK = 8192
 
 
 def _reference_spectra(grams, labels0):
-    s = grams[np.arange(grams.shape[0]), labels0].sum(axis=1)
+    # An explicit loop: .sum(axis=1) sums pairwise at n = 1, not in index order.
+    s = grams[0, labels0[:, 0]]
+    for i in range(1, grams.shape[0]):
+        s = s + grams[i, labels0[:, i]]
     return np.linalg.eigvalsh(s)
 
 
@@ -606,9 +610,10 @@ def _certify_reference(fam, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
             codes = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
             labels0 = _decode_codes(codes, m, big_n)
             w = _reference_spectra(grams, labels0)
-            i = int(np.argmin(w[:, 0]))
-            if w[i, 0] < best_low:
-                best_low, wit_low = float(w[i, 0]), labels0[i].copy()
+            lows = np.maximum(w[:, 0], 0.0)
+            i = int(np.argmin(lows))
+            if lows[i] < best_low:
+                best_low, wit_low = float(lows[i]), labels0[i].copy()
             i = int(np.argmax(w[:, -1]))
             if w[i, -1] > best_up:
                 best_up, wit_up = float(w[i, -1]), labels0[i].copy()
@@ -625,8 +630,9 @@ def _certify_reference(fam, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
             bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
             stop = int(np.argmax(bad)) + 1 if bad.any() else take
             for i in range(stop):
-                if w[i, 0] < best_low:
-                    best_low, wit_low = float(w[i, 0]), labels0[i].copy()
+                low = max(float(w[i, 0]), 0.0)
+                if low < best_low:
+                    best_low, wit_low = low, labels0[i].copy()
                 if w[i, -1] > best_up:
                     best_up, wit_up = float(w[i, -1]), labels0[i].copy()
             checked += stop
@@ -886,8 +892,9 @@ class TestExhaustiveScreen:
         kw = {"mode": mode, "budget": 2**14, "seed": seed} if mode == "sampled" else {}
         assert certify_woven(fam, **kw) == _certify_reference(fam, **kw)
 
-    # All but 2**(n/2) weavings are exactly singular, so the lower test
-    # fails on every block.
+    # All but 2**(n/2) weavings are exactly singular; the lower witness is
+    # the first whose computed lambda_min rounds to <= 0, not the one that
+    # rounds most negative.
     @pytest.mark.parametrize("n", [10, 14])
     def test_singular_weavings(self, n):
         f = generate(GenSpec(n, (1,) * n, "riesz-basis", n))
@@ -996,7 +1003,7 @@ class TestSampledScreen:
     seed=st.integers(0, 2**16),
     m=st.integers(2, 3),
     dims=st.lists(st.integers(1, 3), min_size=2, max_size=10),
-    n=st.integers(2, 4),
+    n=st.integers(1, 4),
     mode=st.sampled_from(["exhaustive", "sampled"]),
     sample_seed=st.integers(0, 2**16),
 )
@@ -1102,10 +1109,10 @@ def _bounds_and_witnesses(rep: WeavingReport) -> tuple:
     return rep.universal_lower, rep.universal_upper, rep.witness_lower, rep.witness_upper
 
 
-def _seeds_fail(fam: GFrameFamily) -> bool:
-    """Whether a seed weaving fails, which sends exhaustive mode to the engine."""
+def _failing_seeds(fam: GFrameFamily) -> np.ndarray:
+    """Whether each seed weaving fails (``lambda_min <= frame_rtol * lambda_max``)."""
     w = _seed_spectra(fam)[2]
-    return bool((w[:, 0] <= DEFAULT_TOL.frame_rtol * w[:, -1]).any())
+    return w[:, 0] <= DEFAULT_TOL.frame_rtol * w[:, -1]
 
 
 def _scaled_random_family(seed: int, m: int, dims, n: int) -> GFrameFamily:
@@ -1195,14 +1202,12 @@ class TestBranchAndBound:
         assert (w[:, 0] >= lower - margin).all()
         assert (w[:, -1] <= upper + margin).all()
 
-    # From n = 2 on: at n = 1 the reference sums over a contiguous axis,
-    # which numpy does pairwise, not in index order as both sweeps do.
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
         m=st.integers(2, 3),
         dims=st.lists(st.integers(1, 3), min_size=2, max_size=12),
-        n=st.integers(2, 5),
+        n=st.integers(1, 5),
         noise=st.sampled_from([0.03, 0.2, 0.6]),
     )
     def test_search_matches_reference(self, seed, m, dims, n, noise):
@@ -1219,12 +1224,12 @@ class TestBranchAndBound:
         f = random_frame(3, (1, 2) * (big_n // 2) + (1,) * (big_n % 2), seed=big_n)
         fam = GFrameFamily((f,) * m)
         expected = _certify_reference(fam)
-        assert not _seeds_fail(fam)
+        assert not _failing_seeds(fam).any()
         assert certify_woven(fam) == expected
         assert expected.witness_lower.labels == expected.witness_upper.labels == (1,) * big_n
 
-    # The seeds find the failing weaving, so certify_woven keeps the
-    # engine; the search alone is exact on these families too.
+    # Every seed fails; the weavings that fail are exactly singular, so the
+    # lower side ends at the first of them.
     @pytest.mark.parametrize(
         "make",
         [swapped_onb_family, _late_failure_family,
@@ -1235,6 +1240,83 @@ class TestBranchAndBound:
         fam = make()
         expected = _certify_reference(fam)
         assert expected.status == "not-woven"
-        assert _seeds_fail(fam)
+        assert _failing_seeds(fam).all()
         assert certify_woven(fam) == expected
         assert _searched(fam) == _bounds_and_witnesses(expected)
+
+
+def _relabelled_riesz_family(n: int, reverse: bool) -> GFrameFamily:
+    """A g-Riesz basis of ``n`` one-dimensional blocks against its reversed
+    or randomly permuted copy: a weaving that takes one vector twice is
+    singular, so the family is not woven."""
+    f = generate(GenSpec(n, (1,) * n, "riesz-basis", n))
+    order = np.arange(n)[::-1] if reverse else np.random.default_rng(n).permutation(n)
+    if not reverse and (order == np.arange(n)).all():
+        order = np.roll(order, 1)
+    return GFrameFamily((f, GFrame(n, tuple(f.blocks[i] for i in order))))
+
+
+def _column_scaled_family(scale: float, column: int = -1, n: int = 4, big_n: int = 12,
+                          seed: int = 1) -> GFrameFamily:
+    """A noisy two-member family with every block's ``column`` times ``scale``."""
+    fam = noisy_family(n, (1, 2) * (big_n // 2), 2, seed=seed, noise=0.2)
+    factor = np.ones(n)
+    factor[column] = scale
+    return GFrameFamily(
+        tuple(GFrame(n, tuple(b * factor for b in fr.blocks)) for fr in fam.frames),
+        allow_degenerate=True,
+    )
+
+
+class TestNotWovenSearch:
+    """Exhaustive mode on not-woven families: the same search, whose lower
+    side ends once the fold holds a weaving whose ``lambda_min`` rounds to
+    ``<= 0``.  Exact equality with the sweep that diagonalises every weaving."""
+
+    @pytest.mark.parametrize("reverse", [True, False], ids=["reversed", "permuted"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_relabelled_riesz_bases(self, n, reverse):
+        fam = _relabelled_riesz_family(n, reverse)
+        expected = _certify_reference(fam)
+        assert expected.status == "not-woven"
+        assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
+
+    # Every weaving has an exactly zero first row and column.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_column(self, seed):
+        fam = _column_scaled_family(0.0, column=0, n=3, big_n=10, seed=seed)
+        expected = _certify_reference(fam)
+        assert expected.status == "not-woven" and expected.universal_lower == 0.0
+        assert certify_woven(fam) == expected
+
+    # No weaving rounds to lambda_min <= 0, so the lower side never settles
+    # and the lower tests run to the end.
+    @pytest.mark.parametrize("scale", [1e-6, 1e-7, 1e-8, 1e-9])
+    def test_near_singular_positive(self, scale):
+        fam = _column_scaled_family(scale)
+        expected = _certify_reference(fam)
+        assert expected.status == "not-woven" and expected.universal_lower > 0.0
+        assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
+
+    # One lower seed fails and the other three pass.
+    @pytest.mark.parametrize(
+        "seed, dims, n",
+        [(400, (1, 2, 1, 2, 1, 1, 1, 1), 5), (956, (1, 2, 1, 1, 1, 2, 2, 1, 1), 4)],
+    )
+    def test_one_seed_fails(self, seed, dims, n):
+        fam = _scaled_random_family(seed, 2, dims, n)
+        assert _failing_seeds(fam).sum() == 1
+        expected = _certify_reference(fam)
+        assert expected.status == "not-woven"
+        assert certify_woven(fam) == expected
+
+    # The seeds' dives and the weavings folded before the lower side ends:
+    # 111 matrices here, where the engine walk took all 16384.
+    def test_reversed_basis_takes_few_spectra(self, monkeypatch):
+        fam = _relabelled_riesz_family(14, reverse=True)
+        expected = _certify_reference(fam)
+        matrices = _counting_eigvalsh(monkeypatch)
+        assert certify_woven(fam) == expected
+        assert sum(matrices) <= 256
