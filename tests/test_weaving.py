@@ -897,8 +897,7 @@ class TestExhaustiveScreen:
     # rounds most negative.
     @pytest.mark.parametrize("n", [10, 14])
     def test_singular_weavings(self, n):
-        f = generate(GenSpec(n, (1,) * n, "riesz-basis", n))
-        fam = GFrameFamily((f, GFrame(n, f.blocks[::-1])))
+        fam = _relabelled_riesz_family(n, reverse=True)
         assert certify_woven(fam) == _certify_reference(fam)
 
     # The branch-and-bound search diagonalises its seeds' dives (60 of the
