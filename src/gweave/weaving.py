@@ -47,8 +47,8 @@ DEFAULT_BUDGET = 1_000_000
 _CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap.  With most blocks screened, the
-# frame-operator sums and the Cholesky tests dominate, and they ran faster at
-# 256 rows than at 512 or 128.
+# Cholesky tests and the screen's GEMM dominate; 512 rows ran 1.1x and 1024
+# rows 2x slower than 256, and 128 or 192 rows within host noise of it.
 _BLOCK_FIRST, _BLOCK_CAP = 16, 256
 # A branch-and-bound batch holds at most 2**13 frame-operator entries (128
 # KiB), and the search keeps at most one batch per index.  Against 64 rows,
@@ -268,6 +268,31 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
     return s
 
 
+def _screen_operators(grams: np.ndarray):
+    """``(operators, mu)``: ``operators(rows)`` is the stack ``S' = sum_i
+    G_i0 + X @ D`` for the 0-based label rows ``rows``, within ``mu`` of
+    their sequential sums (:func:`_frame_operators`) in spectral norm.
+
+    ``X`` holds each row's 0/1 indicators of the labels ``j >= 1``, shape
+    ``(rows, N (m - 1))``, and ``D`` the differences ``G_ij - G_i0`` viewed
+    as float64, shape ``(N (m - 1), 2 n**2)``: one real GEMM per stack.
+    ``mu = 1e3 * n**2 * eps * (N + m) * g``, ``g`` the largest entry of
+    ``sum_ij |G_ij|``; the derivation is in :func:`certify_woven`.
+    """
+    big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
+    base = grams[:, 0].sum(axis=0)
+    diffs = (grams[:, 1:] - grams[:, :1]).reshape(big_n * (m - 1), n * n).view(np.float64)
+    mu = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.abs(grams).sum(axis=(0, 1)).max()
+
+    def operators(rows: np.ndarray) -> np.ndarray:
+        x = (rows[:, :, None] == np.arange(1, m)).reshape(len(rows), -1).astype(np.float64)
+        s = (x @ diffs).view(np.complex128).reshape(-1, n, n)
+        s += base
+        return s
+
+    return operators, mu
+
+
 def _exhaustive_operators(grams: np.ndarray, m: int):
     """Yield ``(first_code, block)`` for all ``m**N`` weavings in code order,
     ``block`` the frame operators of at most ``_SCREEN_ROWS`` consecutive
@@ -477,12 +502,13 @@ def certify_woven(
     ``S - (floor + delta) I``.  A prefix that passes the first test proves
     it for its whole subtree (``up`` only grows), so its descendants skip
     it.  At ``k = N`` both suffix sums are zero: sampled mode's skip rule
-    below, per weaving, with the larger ``delta`` below.  The weavings left
-    take ``eigvalsh`` and are folded in code order.  Prefix sums extend term
-    by term in index order, so a weaving's sum is the sequential sum of its
-    terms bit for bit.  A seed's spectrum is computed as a weaving's is, so
-    ``low`` and ``up`` never pass the true bounds, and the first weaving
-    attaining each is never dropped; the fold, which starts empty, finds it.
+    below, per weaving, on the exact sum and with the larger ``delta``
+    below.  The weavings left take ``eigvalsh`` and are folded in code
+    order.  Prefix sums extend term by term in index order, so a weaving's
+    sum is the sequential sum of its terms bit for bit.  A seed's spectrum
+    is computed as a weaving's is, so ``low`` and ``up`` never pass the true
+    bounds, and the first weaving attaining each is never dropped; the
+    fold, which starts empty, finds it.
     Batches hold at most ``2**13`` entries, and the search keeps one batch
     per index.
 
@@ -515,30 +541,55 @@ def certify_woven(
     weaker ``sampled-no-counterexample``.  It draws and checks row blocks of
     16 rows doubling to 256, and stops at the first failing row: a
     counterexample at row ``r`` costs about ``2r + 16`` spectra.  A block
-    holds at most 256 ``n x n`` complex frame operators, and the screen
-    adds two temporaries of that size.  The generator yields the same
-    labels however the draws are cut.  A ``budget`` below one is rejected
-    with ``ValueError``.
+    holds at most 256 ``n x n`` complex operators: the screen's ``S'``,
+    with the rows' indicators (``N (m - 1)`` floats a row) and the two
+    temporaries of the Cholesky tests, or the exact sums that take
+    ``eigvalsh``.  The generator yields the same labels however the draws
+    are cut.  A ``budget`` below one is rejected with ``ValueError``.
 
     Sampled mode skips a block after the first, its rows counted and not
     folded, by one rule: with ``(low, up)`` the bounds so far, ``floor =
-    max(low, frame_rtol * up)`` and ``delta = 1e3 * n**2 * eps * up``, if
-    Cholesky factors both ``S - (floor + delta) I`` and ``(up - delta) I -
-    S`` for all its operators ``S``; otherwise the block takes
+    max(low, frame_rtol * up)``, ``delta = 1e3 * n**2 * eps * up`` and
+    ``delta'`` the same of ``up - mu``, if Cholesky factors both ``S' -
+    (floor + mu + delta') I`` and ``(up - mu - delta') I - S'`` for every
+    row.  ``S'`` is not the row's frame operator ``S``, the sequential sum
+    of its terms, but ``sum_i G_i0 + X @ D`` from one GEMM
+    (:func:`_screen_operators`), with ``||S' - S|| <= mu``.  A block that
+    fails the screen, and the first block, are summed exactly and take
     ``eigvalsh``.  A Cholesky that completes is exact for a matrix within
     ``gamma_{n+1} |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy
     and Stability of Numerical Algorithms*, sec. 10.1), that is within about
-    ``n**2 * eps * up``: both tests passing keep every ``S`` of norm near
-    ``up``.  ``eigvalsh`` is backward stable, within a few ``n * eps * up``.
-    ``delta`` covers both, so the computed spectra of a skipped row lie in
-    ``(floor, up)`` (both kernels read the lower triangle): ``w0 > floor >=
-    low`` and ``w_last < up``, and only a strictly better row moves a bound,
-    so no bound, witness or count changes; and ``w0 > floor >= frame_rtol *
-    up >= frame_rtol * w_last`` (a rounded product is monotone), so no
-    skipped row fails.  ``low`` and ``up`` come from different rows, so
-    ``low <= frame_rtol * up`` can hold while every row so far passes; the
-    floor then keeps a failing row out of the skipped blocks.  On a woven
-    family ``low > frame_rtol * up`` at every step and the floor is ``low``.
+    ``n**2 * eps * up``.  ``eigvalsh`` is backward stable, within a few ``n
+    * eps * up``.  Both tests passing force ``up - mu > floor + mu >= mu``,
+    so ``delta' > delta / 2`` still covers both, and the computed spectra
+    of a skipped row's ``S`` lie in ``(floor, up)`` (both kernels read the
+    lower triangle): ``w0 > floor >= low`` and ``w_last < up``, and only a
+    strictly better row moves a bound, so no bound, witness or count
+    changes; and ``w0 > floor >= frame_rtol * up >= frame_rtol * w_last``
+    (a rounded product is monotone), so no skipped row fails.  ``low`` and
+    ``up`` come from different rows, so ``low <= frame_rtol * up`` can hold
+    while every row so far passes; the floor then keeps a failing row out
+    of the skipped blocks.  On a woven family ``low > frame_rtol * up`` at
+    every step and the floor is ``low``.
+
+    The margin is ``mu = 1e3 * n**2 * eps * (N + m) * g``, with ``g`` the
+    largest entry of ``M = sum_ij |G_ij|`` (entrywise).  With ``u = eps /
+    2`` and ``gamma_k = k u / (1 - k u)``, entrywise (Higham, sec. 3.1 and
+    ch. 4): the products by 0 and 1 in ``X @ D`` are exact and a zero
+    product adds exactly, so each entry is a sum of at most ``N`` rounded
+    differences in whatever order the GEMM takes, within ``gamma_{N-1}
+    sum_i |D_i|``; each difference ``G_ij - G_i0`` is rounded once, within
+    ``u |G_ij - G_i0|``; the ``N``-term base sum is within ``gamma_{N-1}
+    sum_i |G_i0|`` and the last add within ``u |S'|``; and ``S`` itself is
+    within ``gamma_{N-1} sum_i |G_i sigma_i|`` of the exact sum.  A
+    difference takes two members of one index, so each term is at most
+    ``M``, and ``|S' - S| <= 3 N u M`` to first order, times ``sqrt(2)``
+    for complex entries.  ``||M|| <= n g``, so ``||S' - S|| <= 2.2 N n eps
+    g``; ``mu`` is ``450 n`` times that and more, and scales with the Gram
+    terms, so the screen's decisions do not depend on the input's scale.
+    On 300 seeded families with Gram terms spread over twelve decades the
+    entries of ``S' - S`` stayed below ``2e-4 mu``; the tests allow ``mu /
+    10``.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -554,16 +605,21 @@ def certify_woven(
         _check_budget(budget)
         grams = _gram_tensor(fam)
         rng = np.random.default_rng(seed)
-        best = (np.inf, None, -np.inf, None)
+        best, screen = (np.inf, None, -np.inf, None), None
         checked, size, failed = 0, _BLOCK_FIRST, False
         while checked < budget and not failed:
             rows = rng.integers(0, m, size=(min(size, budget - checked), big_n))
-            s, size = _frame_operators(grams, rows), min(2 * size, _BLOCK_CAP)
+            size = min(2 * size, _BLOCK_CAP)
             low, low_at, up, _ = best
-            if low_at is not None and _inside_bounds(s, max(low, tol.frame_rtol * up), up):
-                checked += len(rows)
-                continue
-            w = np.linalg.eigvalsh(s)
+            if low_at is not None:
+                # Built at the second block: a family that fails in its first
+                # block never pays for it.
+                screen = screen or _screen_operators(grams)
+                operators, mu = screen
+                if _inside_bounds(operators(rows), max(low, tol.frame_rtol * up) + mu, up - mu):
+                    checked += len(rows)
+                    continue
+            w = np.linalg.eigvalsh(_frame_operators(grams, rows))
             bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
             failed = bool(bad.any())
             stop = int(np.argmax(bad)) + 1 if failed else len(rows)

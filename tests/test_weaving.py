@@ -27,6 +27,7 @@ from gweave import (
     span_criterion,
     synthesis_matrix,
 )
+import gweave.weaving
 from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL, rank
 from gweave.weaving import (
@@ -43,6 +44,7 @@ from gweave.weaving import (
     _gram_tensor,
     _inside_bounds,
     _partition_of,
+    _screen_operators,
     _search_extremes,
     _seed_weavings,
 )
@@ -835,6 +837,18 @@ def _counting_eigvalsh(monkeypatch) -> list:
     return matrices
 
 
+def _counting_sums(monkeypatch) -> list:
+    """Patch ``weaving._frame_operators`` to record the row count of each call."""
+    frame_operators, rows = _frame_operators, []
+
+    def counting(grams, labels0):
+        rows.append(len(labels0))
+        return frame_operators(grams, labels0)
+
+    monkeypatch.setattr(gweave.weaving, "_frame_operators", counting)
+    return rows
+
+
 def _tied_family(seed: int, rel: float, tied: str, big_n: int = 15) -> GFrameFamily:
     """Two members whose weavings share one extreme eigenvalue up to ``rel``.
 
@@ -959,9 +973,48 @@ class TestSampledScreen:
         fam = noisy_family(3, (1, 2) * 7 + (1,), 2, seed, noise=0.2)
         expected = _certify_reference(fam, mode="sampled", budget=2**14, seed=seed)
         matrices = _counting_eigvalsh(monkeypatch)
+        summed = _counting_sums(monkeypatch)
         assert certify_woven(fam, mode="sampled", budget=2**14, seed=seed) == expected
         assert expected.partitions_checked == 2**14
         assert sum(matrices) <= 2**14 // 4
+        # Screened blocks are tested on the GEMM's operators: only the
+        # blocks that take spectra are summed exactly.
+        assert sum(summed) == sum(matrices)
+
+    # The screen's operators against the sequential sums, on Gram terms
+    # spread over twelve decades.  On 300 seeded draws of these shapes the
+    # largest entry of the difference stayed below 2e-4 mu.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 3),
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=24),
+        n=st.integers(1, 6),
+        draws=st.integers(0, 2**16),
+    )
+    def test_screen_operators_within_a_tenth_of_mu(self, seed, m, dims, n, draws):
+        grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
+        rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
+        operators, mu = _screen_operators(grams)
+        assert np.abs(operators(rows) - _frame_operators(grams, rows)).max() <= mu / 10
+
+    # Every block scaled by 2**64 or 2**-64 scales every Gram term by a
+    # power of two, exactly: a margin relative to the Gram terms makes the
+    # same decisions, an absolute one would not.
+    @pytest.mark.parametrize("scale", [2.0**64, 2.0**-64])
+    def test_screen_decisions_do_not_depend_on_scale(self, scale, monkeypatch):
+        fam = noisy_family(3, (1, 2) * 7 + (1,), 2, 1, noise=0.2)
+        scaled = GFrameFamily(tuple(
+            GFrame(3, tuple(scale * b for b in fr.blocks)) for fr in fam.frames
+        ))
+        matrices, counts = _counting_eigvalsh(monkeypatch), []
+        for f in (fam, scaled):
+            start = len(matrices)
+            rep = certify_woven(f, mode="sampled", budget=2**14, seed=1)
+            counts.append((matrices[start:], rep.status, rep.witness_lower, rep.witness_upper))
+        assert counts[0][1] == "sampled-no-counterexample"
+        assert sum(counts[0][0]) < 2**14 // 4
+        assert counts[1] == counts[0]
 
     # On these seeds the first block passes with low <= frame_rtol * up and
     # the second lies inside [low, up] with failing rows: a screen floored
