@@ -160,28 +160,36 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     operators ``S = T T* = sum_i G_{i sigma_i}`` of at most ``_SCREEN_ROWS``
     weavings.  On a square pair (``c == n`` and the angle screen applies),
     ``s(T)**2`` are the eigenvalues of ``S``; with ``(low, up)`` the running
-    bounds, a block after the first is skipped if ``_inside_bounds(S,
-    thr(low), up)``, that is if Cholesky factors ``S - (thr(low) + delta)
-    I`` and ``(up - delta) I - S`` with ``delta = 1e3 n**2 eps up``.  A
-    skipped partition's computed ``s_min**2`` lies above ``thr(low)`` and
-    its ``s_max**2`` below ``up``: ``delta`` covers the backward error of a
-    completed Cholesky (about ``n**2 eps up``, see :func:`certify_woven`),
-    the rounding of the Gram terms and of the prefix sums (``N <= n`` terms,
-    about ``(n + N) eps up``), and the SVD's error in ``s_min**2`` (about
-    ``2 eps s_max s_min <= 2 eps up``, plus one rounding of the square).
-    ``thr(low) >= low``, and only a strictly better row moves a bound, so
-    the bounds and witnesses stay exact.  The running ``low`` only falls and
-    ``thr`` is monotone in floating point too, so ``thr`` at the running
-    ``low`` is at least ``thr`` at the final one, and a skipped partition
-    (stored as ``inf``) would not have been kept either.  Every other block
-    takes one batched SVD of its ``T``, so reports are those of a sweep that
-    takes every SVD, bit for bit.
+    bounds, a partition in a block after the first is skipped if
+    ``_inside_bounds(S, thr(low), up)`` holds for its ``S``, that is if
+    Cholesky factors ``S - (thr(low) + delta) I`` and ``(up - delta) I - S``
+    with ``delta = 1e3 n**2 eps up``.  A skipped partition's computed
+    ``s_min**2`` lies above ``thr(low)`` and its ``s_max**2`` below ``up``:
+    ``delta`` covers the backward error of a completed Cholesky (about
+    ``n**2 eps up``, see :func:`certify_woven`), the rounding of the Gram
+    terms and of the prefix sums (``N <= n`` terms, about ``(n + N) eps
+    up``), and the SVD's error in ``s_min**2`` (about ``2 eps s_max s_min <=
+    2 eps up``, plus one rounding of the square).  ``thr(low) >= low``, and
+    only a strictly better row moves a bound, so the bounds and witnesses
+    stay exact.  The running ``low`` only falls and ``thr`` is monotone in
+    floating point too, so ``thr`` at the running ``low`` is at least ``thr``
+    at the final one, and a skipped partition (stored as ``inf``) would not
+    have been kept either.  The other partitions of the block take one
+    batched SVD of their ``T`` and are folded in code order, so reports are
+    those of a sweep that takes every SVD, bit for bit.
 
     Every other family (``c != n``, which only redundant or rank-deficient
     :func:`equivalence_constants` inputs reach, and :func:`permutation_weave`,
     which passes no ``members``) builds no frame operator: it takes the SVD
-    of every block of ``_SCREEN_ROWS`` consecutive codes.  SVDs are per
-    matrix, so the block size changes no bit of a result.
+    of blocks of ``_SCREEN_ROWS`` codes in increasing order.  Without the
+    angle screen, which needs ``s_min**2`` of every code, the codes are only
+    those with the 0-based label 0 at each index whose two blocks are equal
+    bit for bit (in :func:`permutation_weave`, the fixed points of ``pi``).
+    Flipping such a label leaves ``T`` unchanged bit for bit, so it gives
+    the same singular values at a larger code: the first code that attains
+    a bound has label 0 there, and the fold, its witnesses and
+    ``span_low_min`` are unchanged.  SVDs are per matrix, so which matrices
+    share a batch changes no bit of a result.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
@@ -197,22 +205,33 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         floor = np.full(total, np.inf)
 
     square = screen and c == n
-    # Only the weaving screen reads the frame operators; other sweeps walk the codes.
-    blocks = _exhaustive_operators(_gram_tensor(fam), 2) if square else (
-        (first, range(first, min(first + _SCREEN_ROWS, total)))
-        for first in range(0, total, _SCREEN_ROWS)
-    )
-    for first, ops in blocks:
+    if square:
+        blocks = (
+            (np.arange(first, first + len(ops)), ops)
+            for first, ops in _exhaustive_operators(_gram_tensor(fam), 2)
+        )
+    else:
+        # Only the weaving screen reads the frame operators; other sweeps walk
+        # the codes, and without the angle screen only those with the 0-based
+        # label 0 at every index whose two blocks are equal bit for bit.
+        pairs = zip(*(fr.blocks for fr in fam.frames))
+        free = np.flatnonzero([screen or a.tobytes() != b.tobytes() for a, b in pairs])
+        weights, size = 2 ** (fam.n_indices - 1 - free), 2 ** len(free)
+        blocks = (
+            (_decode_codes(np.arange(k, min(k + _SCREEN_ROWS, size)), 2, len(free)) @ weights, None)
+            for k in range(0, size, _SCREEN_ROWS)
+        )
+    for codes, ops in blocks:
         if square and best[1] is not None:
-            if _inside_bounds(ops, ratio * (best[0] + slack), best[2]):
+            codes = codes[~_inside_bounds(ops, ratio * (best[0] + slack), best[2])]
+            if not len(codes):
                 continue
-        stop = first + len(ops)
-        labels0, owner = _owned_columns(fam, np.arange(first, stop))
+        labels0, owner = _owned_columns(fam, codes)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
         if screen:
-            floor[first:stop] = w[:, 0]
+            floor[codes] = w[:, 0]
         if members is None:
             # Singular values come sorted, so the live ones are a prefix.
             live = _rank_from_singular_values(s, (n, c), tol)
@@ -289,9 +308,10 @@ def weaving_riesz_check(
     synthesis matrix and an injective weaving is automatically onto: if all
     weavings keep a positive lower Riesz constant, every weaving is a
     g-Riesz basis and the pair is woven.  Witnesses are the first partition
-    in lexicographic order that attains each bound.  Blocks of weavings
-    that a Cholesky test proves unable to move either bound skip their SVD
-    (see ``_riesz_sweep``), which changes no reported float.
+    in lexicographic order that attains each bound.  After the first block
+    of 64, each weaving that a Cholesky test on its frame operator proves
+    unable to move either bound skips its SVD (see ``_riesz_sweep``), which
+    changes no reported float.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=False)[0]
 
@@ -309,14 +329,17 @@ def permutation_weave(
     bound and upper bound at most twice the base upper bound; the pair is
     woven only for the identity permutation.
 
-    The sweep walks the exhaustive engine's blocks of 64 weavings without
-    the Cholesky screen, one batched SVD per block.  A weaving is
-    nonsingular only if each cycle of ``pi`` takes one member throughout, so
-    just ``2**(cycles of pi)`` of the ``2**N`` weavings are; nearly every
-    block then holds a singular frame operator ``S``, which fails the lower
-    test on ``S - thr I`` for every ``thr >= 0``.  ``span_lower_min`` also
-    needs every partition.  The members are checked as g-Riesz bases under
-    ``tol``, not the default tolerance.
+    The sweep takes the weaving SVDs in blocks of 64 without the Cholesky
+    screen.  A weaving is nonsingular only if each cycle of ``pi`` takes one
+    member throughout, so just ``2**(cycles of pi)`` of the ``2**N``
+    weavings are; nearly every block then holds a singular frame operator
+    ``S``, which fails the lower test on ``S - thr I`` for every ``thr >=
+    0``.  At a fixed point of ``pi`` both members hold the same block, so
+    the two labels give the same synthesis matrix: only label 1 is visited
+    there, and ``f`` fixed points leave ``2**(N - f)`` SVDs (one for the
+    identity) with the same report, ``span_lower_min`` included.  The
+    members are checked as g-Riesz bases under ``tol``, not the default
+    tolerance; ``budget`` still counts all ``2**N`` weavings.
     """
     rb = riesz_bounds(f, tol)
     if not rb.is_basis:
@@ -390,8 +413,8 @@ def equivalence_constants(
     proofs and rounding margins are in ``_riesz_sweep``.  The angle
     quantities are computed only on partitions that can attain ``a2`` and
     ``d3``.  On a square pair (``c == n``, both members past ``lower >
-    frame_rtol * upper``) blocks of 64 weavings take the weaving SVD only
-    if a Cholesky test on their frame operators cannot prove them inside
+    frame_rtol * upper``) a weaving after the first 64 takes the weaving SVD
+    only if a Cholesky test on its frame operator cannot prove it inside
     the running bounds and above the angle threshold.  A member with
     ``lower <= frame_rtol * upper`` (redundant or rank deficient) turns
     both screens off, and ``c != n`` the weaving screen.

@@ -1,6 +1,17 @@
 """Test set-up shared by every test module."""
 
+import warnings
+
 import pytest
+
+# The hypothesis plugin imports this module when a property first fails, and
+# the import raises a DeprecationWarning (mypy_extensions.TypedDict).  Under
+# ``-W error`` that ends the run in INTERNALERROR instead of printing the
+# falsifying example, so it is imported once here with only that warning
+# category ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

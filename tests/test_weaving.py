@@ -1028,7 +1028,7 @@ class TestSampledScreen:
         w = np.linalg.eigvalsh(first)
         low, up = w[:, 0].min(), w[:, -1].max()
         assert (w[:, 0] > rtol * w[:, -1]).all() and low <= rtol * up
-        assert _inside_bounds(second, low, up)
+        assert _inside_bounds(second, low, up).all()
         w = np.linalg.eigvalsh(second)
         assert (w[:, 0] <= rtol * w[:, -1]).any()
 
