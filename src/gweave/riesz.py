@@ -120,11 +120,10 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def _owned_columns(fam: GFrameFamily, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based label rows of the partitions ``codes`` of a pair, and per
-    row the mask of the synthesis columns taken from the second member."""
-    labels0 = _decode_codes(codes, 2, fam.n_indices)
-    return labels0, np.repeat(labels0 == 1, fam.block_dims, axis=1)
+def _owned_columns(fam: GFrameFamily, labels0: np.ndarray) -> np.ndarray:
+    """Per 0-based label row of a pair, the mask of the synthesis columns
+    taken from the second member."""
+    return np.repeat(labels0 == 1, fam.block_dims, axis=1)
 
 
 def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
@@ -204,6 +203,11 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
         floor = np.full(total, np.inf)
 
+    # The indices whose label a code carries: without the angle screen, every
+    # index but those whose two blocks are equal bit for bit, which keep the
+    # 0-based label 0.  With it, every index, so a counter is its own code.
+    pairs = zip(*(fr.blocks for fr in fam.frames))
+    free = np.flatnonzero([screen or a.tobytes() != b.tobytes() for a, b in pairs])
     square = screen and c == n
     if square:
         blocks = (
@@ -211,22 +215,19 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
             for first, ops in _exhaustive_operators(_gram_tensor(fam), 2)
         )
     else:
-        # Only the weaving screen reads the frame operators; other sweeps walk
-        # the codes, and without the angle screen only those with the 0-based
-        # label 0 at every index whose two blocks are equal bit for bit.
-        pairs = zip(*(fr.blocks for fr in fam.frames))
-        free = np.flatnonzero([screen or a.tobytes() != b.tobytes() for a, b in pairs])
-        weights, size = 2 ** (fam.n_indices - 1 - free), 2 ** len(free)
+        # Only the weaving screen reads the frame operators.
+        size = 2 ** len(free)
         blocks = (
-            (_decode_codes(np.arange(k, min(k + _SCREEN_ROWS, size)), 2, len(free)) @ weights, None)
-            for k in range(0, size, _SCREEN_ROWS)
+            (np.arange(k, min(k + _SCREEN_ROWS, size)), None) for k in range(0, size, _SCREEN_ROWS)
         )
     for codes, ops in blocks:
         if square and best[1] is not None:
             codes = codes[~_inside_bounds(ops, ratio * (best[0] + slack), best[2])]
             if not len(codes):
                 continue
-        labels0, owner = _owned_columns(fam, codes)
+        labels0 = np.zeros((len(codes), fam.n_indices), dtype=np.int64)
+        labels0[:, free] = _decode_codes(codes, 2, len(free))
+        owner = _owned_columns(fam, labels0)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
@@ -252,7 +253,7 @@ def _angle_constants(fam: GFrameFamily, tol: Tolerance, codes: np.ndarray):
     n = fam.ambient_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     a2 = d3 = np.inf
-    for owner in _owned_columns(fam, codes)[1]:
+    for owner in _owned_columns(fam, _decode_codes(codes, 2, fam.n_indices)):
         o_left = _range_basis(t_first[:, ~owner], tol)
         o_right = _range_basis(t_second[:, owner], tol)
         rl, rr = o_left.shape[1], o_right.shape[1]

@@ -620,8 +620,7 @@ def certify_woven(
                 # block never pays for it.
                 screen = screen or _screen_operators(grams)
                 operators, mu = screen
-                floor = max(low, tol.frame_rtol * up)
-                if _inside_bounds(operators(rows), floor + mu, up - mu).all():
+                if _inside_bounds(operators(rows), max(low, tol.frame_rtol * up) + mu, up - mu).all():
                     checked += len(rows)
                     continue
             w = np.linalg.eigvalsh(_frame_operators(grams, rows))

@@ -1,5 +1,6 @@
 """Test set-up shared by every test module."""
 
+import contextlib
 import warnings
 
 import pytest
@@ -8,8 +9,9 @@ import pytest
 # the import raises a DeprecationWarning (mypy_extensions.TypedDict).  Under
 # ``-W error`` that ends the run in INTERNALERROR instead of printing the
 # falsifying example, so it is imported once here with only that warning
-# category ignored.
-with warnings.catch_warnings():
+# category ignored.  It needs libcst, which plain ``hypothesis`` does not
+# install; without libcst the plugin skips the import, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
