@@ -120,10 +120,11 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def _owned_columns(fam: GFrameFamily, labels0: np.ndarray) -> np.ndarray:
-    """Per 0-based label row of a pair, the mask of the synthesis columns
-    taken from the second member."""
-    return np.repeat(labels0 == 1, fam.block_dims, axis=1)
+def _owned_columns(fam: GFrameFamily, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based label rows of the partitions ``codes`` of a pair, and per
+    row the mask of the synthesis columns taken from the second member."""
+    labels0 = _decode_codes(codes, 2, fam.n_indices)
+    return labels0, np.repeat(labels0 == 1, fam.block_dims, axis=1)
 
 
 def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
@@ -180,15 +181,8 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
     Every other family (``c != n``, which only redundant or rank-deficient
     :func:`equivalence_constants` inputs reach, and :func:`permutation_weave`,
     which passes no ``members``) builds no frame operator: it takes the SVD
-    of blocks of ``_SCREEN_ROWS`` codes in increasing order.  Without the
-    angle screen, which needs ``s_min**2`` of every code, the codes are only
-    those with the 0-based label 0 at each index whose two blocks are equal
-    bit for bit (in :func:`permutation_weave`, the fixed points of ``pi``).
-    Flipping such a label leaves ``T`` unchanged bit for bit, so it gives
-    the same singular values at a larger code: the first code that attains
-    a bound has label 0 there, and the fold, its witnesses and
-    ``span_low_min`` are unchanged.  SVDs are per matrix, so which matrices
-    share a batch changes no bit of a result.
+    of every block of ``_SCREEN_ROWS`` consecutive codes.  SVDs are per
+    matrix, so the block size changes no bit of a result.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
@@ -203,31 +197,19 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members=None):
         ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
         floor = np.full(total, np.inf)
 
-    # The indices whose label a code carries: without the angle screen, every
-    # index but those whose two blocks are equal bit for bit, which keep the
-    # 0-based label 0.  With it, every index, so a counter is its own code.
-    pairs = zip(*(fr.blocks for fr in fam.frames))
-    free = np.flatnonzero([screen or a.tobytes() != b.tobytes() for a, b in pairs])
     square = screen and c == n
-    if square:
-        blocks = (
-            (np.arange(first, first + len(ops)), ops)
-            for first, ops in _exhaustive_operators(_gram_tensor(fam), 2)
-        )
-    else:
-        # Only the weaving screen reads the frame operators.
-        size = 2 ** len(free)
-        blocks = (
-            (np.arange(k, min(k + _SCREEN_ROWS, size)), None) for k in range(0, size, _SCREEN_ROWS)
-        )
-    for codes, ops in blocks:
+    # Only the weaving screen reads the frame operators; other sweeps walk the codes.
+    blocks = _exhaustive_operators(_gram_tensor(fam), 2) if square else (
+        (first, range(first, min(first + _SCREEN_ROWS, total)))
+        for first in range(0, total, _SCREEN_ROWS)
+    )
+    for first, ops in blocks:
+        codes = np.arange(first, first + len(ops))
         if square and best[1] is not None:
             codes = codes[~_inside_bounds(ops, ratio * (best[0] + slack), best[2])]
             if not len(codes):
                 continue
-        labels0 = np.zeros((len(codes), fam.n_indices), dtype=np.int64)
-        labels0[:, free] = _decode_codes(codes, 2, len(free))
-        owner = _owned_columns(fam, labels0)
+        labels0, owner = _owned_columns(fam, codes)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
@@ -253,7 +235,7 @@ def _angle_constants(fam: GFrameFamily, tol: Tolerance, codes: np.ndarray):
     n = fam.ambient_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     a2 = d3 = np.inf
-    for owner in _owned_columns(fam, _decode_codes(codes, 2, fam.n_indices)):
+    for owner in _owned_columns(fam, codes)[1]:
         o_left = _range_basis(t_first[:, ~owner], tol)
         o_right = _range_basis(t_second[:, owner], tol)
         rl, rr = o_left.shape[1], o_right.shape[1]
@@ -330,17 +312,14 @@ def permutation_weave(
     bound and upper bound at most twice the base upper bound; the pair is
     woven only for the identity permutation.
 
-    The sweep takes the weaving SVDs in blocks of 64 without the Cholesky
-    screen.  A weaving is nonsingular only if each cycle of ``pi`` takes one
-    member throughout, so just ``2**(cycles of pi)`` of the ``2**N``
-    weavings are; nearly every block then holds a singular frame operator
-    ``S``, which fails the lower test on ``S - thr I`` for every ``thr >=
-    0``.  At a fixed point of ``pi`` both members hold the same block, so
-    the two labels give the same synthesis matrix: only label 1 is visited
-    there, and ``f`` fixed points leave ``2**(N - f)`` SVDs (one for the
-    identity) with the same report, ``span_lower_min`` included.  The
-    members are checked as g-Riesz bases under ``tol``, not the default
-    tolerance; ``budget`` still counts all ``2**N`` weavings.
+    The sweep walks the exhaustive engine's blocks of 64 weavings without
+    the Cholesky screen, one batched SVD per block.  A weaving is
+    nonsingular only if each cycle of ``pi`` takes one member throughout, so
+    just ``2**(cycles of pi)`` of the ``2**N`` weavings are; nearly every
+    block then holds a singular frame operator ``S``, which fails the lower
+    test on ``S - thr I`` for every ``thr >= 0``.  ``span_lower_min`` also
+    needs every partition.  The members are checked as g-Riesz bases under
+    ``tol``, not the default tolerance.
     """
     rb = riesz_bounds(f, tol)
     if not rb.is_basis:

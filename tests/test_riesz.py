@@ -671,49 +671,3 @@ class TestWeavingScreen:
     @given(dims=_square_dims, seed=st.integers(0, 2**16))
     def test_matches_reference_on_square_pairs(self, dims, seed):
         _assert_pair_matches(_independent_bases(dims, seed))
-
-
-@st.composite
-def _permutations_with_fixed_points(draw):
-    """Block dimensions of 1 and 2, at most 8 indices, and a permutation of
-    equal dimensions that fixes a drawn set of indices (and perhaps more)."""
-    dims = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=8)))
-    fixed = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
-    pi = list(range(1, len(dims) + 1))
-    for d in (1, 2):
-        moving = [i for i, (di, fx) in enumerate(zip(dims, fixed)) if di == d and not fx]
-        for i, target in zip(moving, draw(st.permutations(moving))):
-            pi[i] = target + 1
-    return dims, tuple(pi)
-
-
-class TestEqualBlocksSkipped:
-    """An index whose two blocks are equal gives two weavings with the same
-    synthesis matrix: the unscreened sweep takes the SVD of the first only,
-    and the reports must equal the loop over every weaving."""
-
-    @pytest.mark.parametrize(
-        "dims, pi, fixed",
-        [
-            ((1,) * 9, tuple(range(1, 10)), 9),
-            ((1,) * 9, (1, 2, 3, 4, 5, 6, 7, 9, 8), 7),
-            ((1,) * 9, (2, 1, 3, 5, 4, 6, 8, 7, 9), 3),
-            ((1,) * 9, (9, 8, 7, 6, 5, 4, 3, 2, 1), 1),
-            ((1,) * 9, (2, 3, 4, 5, 6, 7, 8, 9, 1), 0),
-            ((1, 2, 1, 2, 1), (3, 2, 1, 4, 5), 3),
-        ],
-        ids=["identity", "fixed-7", "fixed-3", "fixed-1", "cycle", "mixed-dims"],
-    )
-    def test_fixed_points_halve_the_weaving_svds(self, dims, pi, fixed, monkeypatch):
-        f = _basis(dims, 4)
-        expected = _permutation_reference(f, pi)
-        matrices = _counting_svd(monkeypatch)
-        assert dataclasses.astuple(permutation_weave(f, pi)) == dataclasses.astuple(expected)
-        # Less the one matrix of riesz_bounds on f.
-        assert sum(matrices) - 1 == 2 ** (len(dims) - fixed)
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=_permutations_with_fixed_points(), seed=st.integers(0, 2**16))
-    def test_matches_reference_with_fixed_points(self, case, seed):
-        dims, pi = case
-        _assert_permutation_matches(_basis(dims, seed), pi)
