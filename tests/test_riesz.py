@@ -23,7 +23,7 @@ from gweave import (
 )
 from gweave import riesz
 from gweave.generate import GenSpec, generate
-from gweave.linalg import DEFAULT_TOL, Tolerance
+from gweave.linalg import DEFAULT_TOL, Tolerance, _rank_from_singular_values
 from gweave.riesz import EquivalenceConstants, PermutationWeaveReport, WeavingRieszReport
 
 from _support import ill_conditioned_basis, onb_frame, random_frame, riesz_pair, rotation
@@ -163,9 +163,17 @@ class TestPermutationWeave:
         # would classify it as g-bessel-only.
         f, tol = ill_conditioned_basis(), Tolerance(frame_rtol=1e-12)
         assert riesz_bounds(f, tol).is_basis and not frame_bounds(f).is_frame
-        rep = permutation_weave(f, pi, tol)
-        assert rep.woven is woven
-        assert dataclasses.astuple(rep) == dataclasses.astuple(_permutation_reference(f, pi, tol))
+        assert permutation_weave(f, pi, tol).woven is woven
+        _assert_permutation_matches(f, pi, tol)
+
+    @pytest.mark.parametrize("pi", [(1, 2, 3, 4), (2, 1, 3, 4), (4, 3, 2, 1)])
+    def test_one_svd_whatever_pi(self, pi, monkeypatch):
+        # riesz_bounds' SVD of f's synthesis matrix; no weaving takes one.
+        f = _basis((1,) * 4, 7)
+        expected = permutation_weave(f, pi)
+        matrices = _counting_svd(monkeypatch)
+        assert permutation_weave(f, pi) == expected
+        assert matrices == [1]
 
 
 class TestPreconditions:
@@ -182,6 +190,22 @@ class TestPreconditions:
         with pytest.raises(ValueError) as info:
             call(onb_frame(2))
         assert str(info.value) == message
+
+    # int() would read the first three as (1, 2), (1, 2) and (2, 1).
+    @pytest.mark.parametrize(
+        "pi", [(1.9, 2.2), (True, 2), np.array([2.7, 1.0]), (2.0, 1.0), ("2", "1")],
+        ids=["floats", "bool", "float-array", "integral-floats", "strings"],
+    )
+    def test_non_integer_entries_rejected(self, pi):
+        with pytest.raises(ValueError) as info:
+            permutation_weave(onb_frame(2), pi)
+        assert str(info.value) == "pi must be a permutation of 1..2"
+
+    @pytest.mark.parametrize("pi", [np.array([2, 1]), (np.int32(2), np.uint8(1))])
+    def test_numpy_integer_entries_accepted(self, pi):
+        rep = permutation_weave(onb_frame(2), pi)
+        assert rep.permutation == (2, 1) and not rep.woven
+        assert all(type(x) is int for x in rep.permutation)
 
 
 class TestBudget:
@@ -397,10 +421,37 @@ def _assert_pair_matches(fam):
     )
 
 
-def _assert_permutation_matches(f, pi):
-    assert dataclasses.astuple(permutation_weave(f, pi)) == dataclasses.astuple(
-        _permutation_reference(f, pi)
-    )
+def _assert_permutation_matches(f, pi, tol=DEFAULT_TOL):
+    """The identity must equal the reference loop bit for bit.  Any other
+    ``pi`` must give the structural report (see ``permutation_weave``):
+    the lower side, witness and ``span_lower_min`` exactly, and both bounds
+    within ``1e3 n eps`` relative of the loop's floats."""
+    rep, ref = permutation_weave(f, pi, tol), _permutation_reference(f, pi, tol)
+    if ref.identity:
+        assert dataclasses.astuple(rep) == dataclasses.astuple(ref)
+        return
+    big_n, n = f.n_blocks, f.ambient_dim
+    assert (rep.permutation, rep.identity, rep.woven) == (tuple(pi), False, False)
+    assert (rep.base_lower, rep.base_upper) == (ref.base_lower, ref.base_upper)
+    assert rep.universal_lower == 0.0
+    # The witness takes block pi(j) twice, j the largest index pi moves.
+    moved = max(i for i, target in enumerate(pi) if target != i + 1)
+    labels0 = tuple(int(i == moved) for i in range(big_n))
+    assert rep.witness == Partition(tuple(x + 1 for x in labels0))
+    fam = GFrameFamily((f, GFrame(n, tuple(f.blocks[t - 1] for t in pi))), allow_degenerate=True)
+    t = _reference_synthesis(fam, labels0)
+    assert _rank_from_singular_values(np.linalg.svd(t, compute_uv=False), t.shape, tol) < n
+    # Every earlier weaving is f's own synthesis matrix, a basis under tol.
+    rb = riesz_bounds(f, tol)
+    assert rb.is_basis
+    for code in range(_code(rep.witness)):
+        labels = tuple(int(x) for x in np.binary_repr(code, big_n))
+        assert np.array_equal(_reference_synthesis(fam, labels), synthesis_matrix(f))
+    assert rep.span_lower_min == rb.lower
+    assert rep.universal_upper == certify_woven(fam, tol=tol).universal_upper
+    rel = 1e3 * n * np.finfo(float).eps
+    assert abs(rep.span_lower_min - ref.span_lower_min) <= rel * ref.span_lower_min
+    assert abs(rep.universal_upper - ref.universal_upper) <= rel * ref.universal_upper
 
 
 class TestBatchedSweepsMatchReferenceLoops:
@@ -418,9 +469,8 @@ class TestBatchedSweepsMatchReferenceLoops:
         f = _basis((1,) * 9, 3)
         _assert_permutation_matches(f, pi)
 
-    # Witnesses that open the third and the second block of 64.  On the
-    # orthonormal basis every singular weaving has s_min exactly 0, so the
-    # witness is the first singular code: 2**(9 - 3) for swapping 2 and 3.
+    # Witnesses that open the third and the second block of 64: the first
+    # singular code, 2**(9 - j) with j the largest index that pi moves.
     @pytest.mark.parametrize(
         "f, pi, code",
         [
@@ -449,8 +499,9 @@ class TestBatchedSweepsMatchReferenceLoops:
         dims = (2, 1, 3)
         _assert_pair_matches(GFrameFamily((_basis(dims, seed), _basis(dims, seed + 100))))
 
-    def test_squares_use_python_pow(self):
-        # numpy's x * x differs from float ** 2 here in universal_upper.
+    def test_mixed_dims_swap_matches(self):
+        # numpy's x * x differs from float ** 2 here in the loop's largest
+        # s_max**2; universal_upper is now an eigenvalue, within n eps of it.
         _assert_permutation_matches(_basis((1, 2, 1, 2), 52), (3, 2, 1, 4))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -558,6 +609,19 @@ def _prefix_dims(dims):
 _square_dims = st.lists(st.integers(1, 3), min_size=2, max_size=8).map(_prefix_dims)
 
 
+@st.composite
+def _dims_and_permutation(draw):
+    """Block dimensions (``N <= 8``, each 1 or 2) and a permutation of
+    ``1..N`` that maps each index to one of equal dimension."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=8))
+    pi = [0] * len(dims)
+    for d in sorted(set(dims)):
+        at = [i for i, x in enumerate(dims) if x == d]
+        for i, target in zip(at, draw(st.permutations(at))):
+            pi[i] = target + 1
+    return tuple(dims), tuple(pi)
+
+
 def _independent_bases(dims, seed):
     return GFrameFamily((_basis(dims, seed), _basis(dims, seed + 7919)))
 
@@ -579,6 +643,12 @@ class TestRieszProperties:
         assert ec_moved.a2 == pytest.approx(ec.a2, abs=1e-12)
         assert ec_moved.d3 == pytest.approx(ec.d3, abs=1e-12)
         assert weaving_riesz_check(moved).woven == weaving_riesz_check(fam).woven
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_dims_and_permutation(), seed=st.integers(0, 2**16))
+    def test_permutation_weave_is_structural(self, shape, seed):
+        dims, pi = shape
+        _assert_permutation_matches(_basis(dims, seed), pi)
 
     @settings(max_examples=30, deadline=None)
     @given(dims=_square_dims, seed=st.integers(0, 2**16))
