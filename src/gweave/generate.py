@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame
-from .weaving import GFrameFamily, Partition
+from .weaving import GFrameFamily, Partition, _integers
 
 __all__ = ["GenSpec", "KINDS", "generate", "random_partition"]
 
@@ -44,9 +44,10 @@ class GenSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be >= 1")
-        dims = tuple(int(d) for d in self.block_dims)
+        message = "block_dims must be a nonempty tuple of positive ints"
+        dims = _integers(self.block_dims, message)
         if not dims or any(d < 1 for d in dims):
-            raise ValueError("block_dims must be a nonempty tuple of positive ints")
+            raise ValueError(message)
         object.__setattr__(self, "block_dims", dims)
         total = sum(dims)
         if self.kind in ("parseval", "prescribed-spectrum", "perturbed") and total < self.ambient_dim:

@@ -23,11 +23,13 @@ from .weaving import (
     _SCREEN_ROWS,
     _check_budget,
     _decode_codes,
-    _exhaustive_operators,
     _fold_extremes,
     _gram_tensor,
     _inside_bounds,
+    _integers,
+    _label_blocks,
     _partition_of,
+    _screen_operators,
     certify_woven,
 )
 
@@ -122,11 +124,10 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def _owned_columns(fam: GFrameFamily, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based label rows of the partitions ``codes`` of a pair, and per
-    row the mask of the synthesis columns taken from the second member."""
-    labels0 = _decode_codes(codes, 2, fam.n_indices)
-    return labels0, np.repeat(labels0 == 1, fam.block_dims, axis=1)
+def _owned_columns(fam: GFrameFamily, labels0: np.ndarray) -> np.ndarray:
+    """Per 0-based label row of a pair, the mask of the synthesis columns
+    taken from the second member."""
+    return np.repeat(labels0 == 1, fam.block_dims, axis=1)
 
 
 def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
@@ -154,34 +155,31 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
     can fail and every code is kept.  The pass stores one float,
     ``s_min**2``, per partition.
 
-    *Weaving screen.*  The sweep walks the blocks of
-    ``_exhaustive_operators`` in code order, each holding the frame
-    operators ``S = T T* = sum_i G_{i sigma_i}`` of at most ``_SCREEN_ROWS``
-    weavings.  On a square pair (``c == n`` and the angle screen applies),
-    ``s(T)**2`` are the eigenvalues of ``S``; with ``(low, up)`` the running
-    bounds, a partition in a block after the first is skipped if
-    ``_inside_bounds(S, thr(low), up)`` holds for its ``S``, that is if
-    Cholesky factors ``S - (thr(low) + delta) I`` and ``(up - delta) I - S``
-    with ``delta = 1e3 n**2 eps up``.  A skipped partition's computed
-    ``s_min**2`` lies above ``thr(low)`` and its ``s_max**2`` below ``up``:
-    ``delta`` covers the backward error of a completed Cholesky (about
-    ``n**2 eps up``, see :func:`certify_woven`), the rounding of the Gram
-    terms and of the prefix sums (``N <= n`` terms, about ``(n + N) eps
-    up``), and the SVD's error in ``s_min**2`` (about ``2 eps s_max s_min <=
-    2 eps up``, plus one rounding of the square).  ``thr(low) >= low``, and
-    only a strictly better row moves a bound, so the bounds and witnesses
-    stay exact.  The running ``low`` only falls and ``thr`` is monotone in
-    floating point too, so ``thr`` at the running ``low`` is at least ``thr``
-    at the final one, and a skipped partition (stored as ``inf``) would not
-    have been kept either.  The other partitions of the block take one
-    batched SVD of their ``T`` and are folded in code order, so reports are
-    those of a sweep that takes every SVD, bit for bit.
+    *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 codes in
+    code order.  On a square pair (``c == n`` and the angle screen
+    applies), ``s(T)**2`` are the eigenvalues of ``S = T T*``, and with
+    ``(low, up)`` the running bounds a partition in a block after the first
+    is skipped if ``_inside_bounds(S', thr(low) + mu', up - mu')`` holds
+    for its GEMM operator ``S'``, ``||S' - S|| <= mu'``
+    (:func:`_screen_operators`): sampled mode's skip rule with the floor
+    ``thr(low)``.  By its proof in :func:`certify_woven`, whose Cholesky
+    margin also covers the rounding of the Gram terms (about ``n eps up``)
+    and the SVD's error in ``s_min**2`` (about ``2 eps up``), a skipped
+    partition's computed ``s_min**2`` lies above ``thr(low) >= low`` and
+    its ``s_max**2`` below ``up``; only a strictly better row moves a
+    bound, so the bounds and witnesses stay exact.  The running ``low``
+    only falls and ``thr`` is monotone in floating point too, so ``thr`` at
+    the running ``low`` is at least ``thr`` at the final one, and a skipped
+    partition (stored as ``inf``) would not have been kept either.  The
+    other partitions of the block take one batched SVD of their ``T`` and
+    are folded in code order, so reports are those of a sweep that takes
+    every SVD, bit for bit.
 
     Every other pair (``c != n`` or a member past neither screen, which
     only redundant or rank-deficient :func:`equivalence_constants` inputs
-    reach) builds no frame operator: it takes the SVD of every block of
-    ``_SCREEN_ROWS`` consecutive codes and keeps every code.  SVDs are per
-    matrix, so the block size changes no bit of a result.
+    reach) builds no frame operator: every block takes the SVD and every
+    code is kept.  SVDs are per matrix, so the block size changes no bit of
+    a result.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
@@ -194,18 +192,19 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
         floor = np.full(total, np.inf)
 
     square = screen and c == n
-    # Only the weaving screen reads the frame operators; other sweeps walk the codes.
-    blocks = _exhaustive_operators(_gram_tensor(fam), 2) if square else (
-        (first, range(first, min(first + _SCREEN_ROWS, total)))
-        for first in range(0, total, _SCREEN_ROWS)
-    )
-    for first, ops in blocks:
-        codes = np.arange(first, first + len(ops))
+    if square:  # only the weaving screen reads frame operators
+        operators, margin = _screen_operators(_gram_tensor(fam))
+        # Reused: a fresh stack per block made glibc trim and refault its heap.
+        work = np.empty((_SCREEN_ROWS, 2 * n * n))
+    for first, labels0 in _label_blocks(2, fam.n_indices, _SCREEN_ROWS):
+        codes = first + np.arange(len(labels0))
         if square and best[1] is not None:
-            codes = codes[~_inside_bounds(ops, ratio * (best[0] + slack), best[2])]
+            thr = ratio * (best[0] + slack)
+            test = ~_inside_bounds(operators(labels0, work), thr + margin, best[2] - margin)
+            codes, labels0 = codes[test], labels0[test]
             if not len(codes):
                 continue
-        labels0, owner = _owned_columns(fam, codes)
+        owner = _owned_columns(fam, labels0)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
@@ -227,7 +226,7 @@ def _angle_constants(fam: GFrameFamily, tol: Tolerance, codes: np.ndarray):
     n = fam.ambient_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     a2 = d3 = np.inf
-    for owner in _owned_columns(fam, codes)[1]:
+    for owner in _owned_columns(fam, _decode_codes(codes, 2, fam.n_indices)):
         o_left = _range_basis(t_first[:, ~owner], tol)
         o_right = _range_basis(t_second[:, owner], tol)
         rl, rr = o_left.shape[1], o_right.shape[1]
@@ -284,9 +283,9 @@ def weaving_riesz_check(
     weavings keep a positive lower Riesz constant, every weaving is a
     g-Riesz basis and the pair is woven.  Witnesses are the first partition
     in lexicographic order that attains each bound.  After the first block
-    of 64, each weaving that a Cholesky test on its frame operator proves
-    unable to move either bound skips its SVD (see ``_riesz_sweep``), which
-    changes no reported float.
+    of 64, each weaving that a Cholesky test on sampled mode's GEMM operator
+    proves unable to move either bound skips its SVD (see ``_riesz_sweep``),
+    which changes no reported float.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=False)[0]
 
@@ -328,11 +327,10 @@ def permutation_weave(
     if not rb.is_basis:
         raise ValueError("recoded-copy weaving requires a g-Riesz basis")
     big_n = f.n_blocks
-    pi = tuple(pi)  # int() would read 1.9 and True as 1
-    integers = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pi)
-    if not integers or sorted(pi) != list(range(1, big_n + 1)):
-        raise ValueError(f"pi must be a permutation of 1..{big_n}")
-    pi = tuple(int(x) for x in pi)
+    message = f"pi must be a permutation of 1..{big_n}"
+    pi = _integers(pi, message)
+    if sorted(pi) != list(range(1, big_n + 1)):
+        raise ValueError(message)
     dims = f.block_dims
     for i, target in enumerate(pi, start=1):
         if dims[target - 1] != dims[i - 1]:
@@ -401,8 +399,9 @@ def equivalence_constants(
     quantities are computed only on partitions that can attain ``a2`` and
     ``d3``.  On a square pair (``c == n``, both members past ``lower >
     frame_rtol * upper``) a weaving after the first 64 takes the weaving SVD
-    only if a Cholesky test on its frame operator cannot prove it inside
-    the running bounds and above the angle threshold.  A member with
+    only if a Cholesky test on its GEMM operator, within a margin of its
+    frame operator, cannot prove it inside the running bounds and above
+    the angle threshold.  A member with
     ``lower <= frame_rtol * upper`` (redundant or rank deficient) turns
     both screens off, and ``c != n`` the weaving screen.
     """

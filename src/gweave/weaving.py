@@ -3,12 +3,13 @@
 A family of ``m`` g-frames sharing index set and block dimensions can be
 *woven*: pick one member per index (a partition of the index set into m
 labelled groups) and ask whether every such mixed family is again a
-g-frame with common bounds.  This module enumerates the ``m**N``
-partitions (exhaustively or by seeded sampling), reports the universal
-bounds with witness partitions, and provides the structural operations
-used by the certification theorems: scaling, index removal and
-restriction, the Bessel-sum upper bound, and the restricted frame-operator
-norm inequality.  :func:`report_dict` is the JSON form of every report.
+g-frame with common bounds.  This module covers the ``m**N`` partitions
+(by an exact branch-and-bound search, a walk in label blocks, or seeded
+sampling), reports the universal bounds with witness partitions, and
+provides the structural operations used by the certification theorems:
+scaling, index removal and restriction, the Bessel-sum upper bound, and
+the restricted frame-operator norm inequality.  :func:`report_dict` is
+the JSON form of every report.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1_000_000
-# An exhaustive chunk holds at most 2**15 frame-operator entries (512 KiB),
-# and the engine yields it in blocks of 64 rows: the unit that the span
-# check diagonalises and the square Riesz sweep screens.
-_CHUNK_ENTRIES, _SCREEN_ROWS = 2**15, 64
+# Riesz sweeps screen label blocks of 64 weavings; span_criterion takes up to
+# _BATCH_ENTRIES operator entries if more: 64 rows ran 1.3-1.9x slower at n <= 3.
+_SCREEN_ROWS = 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap.  With most blocks screened, the
 # Cholesky tests and the screen's GEMM dominate; 512 rows ran 1.1x and 1024
@@ -82,6 +82,15 @@ def _check_budget(
     return total
 
 
+def _integers(values, message: str) -> tuple[int, ...]:
+    """``values`` as Python ints; ``ValueError(message)`` unless each is a Python
+    or numpy integer and not a ``bool`` (``int()`` reads 1.9 and True as 1)."""
+    values = tuple(values)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
+        raise ValueError(message)
+    return tuple(int(x) for x in values)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Assignment of each index ``i`` (1..N) to a weave label in 1..m.
@@ -92,7 +101,7 @@ class Partition:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = _integers(self.labels, "labels must be integers")
         if not labels:
             raise ValueError("a partition needs at least one index")
         if any(x < 1 for x in labels):
@@ -255,6 +264,22 @@ def _decode_codes(codes: np.ndarray, m: int, big_n: int) -> np.ndarray:
     return out
 
 
+def _label_blocks(m: int, big_n: int, rows: int):
+    """Yield ``(first_code, labels0)`` over the ``m**N`` weavings in code
+    order: the 0-based label rows of ``m**low`` consecutive codes sharing
+    their leading labels, ``low >= 1`` the largest at most ``N`` with
+    ``m**low <= rows``.  The tail is decoded once and the heads come lazily
+    from ``product``, so ``N`` may pass the int64 range of ``m**N``."""
+    low = 1
+    while low < big_n and m ** (low + 1) <= rows:
+        low += 1
+    tail = _decode_codes(np.arange(m**low), m, low)
+    for h, head in enumerate(product(range(m), repeat=big_n - low)):
+        labels0 = np.empty((len(tail), big_n), dtype=np.int64)
+        labels0[:, : big_n - low], labels0[:, big_n - low :] = head, tail
+        yield h * len(tail), labels0
+
+
 def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
     """Frame operators over the leading ``labels0.shape[1]`` indices of each row.
 
@@ -269,9 +294,10 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
 
 
 def _screen_operators(grams: np.ndarray):
-    """``(operators, mu)``: ``operators(rows)`` is the stack ``S' = sum_i
-    G_i0 + X @ D`` for the 0-based label rows ``rows``, within ``mu`` of
-    their sequential sums (:func:`_frame_operators`) in spectral norm.
+    """``(operators, mu)``: ``operators(rows, out=None)`` is the stack ``S'
+    = sum_i G_i0 + X @ D`` for the 0-based label rows ``rows`` (in ``out``,
+    float64 of width ``2 n**2``, if given), within ``mu`` of their
+    sequential sums (:func:`_frame_operators`) in spectral norm.
 
     ``X`` holds each row's 0/1 indicators of the labels ``j >= 1``, shape
     ``(rows, N (m - 1))``, and ``D`` the differences ``G_ij - G_i0`` viewed
@@ -284,45 +310,14 @@ def _screen_operators(grams: np.ndarray):
     diffs = (grams[:, 1:] - grams[:, :1]).reshape(big_n * (m - 1), n * n).view(np.float64)
     mu = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.abs(grams).sum(axis=(0, 1)).max()
 
-    def operators(rows: np.ndarray) -> np.ndarray:
+    def operators(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = (rows[:, :, None] == np.arange(1, m)).reshape(len(rows), -1).astype(np.float64)
-        s = (x @ diffs).view(np.complex128).reshape(-1, n, n)
+        s = np.matmul(x, diffs, out=None if out is None else out[: len(rows)])
+        s = s.view(np.complex128).reshape(-1, n, n)
         s += base
         return s
 
     return operators, mu
-
-
-def _exhaustive_operators(grams: np.ndarray, m: int):
-    """Yield ``(first_code, block)`` for all ``m**N`` weavings in code order,
-    ``block`` the frame operators of at most ``_SCREEN_ROWS`` consecutive
-    codes starting at ``first_code``.
-
-    A chunk holds the ``m**low`` consecutive codes that share their leading
-    ``high = N - low >= 1`` labels (``low < N`` is the largest with ``m**low
-    * n**2 <= _CHUNK_ENTRIES``), and each block is a view of one chunk.
-    Each chunk sums its shared prefix from index 0, then each later index
-    extends every partial sum by each of its ``m`` terms; nothing is kept
-    from one chunk to the next.  Terms are added in increasing index order,
-    so every frame operator equals the sequential sum over its labels bit
-    for bit.  The sums do not depend on where the chunks are cut, so
-    ``_CHUNK_ENTRIES`` changes memory and speed, never a bit of a result.
-    Serves :func:`span_criterion` and the square Riesz sweep.
-    """
-    big_n, n = grams.shape[0], grams.shape[-1]
-    low = 0
-    while low < big_n - 1 and m ** (low + 1) * n * n <= _CHUNK_ENTRIES:
-        low += 1
-    high = big_n - low
-    for h, labels in enumerate(product(range(m), repeat=high)):
-        level = grams[0, labels[0]].copy()  # a copy: the adds write into it
-        for i in range(1, high):
-            level += grams[i, labels[i]]
-        level = level[None]
-        for i in range(high, big_n):
-            level = (level[:, None] + grams[i][None]).reshape(-1, n, n)
-        for start in range(0, len(level), _SCREEN_ROWS):
-            yield h * m**low + start, level[start : start + _SCREEN_ROWS]
 
 
 def _factors(a: np.ndarray) -> np.ndarray:
@@ -656,22 +651,26 @@ def span_criterion(
     deficient is returned as a witness.
 
     Rank is decided as :func:`~gweave.linalg.rank` decides it, on the
-    singular values of the weaving's synthesis matrix; the eigenvalues of
-    its frame operator only screen.  A weaving is a candidate if ``lmin <=
-    ((rank_rtol * maxdim)**2 + 1e3 * n * eps) * lmax``: the first term is
-    the rank threshold squared, the second covers the rounding of the
-    computed eigenvalues.  Each candidate, in code order, takes one SVD;
-    the first that is rank deficient is the witness.  A woven family has
+    singular values of the weaving's synthesis matrix; eigenvalues only
+    screen.  Label blocks (:func:`_label_blocks`, at least 64 rows and up
+    to ``2**13`` operator entries) take one ``eigvalsh`` of their GEMM
+    operators ``S'`` (:func:`_screen_operators`).  A weaving is a candidate
+    if ``w0 <= screen * w_last + (1 + screen) * mu``, with ``screen =
+    (rank_rtol * maxdim)**2 + 1e3 * n * eps`` (the rank threshold squared,
+    plus eigenvalue rounding): by Weyl's inequality, as ``||S' - S|| <=
+    mu``, that admits every weaving whose frame operator has ``lambda_min
+    <= screen * lambda_max``.  Each candidate, in code order, takes one
+    SVD; the first rank-deficient one is the witness.  A woven family has
     no candidates and pays no SVD.
     """
     m, big_n, n = fam.m, fam.n_indices, fam.ambient_dim
     _check_budget(budget, "span check needs", m, big_n)
-    grams = _gram_tensor(fam)
+    operators, mu = _screen_operators(_gram_tensor(fam))
     screen = (tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps
-    for first, ops in _exhaustive_operators(grams, m):
-        w = np.linalg.eigvalsh(ops)
-        for row in np.flatnonzero(w[:, 0] <= screen * w[:, -1]):
-            p = _partition_of(_decode_codes(np.array([first + row]), m, big_n)[0])
+    for _, labels0 in _label_blocks(m, big_n, max(_SCREEN_ROWS, _BATCH_ENTRIES // n**2)):
+        w = np.linalg.eigvalsh(operators(labels0))
+        for row in np.flatnonzero(w[:, 0] <= screen * w[:, -1] + (1 + screen) * mu):
+            p = _partition_of(labels0[row])
             if rank(synthesis_matrix(assemble_weaving(fam, p)), tol) < n:
                 return False, p
     return True, None
@@ -738,7 +737,7 @@ def restrict_family(fam: GFrameFamily, keep) -> GFrameFamily:
     If the restricted family is woven then so is the full family, with at
     least the restricted lower bound (extra indices only add energy).
     """
-    keep = sorted({int(i) for i in keep})
+    keep = sorted(set(_integers(keep, "indices must be integers")))
     if not keep:
         raise ValueError("keep must be a nonempty set of indices")
     if keep[0] < 1 or keep[-1] > fam.n_indices:
@@ -765,7 +764,7 @@ def removal_bound(
     """
     if fam.m != 2:
         raise ValueError("removal analysis is defined for two-member families")
-    drop = sorted({int(i) for i in drop})
+    drop = sorted(set(_integers(drop, "indices must be integers")))
     if drop and (drop[0] < 1 or drop[-1] > fam.n_indices):
         raise ValueError(f"indices must lie in 1..{fam.n_indices}")
     if len(drop) >= fam.n_indices:

@@ -28,6 +28,15 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError, match="summing"):
             GenSpec(3, (1, 1), "g-orthonormal", seed=0)
 
+    @pytest.mark.parametrize("dims", [(1.5, 1), (True, 1), (1, 1.0)])
+    def test_non_integer_block_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="block_dims"):
+            GenSpec(2, dims, "parseval", seed=0)
+
+    def test_numpy_integer_block_dims_accepted(self):
+        spec = GenSpec(2, np.array([1, 1]), "parseval", seed=0)
+        assert spec.block_dims == (1, 1) and all(type(d) is int for d in spec.block_dims)
+
     def test_spectrum_validation(self):
         with pytest.raises(ValueError, match="needs a spectrum"):
             GenSpec(2, (1, 1), "prescribed-spectrum", seed=0)

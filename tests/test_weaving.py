@@ -32,17 +32,16 @@ from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL, rank
 from gweave.weaving import (
     _BLOCK_FIRST,
-    _CHUNK_ENTRIES,
     _SCREEN_ROWS,
     DEFAULT_BUDGET,
     WeavingReport,
     _decode_codes,
     _envelopes,
-    _exhaustive_operators,
     _factors,
     _frame_operators,
     _gram_tensor,
     _inside_bounds,
+    _label_blocks,
     _partition_of,
     _screen_operators,
     _search_extremes,
@@ -71,6 +70,16 @@ class TestDataModel:
         with pytest.raises(ValueError):
             Partition((0, 1))
         assert Partition((1, 2, 1)).group(1) == (1, 3)
+
+    # int() would read 1.9 and True as 1.
+    @pytest.mark.parametrize("labels", [(1.9, 2), (True, 2), (2.0, 1), ("1", 2)])
+    def test_partition_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(labels)
+
+    def test_partition_accepts_numpy_integers(self):
+        p = Partition(np.array([1, 2, 1], dtype=np.int32))
+        assert p.labels == (1, 2, 1) and all(type(x) is int for x in p.labels)
 
     def test_family_requires_agreement(self):
         f = onb_frame(2)
@@ -297,6 +306,38 @@ class TestSpanCriterion:
         assert span_criterion(fam) == (True, None)
         assert len(calls) == 2
 
+    # A planted weaving keeps only `scale` of its blocks' component along a
+    # random vector: 0 makes it singular, and 1e-11 to 1e-9 put its s_min /
+    # s_max around the rank threshold (rank_rtol * maxdim).  Every other
+    # block is 10**decades times larger, so the screen's GEMM sums cancel on
+    # the planted weaving and only the margin mu keeps it a candidate.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        big_n=st.integers(1, 12),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([None, 0.0, 1e-11, 1e-10, 1e-9, 1e-6]),
+        decades=st.sampled_from([0, 3, 6]),
+    )
+    def test_matches_reference(self, m, big_n, n, seed, scale, decades):
+        assume(m**big_n <= 4096)
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(1, 3, big_n)
+        blocks = rng.standard_normal((m, big_n, 2, n)) + 1j * rng.standard_normal((m, big_n, 2, n))
+        planted = rng.integers(0, m, big_n)
+        blocks[np.arange(m)[:, None] != planted] *= 10.0**decades
+        if scale is not None:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            squeeze = np.eye(n) - (1 - scale) * np.outer(v, v.conj())
+            blocks[planted, np.arange(big_n)] = blocks[planted, np.arange(big_n)] @ squeeze
+        fam = GFrameFamily(
+            tuple(GFrame(n, tuple(b[:d] for b, d in zip(member, dims))) for member in blocks),
+            allow_degenerate=True,
+        )
+        assert span_criterion(fam) == _span_reference(fam)
+
 
 def _duplicate_block_family(n: int, seed: int) -> GFrameFamily:
     """A basis of ``n`` rank-one blocks against a copy whose block 1 is the
@@ -413,6 +454,16 @@ class TestRemoval:
         with pytest.raises(ValueError, match="every index"):
             removal_bound(fam, (1, 2))
 
+    @pytest.mark.parametrize("drop", [[2.5], [True], [np.float64(2.0)]])
+    def test_non_integer_indices_rejected(self, drop):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=7)
+        with pytest.raises(ValueError, match="integers"):
+            removal_bound(fam, drop)
+
+    def test_numpy_integer_indices_accepted(self):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=7)
+        assert removal_bound(fam, np.array([3, 2])).dropped == (2, 3)
+
 
 class TestRestrictFamily:
     def test_full_keep_is_identity(self):
@@ -434,6 +485,17 @@ class TestRestrictFamily:
         res = restrict_family(swapped_onb_family(), (1,))
         rep = certify_woven(res)
         assert rep.status == "not-woven"
+
+    @pytest.mark.parametrize("keep", [[1.7, 2], [True, 2], [1, 2.0]])
+    def test_non_integer_indices_rejected(self, keep):
+        with pytest.raises(ValueError, match="integers"):
+            restrict_family(noisy_family(2, (1, 1, 1), 2, seed=3), keep)
+
+    def test_numpy_integer_indices_accepted(self):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=3)
+        res = restrict_family(fam, np.array([3, 1], dtype=np.uint8))
+        assert res.n_indices == 2
+        assert np.array_equal(res.frames[0].blocks[1], fam.frames[0].blocks[2])
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -691,16 +753,34 @@ class TestEngineMatchesGatherReference:
         assert rep == _certify_reference(fam)
         assert rep.partitions_checked == m**big_n
 
-    # (2, 17) has a four-label prefix and (3, 10) a two-label one, so the
-    # order in which each chunk sums its prefix from index 0 shows.
-    @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9), (2, 17), (3, 10)])
-    def test_spectra_in_code_order(self, m, big_n):
+    # (2, 3) and (3, 2) fit in one block; (2, 17) has an 11-label head and
+    # (3, 10) a 7-label one.
+    @pytest.mark.parametrize(
+        "m, big_n", [(2, 3), (3, 2), (2, 8), (3, 5), (2, 15), (3, 9), (2, 17), (3, 10)]
+    )
+    def test_label_blocks_in_code_order(self, m, big_n):
+        firsts, blocks = zip(*_label_blocks(m, big_n, _SCREEN_ROWS))
+        assert firsts == tuple(np.cumsum((0,) + tuple(map(len, blocks[:-1]))))
+        labels0 = np.concatenate(blocks)
+        assert np.array_equal(labels0, _decode_codes(np.arange(m**big_n), m, big_n))
+        rows = {len(b) for b in blocks}
+        assert len(rows) == 1
+        assert rows == {m**big_n} or max(rows) <= _SCREEN_ROWS < m * max(rows)
+
+    def test_label_blocks_start_at_once_beyond_int64(self):
+        # 2**80 codes: the first blocks come without forming the whole walk.
+        blocks = _label_blocks(2, 80, _SCREEN_ROWS)
+        for first in (0, 64):
+            code, labels0 = next(blocks)
+            assert code == first
+            assert np.array_equal(labels0, _decode_codes(np.arange(first, first + 64), 2, 80))
+
+    @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9)])
+    def test_spectra_over_label_blocks(self, m, big_n):
         fam = noisy_family(2, (1,) * big_n, m, seed=m + big_n, noise=0.3)
         grams = _gram_tensor(fam)
-        firsts, operators = zip(*_exhaustive_operators(grams, m))
-        assert firsts == tuple(np.cumsum((0,) + tuple(map(len, operators[:-1]))))
-        labels0 = _decode_codes(np.arange(m**big_n, dtype=np.int64), m, big_n)
-        assert np.array_equal(np.concatenate(operators), _frame_operators(grams, labels0))
+        operators = [_frame_operators(grams, l) for _, l in _label_blocks(m, big_n, _SCREEN_ROWS)]
+        labels0 = _decode_codes(np.arange(m**big_n), m, big_n)
         expected = _reference_spectra(grams, labels0)
         assert np.array_equal(np.linalg.eigvalsh(np.concatenate(operators)), expected)
 
@@ -883,16 +963,6 @@ class TestExhaustiveScreen:
         matrices = _counting_eigvalsh(monkeypatch)
         assert certify_woven(fam) == expected
         assert sum(matrices) <= 2**15 // 4
-
-    def test_chunks_bounded_by_entries(self):
-        # Each block is a view of its chunk, so the chunk cap shows in the
-        # array the block views, not in the block's own rows.
-        n, big_n = 16, 13
-        fam = noisy_family(n, (2,) * big_n, 2, seed=5, noise=0.2)
-        blocks = [s for _, s in _exhaustive_operators(_gram_tensor(fam), 2)]
-        assert sum(map(len, blocks)) == 2**big_n
-        assert max(map(len, blocks)) <= _SCREEN_ROWS
-        assert max(s.base.size for s in blocks) <= _CHUNK_ENTRIES
 
     # Exact ties differ only by rounding; near ties by about 1e-14
     # relative.  Both sit well inside the screen's margin.  Sampled mode

@@ -25,6 +25,12 @@ metric's bound; per benchmark call the median over runs of each run's
 median seconds; and the host, Python, numpy and BLAS of the first run.
 Quartiles are numpy's linear percentiles.  Runs are sequential, one
 process at a time, so a host with two processors is enough.
+
+A run that exits non-zero ends its workload's pairs.  It is listed with
+its side, seed, exit code and the last lines of its stderr, beside any run
+already made in its pair; the summaries cover the completed pairs, the
+other workloads still run, the file is still written, and the exit code
+is 1.
 """
 
 from __future__ import annotations
@@ -52,15 +58,21 @@ PROTOCOL = (
     "Every run made is listed."
 )
 SIDES = ("parent", "change")
+STDERR_LINES = 20
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """``(result, details)``: the last two stdout lines of one benchmark run."""
+    """``(result, details)``: the last two stdout lines of one benchmark run;
+    ``(None, failure)`` if the run exits non-zero, ``failure`` its exit code
+    and the last lines of its stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}", "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if proc.returncode != 0:
+        return None, {"exit_code": proc.returncode,
+                      "stderr_tail": proc.stderr.splitlines()[-STDERR_LINES:]}
     details, result = proc.stdout.strip().splitlines()[-2:]
     return json.loads(result), json.loads(details)["details"]
 
@@ -115,31 +127,50 @@ def per_call(details: dict) -> dict:
 
 def bench_workload(checkouts: dict, workload: str, seeds: list[int], seconds: float,
                    metrics: list[dict]) -> dict:
+    """The workload's pairs.  A run that exits non-zero ends the workload:
+    it is listed under ``failed_run``, a run already made in its pair under
+    ``unpaired_run``, and the summaries cover the completed pairs."""
     results = {side: [] for side in SIDES}
     details = {side: [] for side in SIDES}
-    first = []
+    first, failure = [], None
     for k, seed in enumerate(seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        first.append(order[0])
         for side in order:
             result, detail = run_once(checkouts[side], workload, seed, seconds, 0)
+            if result is None:
+                failure = {"side": side, "workload": workload, "seed": seed, **detail}
+                print(f"{workload} seed {seed} {side}: exit code {detail['exit_code']}",
+                      file=sys.stderr, flush=True)
+                break
             results[side].append(result)
             details[side].append(detail)
             print(f"{workload} seed {seed} {side}: "
                   + json.dumps({m: v["value"] for m, v in result["metrics"].items()}),
                   file=sys.stderr, flush=True)
-    return {
-        "pairs": len(seeds), "seeds": seeds, "first_side": first,
-        "correct": {side: [r["correct"] for r in results[side]] for side in SIDES},
-        "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
-        "metrics": {
+        if failure:
+            break
+        first.append(order[0])
+    pairs = len(first)
+    out = {"pairs": pairs, "seeds": seeds[:pairs], "first_side": first}
+    if failure:
+        out["failed_run"] = failure
+        out["unpaired_run"] = [
+            {"side": side, "seed": failure["seed"], "result": results[side][pairs]}
+            for side in SIDES if len(results[side]) > pairs
+        ]
+    results = {side: results[side][:pairs] for side in SIDES}
+    details = {side: details[side][:pairs] for side in SIDES}
+    out["correct"] = {side: [r["correct"] for r in results[side]] for side in SIDES}
+    out["failed"] = {side: [r["failed"] for r in results[side]] for side in SIDES}
+    if pairs:
+        out["metrics"] = {
             m["name"]: compare(m, *([r["metrics"][m["name"]]["value"] for r in results[side]]
                                     for side in SIDES))
             for m in metrics
-        },
-        "per_call_median_s": per_call(details),
-        "environment": details["parent"][0]["environment"],
-    }
+        }
+        out["per_call_median_s"] = per_call(details)
+        out["environment"] = details["parent"][0]["environment"]
+    return out
 
 
 def main(argv=None) -> int:
@@ -167,20 +198,26 @@ def main(argv=None) -> int:
         "host": {},
         "workloads": {},
     }
+    failed = False
     for workload, seeds in args.pairs:
         if workload in out["workloads"]:
             parser.error(f"workload {workload} given twice")
         out["workloads"][workload] = bench_workload(checkouts, workload, seeds, seconds, metrics)
-        out["host"] = {**out["workloads"][workload].pop("environment"), "os": platform.platform()}
+        failed |= "failed_run" in out["workloads"][workload]
+        if "environment" in out["workloads"][workload]:
+            out["host"] = {**out["workloads"][workload].pop("environment"),
+                           "os": platform.platform()}
     for workload, seeds in args.trace:
         for seed in seeds:
-            out[f"traced_seed_{seed}_{workload.replace('-', '_')}"] = {
-                side: {m: v["value"] for m, v in
-                       run_once(checkouts[side], workload, seed, seconds, 1)[0]["metrics"].items()}
-                for side in SIDES
-            }
+            traced = {}
+            for side in SIDES:
+                result, detail = run_once(checkouts[side], workload, seed, seconds, 1)
+                failed |= result is None
+                traced[side] = (detail if result is None else
+                                {m: v["value"] for m, v in result["metrics"].items()})
+            out[f"traced_seed_{seed}_{workload.replace('-', '_')}"] = traced
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
