@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame
-from .weaving import GFrameFamily, Partition, _integers
+from .linalg import _integers
+from .weaving import GFrameFamily, Partition
 
 __all__ = ["GenSpec", "KINDS", "generate", "random_partition"]
 
@@ -42,8 +43,12 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.ambient_dim < 1:
+        (n,) = _integers((self.ambient_dim,), "ambient_dim must be an integer")
+        (seed,) = _integers((self.seed,), "seed must be an integer")
+        if n < 1:
             raise ValueError("ambient_dim must be >= 1")
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "seed", seed)
         message = "block_dims must be a nonempty tuple of positive ints"
         dims = _integers(self.block_dims, message)
         if not dims or any(d < 1 for d in dims):
@@ -131,6 +136,7 @@ def generate(spec: GenSpec) -> GFrame | GFrameFamily:
 
 def random_partition(n_indices: int, m: int, seed: int) -> Partition:
     """Uniform random label vector, deterministic in the seed."""
+    n_indices, m = _integers((n_indices, m), "n_indices and m must be integers")
     if n_indices < 1:
         raise ValueError("n_indices must be >= 1")
     if m < 1:

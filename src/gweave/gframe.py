@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, rank
+from .linalg import DEFAULT_TOL, Tolerance, _integers, as_matrix, rank
 
 __all__ = [
     "DegenerateGFrameError",
@@ -51,10 +51,11 @@ class GFrame:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        n = self.ambient_dim
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"ambient_dim must be a positive integer, got {n!r}")
-        object.__setattr__(self, "ambient_dim", int(n))
+        message = f"ambient_dim must be a positive integer, got {self.ambient_dim!r}"
+        (n,) = _integers((self.ambient_dim,), message)
+        if n < 1:
+            raise ValueError(message)
+        object.__setattr__(self, "ambient_dim", n)
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValueError("a g-frame needs at least one block")

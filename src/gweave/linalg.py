@@ -127,6 +127,15 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(_rank_from_singular_values(np.linalg.svd(m, compute_uv=False), m.shape, tol))
 
 
+def _integers(values, message: str) -> tuple[int, ...]:
+    """``values`` as Python ints; ``ValueError(message)`` unless each is a Python
+    or numpy integer and not a ``bool`` (``int()`` reads 1.9 and True as 1)."""
+    values = tuple(values)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
+        raise ValueError(message)
+    return tuple(int(x) for x in values)
+
+
 def _rank_from_singular_values(s: np.ndarray, shape, tol: Tolerance):
     """The rank rule of :func:`rank` on singular values already at hand.
 

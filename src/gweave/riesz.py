@@ -22,7 +22,6 @@ from .weaving import (
     Partition,
     _SCREEN_ROWS,
     _check_budget,
-    _decode_codes,
     _fold_extremes,
     _gram_tensor,
     _inside_bounds,
@@ -136,8 +135,8 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
     Returns ``(best, kept)``: ``best`` as folded by ``_fold_extremes`` over
     squared extreme singular values of the weaving synthesis matrices ``T``
     (columns in index order), keyed by 0-based label rows; ``kept`` the
-    codes that :func:`_angle_constants` must visit.  ``members`` are the
-    two members' :class:`RieszBounds`.
+    label rows, in code order, that :func:`_angle_constants` must visit.
+    ``members`` are the two members' :class:`RieszBounds`.
 
     *Angle screen.*  If both members pass ``lower > frame_rtol * upper``
     (full column rank, so ``c <= n``), with ``mu**2`` the smaller lower and
@@ -148,14 +147,17 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
     principal angle ``theta`` between the two sides.  ``a2`` and ``d3``
     both increase with ``1 - cos(theta)``, so a partition can attain them
     only if ``s_min(T)**2 <= (nu / mu)**2 * min s_min**2``.  ``kept`` holds
-    the codes with ``s_min**2 <= thr(min s_min**2)``, where ``thr(low) =
+    the rows with ``s_min**2 <= thr(min s_min**2)``, where ``thr(low) =
     (1 + 1e-6) (nu / mu)**2 (low + 1e3 max(n, c) eps nu**2)``: the relative
     term covers rounding in ``mu`` and ``nu``, the absolute one rounding in
     the singular values and the angle constants.  Otherwise the inequality
-    can fail and every code is kept.  The pass stores one float,
-    ``s_min**2``, per partition.
+    can fail and every row is kept.  The running ``low`` only falls and
+    ``thr`` is monotone in floating point too, so ``thr`` at the running
+    ``low`` is at least ``thr`` at the final one: the pass stores the rows,
+    and their ``s_min**2``, at or below ``thr`` of the running ``low``, and
+    loses none that the final ``thr`` keeps.
 
-    *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 codes in
+    *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 rows in
     code order.  On a square pair (``c == n`` and the angle screen
     applies), ``s(T)**2`` are the eigenvalues of ``S = T T*``, and with
     ``(low, up)`` the running bounds a partition in a block after the first
@@ -167,66 +169,60 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
     and the SVD's error in ``s_min**2`` (about ``2 eps up``), a skipped
     partition's computed ``s_min**2`` lies above ``thr(low) >= low`` and
     its ``s_max**2`` below ``up``; only a strictly better row moves a
-    bound, so the bounds and witnesses stay exact.  The running ``low``
-    only falls and ``thr`` is monotone in floating point too, so ``thr`` at
-    the running ``low`` is at least ``thr`` at the final one, and a skipped
-    partition (stored as ``inf``) would not have been kept either.  The
-    other partitions of the block take one batched SVD of their ``T`` and
-    are folded in code order, so reports are those of a sweep that takes
-    every SVD, bit for bit.
+    bound, so the bounds and witnesses stay exact, and it would not have
+    been stored either.  The other partitions of the block take one batched
+    SVD of their ``T`` and are folded in code order, so reports are those
+    of a sweep that takes every SVD, bit for bit.
 
     Every other pair (``c != n`` or a member past neither screen, which
     only redundant or rank-deficient :func:`equivalence_constants` inputs
     reach) builds no frame operator: every block takes the SVD and every
-    code is kept.  SVDs are per matrix, so the block size changes no bit of
+    row is kept.  SVDs are per matrix, so the block size changes no bit of
     a result.
     """
     n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
-    total = 2**fam.n_indices
     best = (np.inf, None, -np.inf, None)
     screen = all(rb.lower > tol.frame_rtol * rb.upper for rb in members)
+    ratio = slack = np.inf  # thr = ratio * (low + slack) = inf keeps every row
     if screen:
         low, up = min(rb.lower for rb in members), max(rb.upper for rb in members)
         ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
-        floor = np.full(total, np.inf)
 
     square = screen and c == n
     if square:  # only the weaving screen reads frame operators
         operators, margin = _screen_operators(_gram_tensor(fam))
-        # Reused: a fresh stack per block made glibc trim and refault its heap.
-        work = np.empty((_SCREEN_ROWS, 2 * n * n))
-    for first, labels0 in _label_blocks(2, fam.n_indices, _SCREEN_ROWS):
-        codes = first + np.arange(len(labels0))
+    stored = []
+    for labels0 in _label_blocks(2, fam.n_indices, _SCREEN_ROWS):
         if square and best[1] is not None:
-            thr = ratio * (best[0] + slack)
-            test = ~_inside_bounds(operators(labels0, work), thr + margin, best[2] - margin)
-            codes, labels0 = codes[test], labels0[test]
-            if not len(codes):
+            labels0 = labels0[~_inside_bounds(operators(labels0), thr + margin, best[2] - margin)]
+            if not len(labels0):
                 continue
         owner = _owned_columns(fam, labels0)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
         w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
         best = _fold_extremes(best, w, labels0)
-        if screen:
-            floor[codes] = w[:, 0]
-    kept = np.flatnonzero(floor <= ratio * (best[0] + slack)) if screen else np.arange(total)
-    return best, kept
+        thr = ratio * (best[0] + slack)  # only a fold moves it
+        below = w[:, 0] <= thr
+        stored.append((labels0[below], w[below, 0]))
+    rows, floor = (np.concatenate(x) for x in zip(*stored))
+    return best, rows[floor <= thr]
 
 
-def _angle_constants(fam: GFrameFamily, tol: Tolerance, codes: np.ndarray):
+def _angle_constants(fam: GFrameFamily, tol: Tolerance, rows: np.ndarray):
     """``(a2, d3)`` of :func:`equivalence_constants` over the partitions
-    ``codes`` (``inf`` where none constrains them).
+    with the 0-based label rows ``rows`` (``inf`` where none constrains
+    them).
 
-    One partition at a time, in code order: an SVD per side for its range
-    basis, one of the overlap for ``a2`` and one of the joined bases for
-    ``d3``, so each partition gets the same floats however ``codes`` was
-    screened.
+    One partition at a time, in the order of ``rows``: an SVD per side for
+    its range basis, one of the overlap for ``a2`` and one of the joined
+    bases for ``d3``, so each partition gets the same floats however
+    ``rows`` was screened.
     """
     n = fam.ambient_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     a2 = d3 = np.inf
-    for owner in _owned_columns(fam, _decode_codes(codes, 2, fam.n_indices)):
+    for owner in _owned_columns(fam, rows):
         o_left = _range_basis(t_first[:, ~owner], tol)
         o_right = _range_basis(t_second[:, owner], tol)
         rl, rr = o_left.shape[1], o_right.shape[1]

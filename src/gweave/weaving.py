@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .gframe import GFrame, _gram_terms, frame_bounds, frame_operator, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance, hermitian_extremes, rank
+from .linalg import DEFAULT_TOL, Tolerance, _integers, hermitian_extremes, rank
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -80,15 +80,6 @@ def _check_budget(
             f"{needs} {m}^{big_n} = {total} {unit}, budget is {budget}"
         )
     return total
-
-
-def _integers(values, message: str) -> tuple[int, ...]:
-    """``values`` as Python ints; ``ValueError(message)`` unless each is a Python
-    or numpy integer and not a ``bool`` (``int()`` reads 1.9 and True as 1)."""
-    values = tuple(values)
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
-        raise ValueError(message)
-    return tuple(int(x) for x in values)
 
 
 @dataclass(frozen=True)
@@ -252,32 +243,21 @@ def _gram_tensor(fam: GFrameFamily) -> np.ndarray:
     return np.array([[*_gram_terms(at_i)] for at_i in zip(*(fr.blocks for fr in fam.frames))])
 
 
-def _decode_codes(codes: np.ndarray, m: int, big_n: int) -> np.ndarray:
-    """Base-m digits of each code, most significant first (lexicographic order).
-
-    Digits are peeled from the least significant end, so no power of ``m``
-    is formed and ``big_n`` may exceed the int64 range of ``m**big_n``.
-    """
-    out = np.empty((codes.size, big_n), dtype=np.int64)
-    for i in reversed(range(big_n)):
-        codes, out[:, i] = np.divmod(codes, m)
-    return out
-
-
 def _label_blocks(m: int, big_n: int, rows: int):
-    """Yield ``(first_code, labels0)`` over the ``m**N`` weavings in code
-    order: the 0-based label rows of ``m**low`` consecutive codes sharing
-    their leading labels, ``low >= 1`` the largest at most ``N`` with
-    ``m**low <= rows``.  The tail is decoded once and the heads come lazily
-    from ``product``, so ``N`` may pass the int64 range of ``m**N``."""
+    """Yield the 0-based label rows of the ``m**N`` weavings in code order,
+    in blocks of ``m**low`` consecutive rows sharing their leading labels,
+    ``low >= 1`` the largest at most ``N`` with ``m**low <= rows``.  Tails
+    and heads both come from ``product``, which yields labels in code order,
+    so no power of ``m`` is formed and ``N`` may pass the int64 range of
+    ``m**N``."""
     low = 1
     while low < big_n and m ** (low + 1) <= rows:
         low += 1
-    tail = _decode_codes(np.arange(m**low), m, low)
-    for h, head in enumerate(product(range(m), repeat=big_n - low)):
+    tail = np.array(list(product(range(m), repeat=low)), dtype=np.int64)
+    for head in product(range(m), repeat=big_n - low):
         labels0 = np.empty((len(tail), big_n), dtype=np.int64)
         labels0[:, : big_n - low], labels0[:, big_n - low :] = head, tail
-        yield h * len(tail), labels0
+        yield labels0
 
 
 def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
@@ -294,10 +274,10 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
 
 
 def _screen_operators(grams: np.ndarray):
-    """``(operators, mu)``: ``operators(rows, out=None)`` is the stack ``S'
-    = sum_i G_i0 + X @ D`` for the 0-based label rows ``rows`` (in ``out``,
-    float64 of width ``2 n**2``, if given), within ``mu`` of their
-    sequential sums (:func:`_frame_operators`) in spectral norm.
+    """``(operators, mu)``: ``operators(rows)`` is the stack ``S' = sum_i
+    G_i0 + X @ D`` for the 0-based label rows ``rows``, within ``mu`` of
+    their sequential sums (:func:`_frame_operators`) in spectral norm.  A
+    returned stack is valid until the next call, which reuses its memory.
 
     ``X`` holds each row's 0/1 indicators of the labels ``j >= 1``, shape
     ``(rows, N (m - 1))``, and ``D`` the differences ``G_ij - G_i0`` viewed
@@ -309,11 +289,16 @@ def _screen_operators(grams: np.ndarray):
     base = grams[:, 0].sum(axis=0)
     diffs = (grams[:, 1:] - grams[:, :1]).reshape(big_n * (m - 1), n * n).view(np.float64)
     mu = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.abs(grams).sum(axis=(0, 1)).max()
+    # One buffer, grown to the most rows asked for: a fresh stack per call
+    # made glibc trim its heap top after each block and fault it in again.
+    stack = np.empty((0, 2 * n * n))
 
-    def operators(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def operators(rows: np.ndarray) -> np.ndarray:
+        nonlocal stack
+        if len(rows) > len(stack):
+            stack = np.empty((len(rows), 2 * n * n))
         x = (rows[:, :, None] == np.arange(1, m)).reshape(len(rows), -1).astype(np.float64)
-        s = np.matmul(x, diffs, out=None if out is None else out[: len(rows)])
-        s = s.view(np.complex128).reshape(-1, n, n)
+        s = np.matmul(x, diffs, out=stack[: len(rows)]).view(np.complex128).reshape(-1, n, n)
         s += base
         return s
 
@@ -667,7 +652,7 @@ def span_criterion(
     _check_budget(budget, "span check needs", m, big_n)
     operators, mu = _screen_operators(_gram_tensor(fam))
     screen = (tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps
-    for _, labels0 in _label_blocks(m, big_n, max(_SCREEN_ROWS, _BATCH_ENTRIES // n**2)):
+    for labels0 in _label_blocks(m, big_n, max(_SCREEN_ROWS, _BATCH_ENTRIES // n**2)):
         w = np.linalg.eigvalsh(operators(labels0))
         for row in np.flatnonzero(w[:, 0] <= screen * w[:, -1] + (1 + screen) * mu):
             p = _partition_of(labels0[row])

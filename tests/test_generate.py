@@ -10,6 +10,7 @@ from gweave import (
     is_g_orthonormal,
     random_partition,
     riesz_bounds,
+    synthesis_matrix,
 )
 
 
@@ -32,6 +33,23 @@ class TestGenSpecValidation:
     def test_non_integer_block_dims_rejected(self, dims):
         with pytest.raises(ValueError, match="block_dims"):
             GenSpec(2, dims, "parseval", seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ambient_dim", 2.0), ("ambient_dim", True), ("seed", 1.5), ("seed", True), ("seed", "1"),
+    ])
+    def test_non_integer_size_or_seed_rejected(self, field, value):
+        args = {"ambient_dim": 2, "block_dims": (1, 1), "kind": "parseval", "seed": 0}
+        with pytest.raises(ValueError, match=field):
+            GenSpec(**{**args, field: value})
+
+    def test_numpy_integer_size_and_seed_accepted(self):
+        spec = GenSpec(np.int64(2), (1, 1), "parseval", seed=np.uint32(7))
+        assert (spec.ambient_dim, spec.seed) == (2, 7)
+        assert type(spec.ambient_dim) is int and type(spec.seed) is int
+        assert np.array_equal(
+            synthesis_matrix(generate(spec)),
+            synthesis_matrix(generate(GenSpec(2, (1, 1), "parseval", seed=7))),
+        )
 
     def test_numpy_integer_block_dims_accepted(self):
         spec = GenSpec(2, np.array([1, 1]), "parseval", seed=0)
@@ -115,6 +133,14 @@ class TestRandomPartition:
     def test_zero_indices_rejected(self):
         with pytest.raises(ValueError):
             random_partition(0, 2, seed=0)
+
+    @pytest.mark.parametrize("n_indices, m", [(3, True), (3, 2.0), (3.0, 2), (True, 2)])
+    def test_non_integer_sizes_rejected(self, n_indices, m):
+        with pytest.raises(ValueError, match="integers"):
+            random_partition(n_indices, m, seed=0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert random_partition(np.int64(6), np.int32(3), seed=9) == random_partition(6, 3, seed=9)
 
     def test_deterministic(self):
         assert random_partition(6, 3, seed=9) == random_partition(6, 3, seed=9)

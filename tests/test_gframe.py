@@ -48,6 +48,15 @@ class TestGFrameModel:
         with pytest.raises(ValueError, match="columns"):
             GFrame(2, (np.ones((1, 3)),))
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1", 0, -1])
+    def test_ambient_dim_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="ambient_dim"):
+            GFrame(n, (np.ones((1, 1)),))
+
+    def test_numpy_integer_ambient_dim_accepted(self):
+        f = GFrame(np.int64(2), (E1,))
+        assert f.ambient_dim == 2 and type(f.ambient_dim) is int
+
     def test_needs_blocks(self):
         with pytest.raises(ValueError):
             GFrame(2, ())

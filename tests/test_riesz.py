@@ -741,3 +741,64 @@ class TestWeavingScreen:
     @given(dims=_square_dims, seed=st.integers(0, 2**16))
     def test_matches_reference_on_square_pairs(self, dims, seed):
         _assert_pair_matches(_independent_bases(dims, seed))
+
+
+def _sweep_reference(fam, tol=DEFAULT_TOL):
+    """``_riesz_sweep``'s ``(best, kept)`` by brute force: every partition's
+    SVD, and the rows with ``s_min(T)**2 <= thr(min s_min**2)`` in code
+    order, ``thr`` the sweep's angle threshold (``inf`` unless both members
+    pass ``lower > frame_rtol * upper``)."""
+    members = [riesz_bounds(fr, tol) for fr in fam.frames]
+    rows = list(product((0, 1), repeat=fam.n_indices))
+    floors, best = [], (np.inf, None, -np.inf, None)
+    for labels0 in rows:
+        s = np.linalg.svd(_reference_synthesis(fam, labels0), compute_uv=False)
+        low, up = float(s[-1]) ** 2, float(s[0]) ** 2
+        floors.append(low)
+        if low < best[0]:
+            best = (low, labels0, *best[2:])
+        if up > best[2]:
+            best = (*best[:2], up, labels0)
+    thr = np.inf
+    if all(rb.lower > tol.frame_rtol * rb.upper for rb in members):
+        mu2, nu2 = min(rb.lower for rb in members), max(rb.upper for rb in members)
+        slack = 1e3 * max(fam.ambient_dim, fam.coeff_dim) * np.finfo(float).eps * nu2
+        thr = (1 + 1e-6) * nu2 / mu2 * (best[0] + slack)
+    return best, [r for r, f in zip(rows, floors) if f <= thr]
+
+
+def _riesz_sequences(dims, extra, seed):
+    return GFrameFamily(
+        tuple(_scaled_riesz_sequence(dims, extra, seed + 7919 * j, 0.0) for j in range(2)),
+        allow_degenerate=True,
+    )
+
+
+class TestSweepKeptRows:
+    """The rows the Riesz sweep hands to the angle stage, against every
+    partition's SVD."""
+
+    @pytest.mark.parametrize(
+        "fam, regime",
+        [
+            # Both screens: most partitions skip the weaving SVD.
+            (_independent_bases((1,) * 10, 3), "some"),
+            (_independent_bases((1, 2, 1, 1, 2, 1), 8), "some"),
+            # c < n: the angle screen alone.
+            (_riesz_sequences((1,) * 9, 1, 0), "some"),
+            (_riesz_sequences((1, 2) * 4, 1, 1), "some"),
+            # A redundant member: no screen, every row is kept.
+            (GFrameFamily((GFrame(2, (E1, E2, E1)), random_frame(2, (1, 1, 1), seed=3))), "all"),
+        ],
+        ids=["square", "square-mixed-dims", "sequence", "sequence-mixed-dims", "redundant"],
+    )
+    def test_kept_rows_match_brute_force(self, fam, regime):
+        members = [riesz_bounds(fr) for fr in fam.frames]
+        (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, DEFAULT_TOL, members)
+        best, expected = _sweep_reference(fam)
+        assert (low, tuple(low_at), up, tuple(up_at)) == best
+        assert [tuple(r) for r in kept.tolist()] == expected
+        if regime == "all":
+            assert len(expected) == 2**fam.n_indices
+        else:
+            assert 0 < len(expected) < 2**fam.n_indices

@@ -1,5 +1,5 @@
 import warnings
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ from gweave.weaving import (
     _SCREEN_ROWS,
     DEFAULT_BUDGET,
     WeavingReport,
-    _decode_codes,
     _envelopes,
     _factors,
     _frame_operators,
@@ -138,23 +137,6 @@ class TestAssemble:
         w = assemble_weaving(fam, Partition(labels))
         for i, l in enumerate(labels):
             np.testing.assert_allclose(w.blocks[i], fam.frames[l - 1].blocks[i])
-
-
-class TestDecode:
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 3), st.integers(1, 6))
-    def test_decode_is_lexicographic_product(self, m, big_n):
-        codes = np.arange(m**big_n)
-        got = _decode_codes(codes, m, big_n)
-        expected = np.array(list(product(range(m), repeat=big_n)))
-        assert np.array_equal(got, expected)
-
-    def test_decode_beyond_int64_powers(self):
-        # 2**79 does not fit in int64; the digits still come out.
-        expected = np.zeros((2, 80), dtype=np.int64)
-        expected[0, -1] = 1
-        expected[1, [-3, -1]] = 1
-        assert np.array_equal(_decode_codes(np.array([1, 5]), 2, 80), expected)
 
 
 class TestCertifyWoven:
@@ -669,10 +651,10 @@ def _certify_reference(fam, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
     best_low, best_up = np.inf, -np.inf
     wit_low = wit_up = None
     if mode == "exhaustive":
-        total = m**big_n
-        for start in range(0, total, _REFERENCE_CHUNK):
-            codes = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
-            labels0 = _decode_codes(codes, m, big_n)
+        # Code order is the lexicographic order of itertools.product.
+        walk = product(range(m), repeat=big_n)
+        while chunk := list(islice(walk, _REFERENCE_CHUNK)):
+            labels0 = np.array(chunk)
             w = _reference_spectra(grams, labels0)
             lows = np.maximum(w[:, 0], 0.0)
             i = int(np.argmin(lows))
@@ -681,7 +663,7 @@ def _certify_reference(fam, mode="exhaustive", budget=DEFAULT_BUDGET, seed=None,
             i = int(np.argmax(w[:, -1]))
             if w[i, -1] > best_up:
                 best_up, wit_up = float(w[i, -1]), labels0[i].copy()
-        checked = total
+        checked = m**big_n
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
         rng = np.random.default_rng(seed)
@@ -759,28 +741,31 @@ class TestEngineMatchesGatherReference:
         "m, big_n", [(2, 3), (3, 2), (2, 8), (3, 5), (2, 15), (3, 9), (2, 17), (3, 10)]
     )
     def test_label_blocks_in_code_order(self, m, big_n):
-        firsts, blocks = zip(*_label_blocks(m, big_n, _SCREEN_ROWS))
-        assert firsts == tuple(np.cumsum((0,) + tuple(map(len, blocks[:-1]))))
+        blocks = list(_label_blocks(m, big_n, _SCREEN_ROWS))
         labels0 = np.concatenate(blocks)
-        assert np.array_equal(labels0, _decode_codes(np.arange(m**big_n), m, big_n))
+        assert np.array_equal(labels0, np.array(list(product(range(m), repeat=big_n))))
         rows = {len(b) for b in blocks}
         assert len(rows) == 1
         assert rows == {m**big_n} or max(rows) <= _SCREEN_ROWS < m * max(rows)
 
     def test_label_blocks_start_at_once_beyond_int64(self):
-        # 2**80 codes: the first blocks come without forming the whole walk.
+        # 2**80 weavings: the first blocks come without forming the whole
+        # walk.  Each holds 64 rows, the tail's six labels in code order
+        # after a head of 74 zeros, then of 73 zeros and a one.
         blocks = _label_blocks(2, 80, _SCREEN_ROWS)
-        for first in (0, 64):
-            code, labels0 = next(blocks)
-            assert code == first
-            assert np.array_equal(labels0, _decode_codes(np.arange(first, first + 64), 2, 80))
+        tail = np.array(list(product((0, 1), repeat=6)))
+        for head in (np.zeros(74, dtype=int), np.eye(74, dtype=int)[-1]):
+            labels0 = next(blocks)
+            assert labels0.shape == (64, 80)
+            assert (labels0[:, :74] == head).all()
+            assert np.array_equal(labels0[:, 74:], tail)
 
     @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5), (2, 15), (3, 9)])
     def test_spectra_over_label_blocks(self, m, big_n):
         fam = noisy_family(2, (1,) * big_n, m, seed=m + big_n, noise=0.3)
         grams = _gram_tensor(fam)
-        operators = [_frame_operators(grams, l) for _, l in _label_blocks(m, big_n, _SCREEN_ROWS)]
-        labels0 = _decode_codes(np.arange(m**big_n), m, big_n)
+        operators = [_frame_operators(grams, l) for l in _label_blocks(m, big_n, _SCREEN_ROWS)]
+        labels0 = np.array(list(product(range(m), repeat=big_n)))
         expected = _reference_spectra(grams, labels0)
         assert np.array_equal(np.linalg.eigvalsh(np.concatenate(operators)), expected)
 
@@ -1067,6 +1052,18 @@ class TestSampledScreen:
         rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
         operators, mu = _screen_operators(grams)
         assert np.abs(operators(rows) - _frame_operators(grams, rows)).max() <= mu / 10
+
+    def test_screen_operators_reuse_one_stack(self):
+        # Each call writes into the buffer of the last, grown when a call
+        # asks for more rows; every returned stack must still be exact to mu.
+        grams = _gram_tensor(_scaled_random_family(5, 3, [1, 2, 3, 1, 2], 4))
+        operators, mu = _screen_operators(grams)
+        rng = np.random.default_rng(5)
+        for size in (16, 256, 32):
+            rows = rng.integers(0, 3, size=(size, 5))
+            got = operators(rows)
+            assert got.shape == (size, 4, 4)
+            assert np.abs(got - _frame_operators(grams, rows)).max() <= mu / 10
 
     # Every block scaled by 2**64 or 2**-64 scales every Gram term by a
     # power of two, exactly: a margin relative to the Gram terms makes the
