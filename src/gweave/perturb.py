@@ -37,7 +37,7 @@ from .gframe import (
     frame_bounds,
     synthesis_matrix,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm
+from .linalg import DEFAULT_TOL, Tolerance, _integers, as_matrix, op_norm
 from .weaving import GFrameFamily, _gram_tensor
 
 __all__ = [
@@ -290,6 +290,7 @@ def _certificate(
             "exact verification covers the lambda-only case; "
             "use sampled-falsification for nonzero eta/mu"
         )
+    trials, seed = _integers((trials, seed), "trials and seed must be integers")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     lowers, uppers = _member_bounds(fam)

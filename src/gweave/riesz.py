@@ -159,20 +159,16 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
 
     *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 rows in
     code order.  On a square pair (``c == n`` and the angle screen
-    applies), ``s(T)**2`` are the eigenvalues of ``S = T T*``, and with
-    ``(low, up)`` the running bounds a partition in a block after the first
-    is skipped if ``_inside_bounds(S', thr(low) + mu', up - mu')`` holds
-    for its GEMM operator ``S'``, ``||S' - S|| <= mu'``
-    (:func:`_screen_operators`): sampled mode's skip rule with the floor
-    ``thr(low)``.  By its proof in :func:`certify_woven`, whose Cholesky
-    margin also covers the rounding of the Gram terms (about ``n eps up``)
-    and the SVD's error in ``s_min**2`` (about ``2 eps up``), a skipped
-    partition's computed ``s_min**2`` lies above ``thr(low) >= low`` and
-    its ``s_max**2`` below ``up``; only a strictly better row moves a
-    bound, so the bounds and witnesses stay exact, and it would not have
-    been stored either.  The other partitions of the block take one batched
-    SVD of their ``T`` and are folded in code order, so reports are those
-    of a sweep that takes every SVD, bit for bit.
+    applies), ``s(T)**2`` are the eigenvalues of ``S = T T*``, and after
+    the first block a partition is skipped by sampled mode's row screen
+    (:func:`certify_woven`) with the running ``(low, up)`` and the floor
+    ``thr(low)``, whose Cholesky margin also covers the rounding of the
+    Gram terms (about ``n eps up``) and the SVD's error in ``s_min**2``
+    (about ``2 eps up``).  A skipped partition's computed ``s_min**2`` lies
+    above ``thr(low) >= low`` and its ``s_max**2`` below ``up``, so it
+    moves no bound and would not have been stored.  The other partitions
+    take one batched SVD of their ``T`` and are folded in code order, so
+    reports are those of a sweep that takes every SVD, bit for bit.
 
     Every other pair (``c != n`` or a member past neither screen, which
     only redundant or rank-deficient :func:`equivalence_constants` inputs

@@ -43,7 +43,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 1_000_000
 # Riesz sweeps screen label blocks of 64 weavings; span_criterion takes up to
-# _BATCH_ENTRIES operator entries if more: 64 rows ran 1.3-1.9x slower at n <= 3.
+# _BATCH_ENTRIES operator entries if more: 64 rows ran 1.1-2.3x slower at n 2-6.
 _SCREEN_ROWS = 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
 # blocks make an early counterexample cheap.  With most blocks screened, the
@@ -67,11 +67,12 @@ def _check_budget(
 ) -> int:
     """Check a partition budget before any work; return ``m**big_n``.
 
-    A budget below one is a ``ValueError``.  A sweep of ``m**big_n`` items
-    over budget is a ``BudgetExceededError`` whose message starts with
-    ``needs`` and states ``m^N``; without a sweep size (sampled mode) only
-    the lower limit applies.
+    A budget that is not an integer (``bool`` included) or is below one is
+    a ``ValueError``.  A sweep of ``m**big_n`` items over budget is a
+    ``BudgetExceededError`` whose message starts with ``needs`` and states
+    ``m^N``; without a sweep size (sampled mode) only the lower limit applies.
     """
+    (budget,) = _integers((budget,), "budget must be an integer")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     total = m**big_n
@@ -492,9 +493,8 @@ def certify_woven(
     sum is the sequential sum of its terms bit for bit.  A seed's spectrum
     is computed as a weaving's is, so ``low`` and ``up`` never pass the true
     bounds, and the first weaving attaining each is never dropped; the
-    fold, which starts empty, finds it.
-    Batches hold at most ``2**13`` entries, and the search keeps one batch
-    per index.
+    fold, which starts empty, finds it.  Batches hold at most ``2**13``
+    entries, and the search keeps one batch per index.
 
     The lower side folds ``max(lambda_min, 0)``, so once the fold holds 0
     no weaving can move it (only a strictly smaller value would), and from
@@ -522,39 +522,36 @@ def certify_woven(
 
     Sampled mode draws ``budget`` partitions from a seeded generator and can
     only falsify: it returns ``not-woven`` with a witness, or the explicitly
-    weaker ``sampled-no-counterexample``.  It draws and checks row blocks of
-    16 rows doubling to 256, and stops at the first failing row: a
-    counterexample at row ``r`` costs about ``2r + 16`` spectra.  A block
-    holds at most 256 ``n x n`` complex operators: the screen's ``S'``,
-    with the rows' indicators (``N (m - 1)`` floats a row) and the two
-    temporaries of the Cholesky tests, or the exact sums that take
-    ``eigvalsh``.  The generator yields the same labels however the draws
-    are cut.  A ``budget`` below one is rejected with ``ValueError``.
+    weaker ``sampled-no-counterexample``.  It draws row blocks of 16 rows
+    doubling to 256 (the generator yields the same labels however the draws
+    are cut); a block holds at most 256 ``n x n`` complex operators, with
+    ``N (m - 1)`` indicator floats a row and the Cholesky tests' two
+    temporaries.  ``budget`` and ``seed`` must be integers, not ``bool``,
+    and ``budget >= 1`` (else ``ValueError``).
 
-    Sampled mode skips a block after the first, its rows counted and not
-    folded, by one rule: with ``(low, up)`` the bounds so far, ``floor =
-    max(low, frame_rtol * up)``, ``delta = 1e3 * n**2 * eps * up`` and
-    ``delta'`` the same of ``up - mu``, if Cholesky factors both ``S' -
-    (floor + mu + delta') I`` and ``(up - mu - delta') I - S'`` for every
-    row.  ``S'`` is not the row's frame operator ``S``, the sequential sum
-    of its terms, but ``sum_i G_i0 + X @ D`` from one GEMM
-    (:func:`_screen_operators`), with ``||S' - S|| <= mu``.  A block that
-    fails the screen, and the first block, are summed exactly and take
-    ``eigvalsh``.  A Cholesky that completes is exact for a matrix within
-    ``gamma_{n+1} |R*| |R|`` of its input (Demmel 1989; Higham, *Accuracy
-    and Stability of Numerical Algorithms*, sec. 10.1), that is within about
-    ``n**2 * eps * up``.  ``eigvalsh`` is backward stable, within a few ``n
-    * eps * up``.  Both tests passing force ``up - mu > floor + mu >= mu``,
-    so ``delta' > delta / 2`` still covers both, and the computed spectra
-    of a skipped row's ``S`` lie in ``(floor, up)`` (both kernels read the
-    lower triangle): ``w0 > floor >= low`` and ``w_last < up``, and only a
-    strictly better row moves a bound, so no bound, witness or count
-    changes; and ``w0 > floor >= frame_rtol * up >= frame_rtol * w_last``
-    (a rounded product is monotone), so no skipped row fails.  ``low`` and
-    ``up`` come from different rows, so ``low <= frame_rtol * up`` can hold
-    while every row so far passes; the floor then keeps a failing row out
-    of the skipped blocks.  On a woven family ``low > frame_rtol * up`` at
-    every step and the floor is ``low``.
+    After the first block, a row is skipped, counted and not folded, if
+    Cholesky factors both ``S' - (floor + mu + delta') I`` and ``(up - mu -
+    delta') I - S'``, with ``(low, up)`` the bounds so far, ``floor =
+    max(low, frame_rtol * up)``, ``delta'`` the ``delta = 1e3 * n**2 * eps *
+    up`` of ``up - mu``, and ``S' = sum_i G_i0 + X @ D`` from one GEMM
+    (:func:`_screen_operators`) within ``mu`` of the row's sequential sum
+    ``S``.  The other rows are summed exactly and take ``eigvalsh``, per
+    matrix, so their floats do not depend on which rows are left; the first
+    failing one ends the run, counted at its position in its block, and a
+    counterexample at row ``r`` costs at most about ``2r + 16`` spectra.  A
+    Cholesky that completes is exact for a matrix within ``gamma_{n+1} |R*|
+    |R|`` of its input (Demmel 1989; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 10.1), about ``n**2 * eps * up``, and
+    ``eigvalsh`` errs by a few ``n * eps * up``.  Both tests passing force
+    ``up - mu > floor + mu >= mu``, so ``delta' > delta / 2`` covers both,
+    and the computed spectrum of a skipped row's ``S`` lies in ``(floor,
+    up)`` (both kernels read the lower triangle): ``w0 > floor >= low`` and
+    ``w_last < up``, and only a strictly better row moves a bound, so no
+    bound, witness or count changes; and ``w0 > floor >= frame_rtol * up >=
+    frame_rtol * w_last`` (a rounded product is monotone), so no skipped
+    row fails.  As ``low`` and ``up`` come from different rows, ``low <=
+    frame_rtol * up`` can hold while every row so far passes; the floor
+    keeps failing rows from being skipped.  If woven, it is ``low``.
 
     The margin is ``mu = 1e3 * n**2 * eps * (N + m) * g``, with ``g`` the
     largest entry of ``M = sum_ij |G_ij|`` (entrywise).  With ``u = eps /
@@ -577,6 +574,7 @@ def certify_woven(
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    seed = None if seed is None else _integers((seed,), "seed must be an integer")[0]
     m, big_n = fam.m, fam.n_indices
     if mode == "exhaustive":
         checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
@@ -595,20 +593,22 @@ def certify_woven(
             rows = rng.integers(0, m, size=(min(size, budget - checked), big_n))
             size = min(2 * size, _BLOCK_CAP)
             low, low_at, up, _ = best
+            at = np.arange(len(rows))  # the rows' positions left to check
             if low_at is not None:
                 # Built at the second block: a family that fails in its first
                 # block never pays for it.
                 screen = screen or _screen_operators(grams)
                 operators, mu = screen
-                if _inside_bounds(operators(rows), max(low, tol.frame_rtol * up) + mu, up - mu).all():
-                    checked += len(rows)
-                    continue
-            w = np.linalg.eigvalsh(_frame_operators(grams, rows))
-            bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
-            failed = bool(bad.any())
-            stop = int(np.argmax(bad)) + 1 if failed else len(rows)
-            best = _fold_extremes(best, w[:stop], rows)
-            checked += stop
+                at = at[~_inside_bounds(operators(rows), max(low, tol.frame_rtol * up) + mu, up - mu)]
+            if len(at):
+                w = np.linalg.eigvalsh(_frame_operators(grams, rows[at]))
+                bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
+                failed = bool(bad.any())
+                stop = int(np.argmax(bad)) + 1 if failed else len(at)
+                best = _fold_extremes(best, w[:stop], rows[at[:stop]])
+                if failed:
+                    rows = rows[: at[stop - 1] + 1]
+            checked += len(rows)
         best_low, wit_low, best_up, wit_up = best
         status = "not-woven" if failed else "sampled-no-counterexample"
 
@@ -636,26 +636,29 @@ def span_criterion(
     deficient is returned as a witness.
 
     Rank is decided as :func:`~gweave.linalg.rank` decides it, on the
-    singular values of the weaving's synthesis matrix; eigenvalues only
-    screen.  Label blocks (:func:`_label_blocks`, at least 64 rows and up
-    to ``2**13`` operator entries) take one ``eigvalsh`` of their GEMM
-    operators ``S'`` (:func:`_screen_operators`).  A weaving is a candidate
-    if ``w0 <= screen * w_last + (1 + screen) * mu``, with ``screen =
-    (rank_rtol * maxdim)**2 + 1e3 * n * eps`` (the rank threshold squared,
-    plus eigenvalue rounding): by Weyl's inequality, as ``||S' - S|| <=
-    mu``, that admits every weaving whose frame operator has ``lambda_min
-    <= screen * lambda_max``.  Each candidate, in code order, takes one
-    SVD; the first rank-deficient one is the witness.  A woven family has
-    no candidates and pays no SVD.
+    singular values of the weaving's synthesis matrix.  Label blocks
+    (:func:`_label_blocks`, at least 64 rows and up to ``2**13`` operator
+    entries) take sampled mode's row screen (:func:`certify_woven`) with
+    floor ``s U`` and upper bound ``2 U``: ``s = (rank_rtol * maxdim)**2 +
+    1e3 * n * eps`` (the rank threshold squared, plus singular-value
+    rounding) and ``U = lambda_max(sum_ij G_ij)``, at least every
+    weaving's ``lambda_max`` since ``S_sigma <= sum_j S_j``.  A
+    rank-deficient weaving has ``lambda_min(S) <= s lambda_max(S) <= s
+    U``, so it is never proven inside; each row that is not takes one
+    SVD, in code order, and the first rank-deficient one is the witness.
+    ``2 U`` only sizes the Cholesky margin.  With the floor relative to
+    ``U``, a weaving with ``lambda_min`` below about ``(s + 2e3 n**2 eps)
+    U`` takes an SVD however well it spans; a wider margin takes none.
     """
     m, big_n, n = fam.m, fam.n_indices, fam.ambient_dim
     _check_budget(budget, "span check needs", m, big_n)
-    operators, mu = _screen_operators(_gram_tensor(fam))
-    screen = (tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps
+    grams = _gram_tensor(fam)
+    operators, mu = _screen_operators(grams)
+    up = np.linalg.eigvalsh(grams.sum(axis=(0, 1)))[-1]
+    floor = ((tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps) * up
     for labels0 in _label_blocks(m, big_n, max(_SCREEN_ROWS, _BATCH_ENTRIES // n**2)):
-        w = np.linalg.eigvalsh(operators(labels0))
-        for row in np.flatnonzero(w[:, 0] <= screen * w[:, -1] + (1 + screen) * mu):
-            p = _partition_of(labels0[row])
+        for row in labels0[~_inside_bounds(operators(labels0), floor + mu, 2 * up - mu)]:
+            p = _partition_of(row)
             if rank(synthesis_matrix(assemble_weaving(fam, p)), tol) < n:
                 return False, p
     return True, None

@@ -354,6 +354,22 @@ class TestPerturbationCertificate:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             certify(scaled_pair(1.1), lambdas=(0.05,), mode=mode, trials=trials)
 
+    # int() would read True as 1; numpy would raise TypeError on 2.5 or 1.5.
+    @pytest.mark.parametrize(
+        "kw", [{"trials": True}, {"trials": 2.5}, {"seed": True}, {"seed": 1.5}]
+    )
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_trials_and_seed_must_be_integers(self, kw, chained):
+        certify = chained_certificate if chained else partial(perturbation_certificate, base=1)
+        with pytest.raises(ValueError, match="trials and seed must be integers"):
+            certify(scaled_pair(1.1), lambdas=(0.05,), mode="sampled-falsification", **kw)
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        kw = dict(lambdas=(0.05,), mode="sampled-falsification")
+        expected = perturbation_certificate(scaled_pair(1.1), 1, trials=20, seed=3, **kw)
+        got = perturbation_certificate(scaled_pair(1.1), 1, trials=np.int32(20), seed=np.int64(3), **kw)
+        assert report_dict(got) == report_dict(expected)
+
     def test_base_index_validated(self):
         with pytest.raises(ValueError, match="base index"):
             perturbation_certificate(scaled_pair(1.1), base=3, lambdas=(0.1,))

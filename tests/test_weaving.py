@@ -204,6 +204,29 @@ class TestCertifyWoven:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             sweep(fam, budget=budget)
 
+    # int() would read True as 1, and numpy raises TypeError on 10.5 or 1.5.
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "kw, message",
+        [({"budget": True}, "budget"), ({"budget": 10.5}, "budget"),
+         ({"seed": True}, "seed"), ({"seed": 1.5}, "seed")],
+    )
+    def test_rejects_non_integer_budget_and_seed(self, mode, kw, message):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=0)
+        with pytest.raises(ValueError, match=f"{message} must be an integer"):
+            certify_woven(fam, mode=mode, **{"budget": 64, "seed": 1, **kw})
+
+    @pytest.mark.parametrize("budget", [True, 10.5])
+    def test_other_sweeps_reject_non_integer_budget(self, budget):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            span_criterion(noisy_family(2, (1, 1, 1), 2, seed=0), budget=budget)
+
+    def test_numpy_integer_budget_and_seed_accepted(self):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=0)
+        rep = certify_woven(fam, mode="sampled", budget=np.int32(40), seed=np.int64(1))
+        assert rep == certify_woven(fam, mode="sampled", budget=40, seed=1)
+        assert type(rep.seed) is int
+
     def test_sampled_finds_counterexample(self):
         rep = certify_woven(swapped_onb_family(), mode="sampled", budget=500, seed=3)
         assert rep.status == "not-woven"
@@ -304,21 +327,70 @@ class TestSpanCriterion:
     )
     def test_matches_reference(self, m, big_n, n, seed, scale, decades):
         assume(m**big_n <= 4096)
-        rng = np.random.default_rng(seed)
-        dims = rng.integers(1, 3, big_n)
-        blocks = rng.standard_normal((m, big_n, 2, n)) + 1j * rng.standard_normal((m, big_n, 2, n))
-        planted = rng.integers(0, m, big_n)
-        blocks[np.arange(m)[:, None] != planted] *= 10.0**decades
-        if scale is not None:
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            squeeze = np.eye(n) - (1 - scale) * np.outer(v, v.conj())
-            blocks[planted, np.arange(big_n)] = blocks[planted, np.arange(big_n)] @ squeeze
-        fam = GFrameFamily(
-            tuple(GFrame(n, tuple(b[:d] for b, d in zip(member, dims))) for member in blocks),
-            allow_degenerate=True,
-        )
+        fam = _planted_family(m, big_n, n, seed, scale, decades)
         assert span_criterion(fam) == _span_reference(fam)
+
+    # Every block scaled by 2**64 or 2**-64 scales every Gram term by a
+    # power of two, exactly: the floor, the margin mu and the Cholesky
+    # tests scale with them, so the same rows take the SVD.  On these
+    # planted families 11 to 32 rows do.
+    @pytest.mark.parametrize("scale", [2.0**64, 2.0**-64])
+    @pytest.mark.parametrize("planted", [1e-9, 1e-6])
+    def test_screen_decisions_do_not_depend_on_scale(self, scale, planted, monkeypatch):
+        calls = _counting_svd(monkeypatch)
+        results = []
+        for seed in range(3):
+            fam = _planted_family(2, 10, 3, seed, planted, decades=6)
+            scaled = GFrameFamily(tuple(
+                GFrame(3, tuple(scale * b for b in fr.blocks)) for fr in fam.frames
+            ), allow_degenerate=True)
+            for f in (fam, scaled):
+                start = len(calls)
+                results.append((span_criterion(f), len(calls) - start))
+        assert results[0::2] == results[1::2]
+        assert all(count > 10 for _, count in results)
+
+    # The only eigvalsh is U's, on the sum of every Gram term: no weaving
+    # operator is diagonalised, and a family spanning by a wide margin
+    # takes no SVD.
+    def test_woven_walk_diagonalises_no_weaving(self, monkeypatch):
+        fam = noisy_family(3, (1, 2) * 5, 2, seed=1, noise=0.2)
+        matrices, calls = _counting_eigvalsh(monkeypatch), _counting_svd(monkeypatch)
+        assert span_criterion(fam) == (True, None)
+        assert matrices == [1] and calls == []
+
+
+def _planted_family(m, big_n, n, seed, scale, decades) -> GFrameFamily:
+    """``m`` members of ``big_n`` blocks of 1 or 2 rows in ``C^n``; one
+    planted weaving keeps only ``scale`` of its blocks' component along a
+    random vector (``None`` leaves it whole), and every other block is
+    ``10**decades`` times larger."""
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 3, big_n)
+    blocks = rng.standard_normal((m, big_n, 2, n)) + 1j * rng.standard_normal((m, big_n, 2, n))
+    planted = rng.integers(0, m, big_n)
+    blocks[np.arange(m)[:, None] != planted] *= 10.0**decades
+    if scale is not None:
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        squeeze = np.eye(n) - (1 - scale) * np.outer(v, v.conj())
+        blocks[planted, np.arange(big_n)] = blocks[planted, np.arange(big_n)] @ squeeze
+    return GFrameFamily(
+        tuple(GFrame(n, tuple(b[:d] for b, d in zip(member, dims))) for member in blocks),
+        allow_degenerate=True,
+    )
+
+
+def _counting_svd(monkeypatch) -> list:
+    """Patch ``np.linalg.svd`` to record one entry per call."""
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
 
 
 def _duplicate_block_family(n: int, seed: int) -> GFrameFamily:
@@ -914,6 +986,18 @@ def _counting_sums(monkeypatch) -> list:
     return rows
 
 
+def _recording_screen(monkeypatch) -> list:
+    """Patch ``weaving._inside_bounds`` to record the mask of each call."""
+    screen, masks = _inside_bounds, []
+
+    def recording(*args):
+        masks.append(screen(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(gweave.weaving, "_inside_bounds", recording)
+    return masks
+
+
 def _tied_family(seed: int, rel: float, tied: str, big_n: int = 15) -> GFrameFamily:
     """Two members whose weavings share one extreme eigenvalue up to ``rel``.
 
@@ -1019,9 +1103,9 @@ def _scale_gap_family() -> GFrameFamily:
 
 
 class TestSampledScreen:
-    """Sampled mode skips the spectra of row blocks that the Cholesky test
-    shows can neither move the running bounds nor hold a failing row: exact
-    equality with the sampled sweep that diagonalises every drawn row."""
+    """Sampled mode skips the spectra of rows that the Cholesky test shows
+    can neither move the running bounds nor fail: exact equality with the
+    sampled sweep that diagonalises every drawn row."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_most_spectra_skipped(self, seed, monkeypatch):
@@ -1032,9 +1116,34 @@ class TestSampledScreen:
         assert certify_woven(fam, mode="sampled", budget=2**14, seed=seed) == expected
         assert expected.partitions_checked == 2**14
         assert sum(matrices) <= 2**14 // 4
-        # Screened blocks are tested on the GEMM's operators: only the
-        # blocks that take spectra are summed exactly.
+        # Rows are screened on the GEMM's operators: only the rows that
+        # take spectra are summed exactly.
         assert sum(summed) == sum(matrices)
+
+    # Only the rows of a block that the screen does not prove inside are
+    # summed exactly and take spectra; on a woven family some blocks hold
+    # one to five such rows.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_blocks_that_partly_fail_the_screen(self, seed, monkeypatch):
+        fam = noisy_family(3, (1, 2) * 7 + (1,), 2, seed, noise=0.2)
+        expected = _certify_reference(fam, mode="sampled", budget=2**14, seed=seed)
+        masks, summed = _recording_screen(monkeypatch), _counting_sums(monkeypatch)
+        assert certify_woven(fam, mode="sampled", budget=2**14, seed=seed) == expected
+        assert any(0 < mask.sum() < len(mask) for mask in masks)
+        assert sum(summed) == _BLOCK_FIRST + sum(int((~mask).sum()) for mask in masks)
+
+    # The first failing row among the unproven ones ends the run at its
+    # position in the drawn block: at row 100 the block of 64 holds one
+    # unproven row, at row 495 the block of 256 six.
+    @pytest.mark.parametrize("row", [100, 495])
+    def test_failing_row_among_the_unproven_ones(self, row, monkeypatch):
+        fam = _family_failing_first_at(seed=7, row=row)
+        expected = _certify_reference(fam, mode="sampled", budget=3 * 8192, seed=7)
+        masks, summed = _recording_screen(monkeypatch), _counting_sums(monkeypatch)
+        rep = certify_woven(fam, mode="sampled", budget=3 * 8192, seed=7)
+        assert rep == expected and rep.partitions_checked == row + 1
+        assert 0 < masks[-1].sum() < len(masks[-1])
+        assert sum(summed) == _BLOCK_FIRST + sum(int((~mask).sum()) for mask in masks)
 
     # The screen's operators against the sequential sums, on Gram terms
     # spread over twelve decades.  On 300 seeded draws of these shapes the
