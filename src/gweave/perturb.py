@@ -380,6 +380,7 @@ def perturbation_certificate(
     which dominates every subset.
     """
     m = fam.m
+    (base,) = _integers((base,), "base index must be an integer")
     if not 1 <= base <= m:
         raise ValueError(f"base index must lie in 1..{m}, got {base}")
     pairs = [(base - 1, j) for j in range(m) if j != base - 1]

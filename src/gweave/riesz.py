@@ -22,6 +22,7 @@ from .weaving import (
     Partition,
     _SCREEN_ROWS,
     _check_budget,
+    _envelopes,
     _fold_extremes,
     _gram_tensor,
     _inside_bounds,
@@ -29,7 +30,7 @@ from .weaving import (
     _label_blocks,
     _partition_of,
     _screen_operators,
-    certify_woven,
+    _search_side,
 )
 
 __all__ = [
@@ -308,8 +309,8 @@ def permutation_weave(
     interlacing (Horn & Johnson, *Matrix Analysis*, secs. 4.3 and 4.5).
     The all-ones weaving attains it: ``span_lower_min = s_min(T)**2``, from
     the SVD in :func:`riesz_bounds`.  ``universal_upper``, the largest
-    ``lambda_max`` of a weaving's frame operator, is the exact upper side of
-    :func:`certify_woven` on ``(f, f relabelled)``.  For ``pi = id`` every
+    ``lambda_max`` of a weaving, is exhaustive :func:`certify_woven`'s on
+    ``(f, f relabelled)``, from its upper search alone.  For ``pi = id`` every
     weaving is ``T``, and the report is that of its one SVD, bit for bit.
     Against 50-digit ``mpmath`` over every weaving (``N <= 6``),
     ``universal_upper`` is accurate to 1e-12 relative and ``span_lower_min``
@@ -337,7 +338,8 @@ def permutation_weave(
         recoded = GFrame(f.ambient_dim, tuple(f.blocks[target - 1] for target in pi))
         # Both members have the blocks of f, already a basis under tol.
         fam = GFrameFamily((f, recoded), allow_degenerate=True)
-        low, up = 0.0, certify_woven(fam, budget=budget, tol=tol).universal_upper
+        grams = _gram_tensor(fam)
+        low, up = 0.0, _search_side(grams, _envelopes(grams), lower=False)[0]
         witness = Partition(tuple(2 if i == moved[-1] else 1 for i in range(big_n)))
     else:
         low, up, witness = rb.lower, rb.upper, None

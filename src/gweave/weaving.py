@@ -361,14 +361,14 @@ def _partition_of(labels0) -> Partition:
 
 
 def _fold_extremes(best: tuple, w: np.ndarray, keys) -> tuple:
-    """Fold one chunk of spectra into ``best = (low, low_at, up, up_at)``.
+    """Fold one batch of spectra into ``best = (low, low_at, up, up_at)``.
 
     Row ``r`` of ``w`` belongs to the weaving with the 0-based labels
     ``keys[r]``.  The lower side folds ``max(w[r, 0], 0)``, so every weaving
     whose computed ``lambda_min <= 0`` ties at 0, the reported bound.
     ``low_at`` and ``up_at`` are the keys of the first weaving that attains
     each bound: ``argmin``/``argmax`` return the first occurrence and a later
-    chunk must be strictly better, so ties keep the earliest weaving in
+    batch must be strictly better, so ties keep the earliest weaving in
     enumeration order, which in exhaustive order is the lexicographically
     smallest.
     """
@@ -383,9 +383,9 @@ def _fold_extremes(best: tuple, w: np.ndarray, keys) -> tuple:
     return low, low_at, up, up_at
 
 
-def _seed_weavings(grams: np.ndarray, sh: np.ndarray, sk: np.ndarray) -> np.ndarray:
-    """Four 0-based label rows likely to attain the bounds: two for the
-    lower side, then two for the upper.
+def _seed_weavings(grams: np.ndarray, suffix: np.ndarray, lower: bool) -> np.ndarray:
+    """Two 0-based label rows likely to attain one bound: the lower if
+    ``lower``, else the upper.
 
     Each is an alternating search: take the extreme eigenvector ``f`` of
     ``S_sigma`` (smallest for the lower side) and set ``sigma_i = argmin_j
@@ -393,73 +393,69 @@ def _seed_weavings(grams: np.ndarray, sh: np.ndarray, sk: np.ndarray) -> np.ndar
     most ``N`` steps.  In exact arithmetic no step worsens the extreme
     eigenvalue.  One search starts from each index's member of smallest
     (largest) trace, the other from a greedy dive that fixes one index at a
-    time by ``lambda_min(S + G_kj + SH[k + 1])`` (``lambda_max`` with
-    ``SK``).
+    time by ``lambda_min(S + G_kj + suffix[k + 1])`` (``lambda_max``), with
+    ``suffix`` the side's envelope ``SH`` (``SK``) of :func:`_envelopes`.
     """
     big_n = len(grams)
     at = np.arange(big_n)
-    rows = []
-    for side, pick, suffix in ((0, np.argmin, sh), (-1, np.argmax, sk)):
-        s, dive = np.zeros_like(grams[0, 0]), []
-        for k in range(big_n):
-            dive.append(int(pick(np.linalg.eigvalsh(s + grams[k] + suffix[k + 1])[:, side])))
-            s = s + grams[k, dive[-1]]
-        for labels in (pick(np.einsum("imaa->im", grams).real, axis=1), np.array(dive)):
-            for _ in range(big_n):
-                f = np.linalg.eigh(grams[at, labels].sum(axis=0))[1][:, side]
-                step = pick(np.einsum("a,imab,b->im", f.conj(), grams, f).real, axis=1)
-                if np.array_equal(step, labels):
-                    break
-                labels = step
-            rows.append(labels)
+    side, pick = (0, np.argmin) if lower else (-1, np.argmax)
+    s, dive, rows = np.zeros_like(grams[0, 0]), [], []
+    for k in range(big_n):
+        dive.append(int(pick(np.linalg.eigvalsh(s + grams[k] + suffix[k + 1])[:, side])))
+        s = s + grams[k, dive[-1]]
+    for labels in (pick(np.einsum("imaa->im", grams).real, axis=1), np.array(dive)):
+        for _ in range(big_n):
+            f = np.linalg.eigh(grams[at, labels].sum(axis=0))[1][:, side]
+            step = pick(np.einsum("a,imab,b->im", f.conj(), grams, f).real, axis=1)
+            if np.array_equal(step, labels):
+                break
+            labels = step
+        rows.append(labels)
     return np.array(rows)
 
 
-def _search_extremes(grams: np.ndarray, envelopes, seeds: np.ndarray, tol: Tolerance) -> tuple:
-    """The exhaustive ``(low, low_at, up, up_at)`` by branch and bound, keyed
-    by 0-based label rows.
+def _search_side(grams: np.ndarray, envelopes, lower: bool) -> tuple:
+    """One exhaustive bound by branch and bound: ``(low, low_at)`` if
+    ``lower``, else ``(up, up_at)``, keyed by 0-based label rows.
 
-    ``envelopes`` are ``_envelopes(grams)``, and ``seeds`` the computed
-    spectra of some weavings, summed as the engine sums them.  The result
-    is that of folding every weaving's spectrum in code order; the proof is
-    in :func:`certify_woven`.
+    ``envelopes`` are ``_envelopes(grams)``.  The result is that of folding
+    every weaving's spectrum in code order (:func:`_fold_extremes`); the
+    proof is in :func:`certify_woven`.
     """
     big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
     sh, sk = envelopes
-    seed_low, seed_up = float(seeds[:, 0].min()), float(seeds[:, -1].max())
+    suffix = sh if lower else sk
+    w = np.linalg.eigvalsh(_frame_operators(grams, _seed_weavings(grams, suffix, lower)))
+    seed = max(float(w[:, 0].min()), 0.0) if lower else float(w[:, -1].max())
     eye = np.eye(n)
     delta = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.linalg.eigvalsh(sk[0])[-1]
     rows = max(1, _BATCH_ENTRIES // n**2)
     best = (np.inf, None, -np.inf, None)
-    # (k, prefix sums over the indices < k, their labels, whether each is
-    # proven below the upper bound, next child): the children of row r are
-    # the codes r * m + j, visited from `next child` on.
-    stack = [(0, None, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=bool), 0)]
+    # (k, prefix sums over the indices < k, their labels, next child): the
+    # children of row r are the codes r * m + j, visited from `next child` on.
+    stack = [(0, None, np.zeros((1, 0), dtype=np.int64), 0)]
     while stack:
-        k, parents, labels, under, start = stack.pop()
+        k, parents, labels, start = stack.pop()
         stop = min(start + rows, len(labels) * m)
         if stop < len(labels) * m:
-            stack.append((k, parents, labels, under, stop))
+            stack.append((k, parents, labels, stop))
         r, j = np.divmod(np.arange(start, stop), m)
         s = grams[0, j] if k == 0 else parents[r] + grams[k, j]
-        labels, under, k = np.column_stack((labels[r], j)), under[r], k + 1
-        low, up = min(seed_low, best[0]), max(seed_up, best[2])
-        floor = max(low, tol.frame_rtol * up) + delta
-        test = ~under
-        under[test] = _factors((up - delta) * eye - (s[test] + sk[k]))
-        drop = under.copy()
-        if best[0] > 0.0:  # once the fold holds 0, no weaving moves the lower side
-            drop[under] = _factors(s[under] + sh[k] - floor * eye)
+        labels, k = np.column_stack((labels[r], j)), k + 1
+        if lower:
+            floor = (min(seed, best[0]) + delta) * eye
+            keep = ~_factors(s + sh[k] - floor)
             if k < big_n:
-                test = under & ~drop
-                drop[test] = _factors(s[test] - floor * eye)
-        keep = ~drop
-        if k == big_n:
-            if keep.any():
-                best = _fold_extremes(best, np.linalg.eigvalsh(s[keep]), labels[keep])
+                keep[keep] = ~_factors(s[keep] - floor)
+        else:
+            keep = ~_factors((max(seed, best[2]) - delta) * eye - (s + sk[k]))
+        if k < big_n and keep.any():
+            stack.append((k, s[keep], labels[keep], 0))
         elif keep.any():
-            stack.append((k, s[keep], labels[keep], under[keep], 0))
-    return best
+            best = _fold_extremes(best, np.linalg.eigvalsh(s[keep]), labels[keep])
+            if lower and best[0] == 0.0:  # only a strictly smaller value moves the fold
+                break
+    return best[:2] if lower else best[2:]
 
 
 def certify_woven(
@@ -472,36 +468,36 @@ def certify_woven(
     """Certify whether the family is woven.
 
     Exhaustive mode covers all ``m**N`` partitions (requires ``m**N <=
-    budget``, checked before any work) and reports the true universal
-    bounds; the woven verdict is ``universal_lower > frame_rtol *
-    universal_upper``.  Its report is that of diagonalising every weaving
-    and folding the spectra in code order (:func:`_fold_extremes`), bit for
-    bit.  It first takes the spectra of four seed weavings
-    (:func:`_seed_weavings`); then a depth-first search over label prefixes,
-    in code order, drops whole subtrees of weavings proven unable to move a
-    bound.  With ``(low, up)`` the bounds so far merged with the seeds'
-    values, ``floor = max(low, frame_rtol * up)``, ``S`` a prefix's sum over
-    the indices ``< k`` and ``SH``, ``SK`` the suffix sums of
-    :func:`_envelopes`, the prefix is dropped if Cholesky factors ``(up -
-    delta) I - (S + SK[k])``, and also ``S + SH[k] - (floor + delta) I`` or
-    ``S - (floor + delta) I``.  A prefix that passes the first test proves
-    it for its whole subtree (``up`` only grows), so its descendants skip
-    it.  At ``k = N`` both suffix sums are zero: sampled mode's skip rule
-    below, per weaving, on the exact sum and with the larger ``delta``
-    below.  The weavings left take ``eigvalsh`` and are folded in code
-    order.  Prefix sums extend term by term in index order, so a weaving's
-    sum is the sequential sum of its terms bit for bit.  A seed's spectrum
-    is computed as a weaving's is, so ``low`` and ``up`` never pass the true
-    bounds, and the first weaving attaining each is never dropped; the
-    fold, which starts empty, finds it.  Batches hold at most ``2**13``
-    entries, and the search keeps one batch per index.
+    budget``, checked before any work) and reports the true universal bounds;
+    the woven verdict is ``universal_lower > frame_rtol * universal_upper``.
+    Its report is that of diagonalising every weaving and folding the spectra
+    in code order (:func:`_fold_extremes`), bit for bit.  Each bound takes its
+    own search (:func:`_search_side`): after the spectra of two seed weavings
+    of its side (:func:`_seed_weavings`), a depth-first search over label
+    prefixes, in code order, drops whole subtrees of weavings proven unable to
+    move the bound.  With ``S`` a prefix's sum over the indices ``< k`` and
+    ``SH``, ``SK`` the suffix sums of :func:`_envelopes`, the upper search
+    drops the prefix if Cholesky factors ``(up - delta) I - (S + SK[k])``,
+    ``up`` the largest ``lambda_max`` so far or of a seed; the lower search if
+    Cholesky factors ``S + SH[k] - (low + delta) I`` or ``S - (low + delta)
+    I``, ``low`` the least ``max(lambda_min, 0)`` so far or of a seed.  At ``k
+    = N`` both suffix sums are zero: one side of sampled mode's skip rule
+    below, per weaving, on the exact sum, with floor ``low`` and the larger
+    ``delta`` below.  The weavings left take ``eigvalsh`` and are folded in
+    code order.  Prefix sums extend term by term in index order, so a weaving's
+    sum is the sequential sum of its terms bit for bit.  A seed's spectrum is
+    computed as a weaving's is, so ``low`` and ``up`` never pass the true
+    bounds, and the first weaving attaining each is never dropped; the fold,
+    which starts empty, finds it.  That holds without sampled mode's
+    ``frame_rtol * up`` in the floor, so the two searches are independent.
+    Batches hold at most ``2**13`` entries, and a search keeps one batch per
+    index.
 
     The lower side folds ``max(lambda_min, 0)``, so once the fold holds 0
-    no weaving can move it (only a strictly smaller value would), and from
-    there on the search skips both lower tests.  A not-woven family none of
-    whose weavings rounds to ``lambda_min <= 0`` keeps them to the end, and
-    every subtree holding a weaving at or below ``floor`` is searched down
-    to its leaves.
+    no weaving can move it (only a strictly smaller value would), and the
+    lower search ends.  A not-woven family none of whose weavings rounds to
+    ``lambda_min <= 0`` keeps it to the end, and every subtree holding a
+    weaving at or below ``low`` is searched down to its leaves.
 
     The search's ``delta`` is ``1e3 * n**2 * eps * (N + m) * U``, with ``U =
     lambda_max(SK[0])`` at least every weaving's ``lambda_max``.  For a
@@ -580,8 +576,9 @@ def certify_woven(
         checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
         grams = _gram_tensor(fam)
         envelopes = _envelopes(grams)
-        seeds = np.linalg.eigvalsh(_frame_operators(grams, _seed_weavings(grams, *envelopes)))
-        best_low, wit_low, best_up, wit_up = _search_extremes(grams, envelopes, seeds, tol)
+        (best_low, wit_low), (best_up, wit_up) = (
+            _search_side(grams, envelopes, lower) for lower in (True, False)
+        )
         status = "woven" if best_low > tol.frame_rtol * best_up else "not-woven"
     else:
         _check_budget(budget)

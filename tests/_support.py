@@ -167,3 +167,16 @@ def power_extremes(m: np.ndarray, iters: int = 2000, seed: int = 5) -> tuple[flo
 def exhaustive_family_partitions(fam: GFrameFamily):
     for labels in product(range(1, fam.m + 1), repeat=fam.n_indices):
         yield Partition(labels)
+
+
+def _counting_svd(monkeypatch) -> list[int]:
+    """Patch ``np.linalg.svd`` to record how many matrices each call takes;
+    ``len()`` of the list counts the calls."""
+    svd, matrices = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return matrices

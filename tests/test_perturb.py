@@ -28,7 +28,7 @@ from gweave.linalg import DEFAULT_TOL
 from gweave.perturb import FalsificationWitness, PerturbationCertificate, _k_certificate
 
 from _support import (
-    noisy_at, noisy_family, onb_frame, random_frame, rotation, swapped_onb_family,
+    _counting_svd, noisy_at, noisy_family, onb_frame, random_frame, rotation, swapped_onb_family,
 )
 
 
@@ -370,9 +370,11 @@ class TestPerturbationCertificate:
         got = perturbation_certificate(scaled_pair(1.1), 1, trials=np.int32(20), seed=np.int64(3), **kw)
         assert report_dict(got) == report_dict(expected)
 
+    # True passed as 1, 2.0 failed as a tuple index and 1.5 as a scalar count.
     def test_base_index_validated(self):
-        with pytest.raises(ValueError, match="base index"):
-            perturbation_certificate(scaled_pair(1.1), base=3, lambdas=(0.1,))
+        for base in (3, True, 2.0, 1.5):
+            with pytest.raises(ValueError, match="base index"):
+                perturbation_certificate(scaled_pair(1.1), base=base, lambdas=(0.1,))
 
     def test_predicted_lower_recomputable(self):
         fam = noisy_family(3, (1, 1, 1), 3, seed=2, noise=0.01)
@@ -704,13 +706,7 @@ class TestScaledDualWeave:
         # One scaled inverse serves all 8 indices: one rank SVD and one
         # op_norm SVD, not one of each per index.
         f = random_frame(3, (1,) * 8, seed=1, lo=1.0, hi=1.5)
-        svd, calls = np.linalg.svd, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = _counting_svd(monkeypatch)
         rep = scaled_dual_weave(f)
         assert rep.hypothesis_ok
         assert len(calls) == 2

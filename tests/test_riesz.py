@@ -21,12 +21,19 @@ from gweave import (
     synthesis_matrix,
     weaving_riesz_check,
 )
-from gweave import riesz
+from gweave import riesz, weaving
 from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL, Tolerance, _rank_from_singular_values
 from gweave.riesz import EquivalenceConstants, PermutationWeaveReport, WeavingRieszReport
 
-from _support import ill_conditioned_basis, onb_frame, random_frame, riesz_pair, rotation
+from _support import (
+    _counting_svd,
+    ill_conditioned_basis,
+    onb_frame,
+    random_frame,
+    riesz_pair,
+    rotation,
+)
 
 
 E1 = np.array([[1.0, 0.0]])
@@ -68,13 +75,7 @@ class TestRieszBounds:
         # (1, 2, 2, 1) has more columns than n = 5: complete, not a basis.
         f = random_frame(5, dims, seed=3)
         expected = riesz_bounds(f)
-        svd, calls = np.linalg.svd, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = _counting_svd(monkeypatch)
         assert riesz_bounds(f) == expected
         assert len(calls) == 1
         assert type(expected.complete) is bool
@@ -174,6 +175,22 @@ class TestPermutationWeave:
         matrices = _counting_svd(monkeypatch)
         assert permutation_weave(f, pi) == expected
         assert matrices == [1]
+
+    @pytest.mark.parametrize("pi", [(2, 1, 3, 4), (4, 3, 2, 1)])
+    def test_upper_side_only(self, pi, monkeypatch):
+        # For pi != id the lower side is 0 by structure: no lower seed is
+        # computed, and one upper search gives universal_upper.
+        f = _basis((1,) * 4, 7)
+        expected = permutation_weave(f, pi)
+        seed_weavings, sides = weaving._seed_weavings, []
+
+        def recording(grams, suffix, lower):
+            sides.append(lower)
+            return seed_weavings(grams, suffix, lower)
+
+        monkeypatch.setattr(weaving, "_seed_weavings", recording)
+        assert permutation_weave(f, pi) == expected
+        assert sides == [False]
 
 
 class TestPreconditions:
@@ -588,13 +605,7 @@ class TestAngleScreen:
         # (four per partition less the empty sides).
         fam = GFrameFamily(tuple(_basis((1,) * 9, seed + 1000 * j) for j in range(2)))
         expected = equivalence_constants(fam)
-        svd, matrices = np.linalg.svd, []
-
-        def counting(a, *args, **kwargs):
-            matrices.append(int(np.prod(np.shape(a)[:-2])))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        matrices = _counting_svd(monkeypatch)
         assert equivalence_constants(fam) == expected
         assert sum(matrices) - 2**9 - 2 <= 128
 
@@ -662,18 +673,6 @@ class TestRieszProperties:
         assert rep.common_lower == pytest.approx(cert.universal_lower, abs=tol)
         assert rep.common_upper == pytest.approx(cert.universal_upper, abs=tol)
         assert rep.woven == (cert.status == "woven")
-
-
-def _counting_svd(monkeypatch) -> list[int]:
-    """Patch ``np.linalg.svd`` to record how many matrices each call takes."""
-    svd, matrices = np.linalg.svd, []
-
-    def counting(a, *args, **kwargs):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return matrices
 
 
 def _diagonal_pair(seed: int, rel: float, tied: str, n: int = 10) -> GFrameFamily:

@@ -43,11 +43,12 @@ from gweave.weaving import (
     _label_blocks,
     _partition_of,
     _screen_operators,
-    _search_extremes,
+    _search_side,
     _seed_weavings,
 )
 
 from _support import (
+    _counting_svd,
     brute_universal_bounds,
     exhaustive_family_partitions,
     independent_family,
@@ -301,13 +302,7 @@ class TestSpanCriterion:
         # at full rank, so each costs one SVD and the family spans.
         f = onb_frame(2)
         fam = GFrameFamily((f, GFrame(2, (E2 + 1e-7 * E1, E1 + 1e-7 * E2))))
-        svd, calls = np.linalg.svd, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = _counting_svd(monkeypatch)
         assert span_criterion(fam) == (True, None)
         assert len(calls) == 2
 
@@ -379,18 +374,6 @@ def _planted_family(m, big_n, n, seed, scale, decades) -> GFrameFamily:
         tuple(GFrame(n, tuple(b[:d] for b, d in zip(member, dims))) for member in blocks),
         allow_degenerate=True,
     )
-
-
-def _counting_svd(monkeypatch) -> list:
-    """Patch ``np.linalg.svd`` to record one entry per call."""
-    svd, calls = np.linalg.svd, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
 
 
 def _duplicate_block_family(n: int, seed: int) -> GFrameFamily:
@@ -1317,19 +1300,22 @@ def test_common_unitary_leaves_the_report_unchanged(seed, n, m, dims):
     assert rep.universal_upper == pytest.approx(base.universal_upper, abs=tol)
 
 
-def _seed_spectra(fam: GFrameFamily):
-    """The Gram tensor, its envelopes and the seed weavings' spectra, as
+def _seed_spectra(fam: GFrameFamily) -> np.ndarray:
+    """The spectra of the two lower seed weavings, then the two upper, as
     exhaustive :func:`certify_woven` computes them."""
     grams = _gram_tensor(fam)
-    envelopes = _envelopes(grams)
-    return grams, envelopes, np.linalg.eigvalsh(
-        _frame_operators(grams, _seed_weavings(grams, *envelopes))
-    )
+    sh, sk = _envelopes(grams)
+    rows = np.concatenate([_seed_weavings(grams, sh, True), _seed_weavings(grams, sk, False)])
+    return np.linalg.eigvalsh(_frame_operators(grams, rows))
 
 
 def _searched(fam: GFrameFamily) -> tuple:
-    """The branch-and-bound search's bounds and witnesses, as a report has them."""
-    low, low_at, up, up_at = _search_extremes(*_seed_spectra(fam), DEFAULT_TOL)
+    """The bounds and witnesses of one branch-and-bound search per side, as
+    a report has them."""
+    grams = _gram_tensor(fam)
+    (low, low_at), (up, up_at) = (
+        _search_side(grams, _envelopes(grams), lower) for lower in (True, False)
+    )
     return max(low, 0.0), max(up, 0.0), _partition_of(low_at), _partition_of(up_at)
 
 
@@ -1339,7 +1325,7 @@ def _bounds_and_witnesses(rep: WeavingReport) -> tuple:
 
 def _failing_seeds(fam: GFrameFamily) -> np.ndarray:
     """Whether each seed weaving fails (``lambda_min <= frame_rtol * lambda_max``)."""
-    w = _seed_spectra(fam)[2]
+    w = _seed_spectra(fam)
     return w[:, 0] <= DEFAULT_TOL.frame_rtol * w[:, -1]
 
 
@@ -1454,6 +1440,7 @@ class TestBranchAndBound:
         expected = _certify_reference(fam)
         assert not _failing_seeds(fam).any()
         assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
         assert expected.witness_lower.labels == expected.witness_upper.labels == (1,) * big_n
 
     # Every seed fails; the weavings that fail are exactly singular, so the
@@ -1541,7 +1528,7 @@ class TestNotWovenSearch:
         assert certify_woven(fam) == expected
 
     # The seeds' dives and the weavings folded before the lower side ends:
-    # 111 matrices here, where the engine walk took all 16384.
+    # 115 matrices here, where the engine walk took all 16384.
     def test_reversed_basis_takes_few_spectra(self, monkeypatch):
         fam = _relabelled_riesz_family(14, reverse=True)
         expected = _certify_reference(fam)
