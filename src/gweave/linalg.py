@@ -10,6 +10,7 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -134,6 +135,22 @@ def _integers(values, message: str) -> tuple[int, ...]:
     if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
         raise ValueError(message)
     return tuple(int(x) for x in values)
+
+
+def _reals(values, message: str) -> tuple[float, ...]:
+    """``values`` as Python floats; ``ValueError(message)`` unless each is a
+    Python or numpy integer or float, not a ``bool``, and finite (``float()``
+    reads True as 1.0 and '0.5' as 0.5)."""
+    values = tuple(values)
+    real = (int, float, np.integer, np.floating)
+    if all(isinstance(x, real) and not isinstance(x, bool) for x in values):
+        try:
+            floats = tuple(float(x) for x in values)
+        except OverflowError:  # an int past the float range
+            floats = (np.inf,)
+        if all(math.isfinite(x) for x in floats):
+            return floats
+    raise ValueError(message)
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, tol: Tolerance):

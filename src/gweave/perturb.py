@@ -37,7 +37,7 @@ from .gframe import (
     frame_bounds,
     synthesis_matrix,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _integers, as_matrix, op_norm
+from .linalg import DEFAULT_TOL, Tolerance, _integers, _reals, as_matrix, op_norm
 from .weaving import GFrameFamily, _gram_tensor
 
 __all__ = [
@@ -250,11 +250,12 @@ def _k_certificate(fam, feasible, k, subset, pair) -> KCertificate:
 
 
 def _as_scalars(values, count: int, name: str) -> tuple[float, ...]:
-    vals = (0.0,) * count if values is None else tuple(float(v) for v in values)
+    message = f"{name} entries must be finite and nonnegative real numbers"
+    vals = (0.0,) * count if values is None else _reals(values, message)
     if len(vals) != count:
         raise ValueError(f"{name} must have {count} entries, got {len(vals)}")
-    if not all(np.isfinite(v) and v >= 0 for v in vals):
-        raise ValueError(f"{name} entries must be finite and nonnegative")
+    if not all(v >= 0 for v in vals):
+        raise ValueError(message)
     return vals
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame, frame_bounds, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance, _rank_from_singular_values
+from .linalg import DEFAULT_TOL, Tolerance, _integers, _rank_from_singular_values
 from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
@@ -26,7 +26,6 @@ from .weaving import (
     _fold_extremes,
     _gram_tensor,
     _inside_bounds,
-    _integers,
     _label_blocks,
     _partition_of,
     _screen_operators,
@@ -59,8 +58,9 @@ class EquivalenceConstants:
     """Best constants of the four equivalent weaving conditions for a pair
     of g-Riesz bases.
 
-    ``riesz_low``/``riesz_up``: extreme per-weaving Riesz-sequence bounds
-    over all partitions.  ``a2``: largest constant A with
+    ``riesz_low``/``riesz_up``: extreme per-weaving Riesz bounds over all
+    partitions, the ``common_lower``/``common_upper`` of
+    :class:`WeavingRieszReport`.  ``a2``: largest constant A with
     ``A ||sum_sigma L* g||^2 <= ||sum_sigma L* g + sum_sigma^c G* g||^2``
     for all g and sigma.  ``d3``: same with the split-sum quadratic form on
     the left.  ``e4`` equals ``a2`` by homogeneity (the unit-norm
@@ -130,8 +130,8 @@ def _owned_columns(fam: GFrameFamily, labels0: np.ndarray) -> np.ndarray:
     return np.repeat(labels0 == 1, fam.block_dims, axis=1)
 
 
-def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
-    """One pass over the ``2**N`` partitions of a two-member family.
+def _riesz_sweep(fam: GFrameFamily, members):
+    """One pass over the ``2**N`` partitions of a pair of g-Riesz bases.
 
     Returns ``(best, kept)``: ``best`` as folded by ``_fold_extremes`` over
     squared extreme singular values of the weaving synthesis matrices ``T``
@@ -139,9 +139,8 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
     label rows, in code order, that :func:`_angle_constants` must visit.
     ``members`` are the two members' :class:`RieszBounds`.
 
-    *Angle screen.*  If both members pass ``lower > frame_rtol * upper``
-    (full column rank, so ``c <= n``), with ``mu**2`` the smaller lower and
-    ``nu**2`` the larger upper Riesz bound, every weaving factors as ``T =
+    *Angle screen.*  With ``mu**2`` the smaller lower and ``nu**2`` the
+    larger upper Riesz bound of the members, every weaving factors as ``T =
     [Q_A Q_B] diag(R_A, R_B)`` with the singular values of ``R_A`` and
     ``R_B`` in ``[mu, nu]`` (column subsets interlace), so ``s_min(T)**2 /
     nu**2 <= 1 - cos(theta) <= s_min(T)**2 / mu**2`` for the smallest
@@ -149,49 +148,36 @@ def _riesz_sweep(fam: GFrameFamily, tol: Tolerance, members):
     both increase with ``1 - cos(theta)``, so a partition can attain them
     only if ``s_min(T)**2 <= (nu / mu)**2 * min s_min**2``.  ``kept`` holds
     the rows with ``s_min**2 <= thr(min s_min**2)``, where ``thr(low) =
-    (1 + 1e-6) (nu / mu)**2 (low + 1e3 max(n, c) eps nu**2)``: the relative
-    term covers rounding in ``mu`` and ``nu``, the absolute one rounding in
-    the singular values and the angle constants.  Otherwise the inequality
-    can fail and every row is kept.  The running ``low`` only falls and
-    ``thr`` is monotone in floating point too, so ``thr`` at the running
-    ``low`` is at least ``thr`` at the final one: the pass stores the rows,
-    and their ``s_min**2``, at or below ``thr`` of the running ``low``, and
-    loses none that the final ``thr`` keeps.
+    (1 + 1e-6) (nu / mu)**2 (low + 1e3 n eps nu**2)``: the relative term
+    covers rounding in ``mu`` and ``nu``, the absolute one rounding in the
+    singular values and the angle constants.  The running ``low`` only
+    falls and ``thr`` is monotone in floating point too, so ``thr`` at the
+    running ``low`` is at least ``thr`` at the final one: the pass stores
+    the rows, and their ``s_min**2``, at or below ``thr`` of the running
+    ``low``, and loses none that the final ``thr`` keeps.
 
     *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 rows in
-    code order.  On a square pair (``c == n`` and the angle screen
-    applies), ``s(T)**2`` are the eigenvalues of ``S = T T*``, and after
-    the first block a partition is skipped by sampled mode's row screen
-    (:func:`certify_woven`) with the running ``(low, up)`` and the floor
-    ``thr(low)``, whose Cholesky margin also covers the rounding of the
-    Gram terms (about ``n eps up``) and the SVD's error in ``s_min**2``
-    (about ``2 eps up``).  A skipped partition's computed ``s_min**2`` lies
-    above ``thr(low) >= low`` and its ``s_max**2`` below ``up``, so it
-    moves no bound and would not have been stored.  The other partitions
-    take one batched SVD of their ``T`` and are folded in code order, so
-    reports are those of a sweep that takes every SVD, bit for bit.
-
-    Every other pair (``c != n`` or a member past neither screen, which
-    only redundant or rank-deficient :func:`equivalence_constants` inputs
-    reach) builds no frame operator: every block takes the SVD and every
-    row is kept.  SVDs are per matrix, so the block size changes no bit of
-    a result.
+    code order.  Each ``T`` is square, so ``s(T)**2`` are the eigenvalues
+    of ``S = T T*``, and after the first block a partition is skipped by
+    sampled mode's row screen (:func:`certify_woven`) with the running
+    ``(low, up)`` and the floor ``thr(low)``, whose Cholesky margin also
+    covers the rounding of the Gram terms (about ``n eps up``) and the
+    SVD's error in ``s_min**2`` (about ``2 eps up``).  A skipped
+    partition's computed ``s_min**2`` lies above ``thr(low) >= low`` and
+    its ``s_max**2`` below ``up``, so it moves no bound and would not have
+    been stored.  The other partitions take one batched SVD of their ``T``
+    and are folded in code order, so reports are those of a sweep that
+    takes every SVD, bit for bit.  SVDs are per matrix, so the block size
+    changes no bit of a result.
     """
-    n, c = fam.ambient_dim, fam.coeff_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
+    mu2, nu2 = min(rb.lower for rb in members), max(rb.upper for rb in members)
+    ratio, slack = (1 + 1e-6) * nu2 / mu2, 1e3 * fam.ambient_dim * np.finfo(float).eps * nu2
+    operators, margin = _screen_operators(_gram_tensor(fam))
     best = (np.inf, None, -np.inf, None)
-    screen = all(rb.lower > tol.frame_rtol * rb.upper for rb in members)
-    ratio = slack = np.inf  # thr = ratio * (low + slack) = inf keeps every row
-    if screen:
-        low, up = min(rb.lower for rb in members), max(rb.upper for rb in members)
-        ratio, slack = (1 + 1e-6) * up / low, 1e3 * max(n, c) * np.finfo(float).eps * up
-
-    square = screen and c == n
-    if square:  # only the weaving screen reads frame operators
-        operators, margin = _screen_operators(_gram_tensor(fam))
     stored = []
     for labels0 in _label_blocks(2, fam.n_indices, _SCREEN_ROWS):
-        if square and best[1] is not None:
+        if best[1] is not None:
             labels0 = labels0[~_inside_bounds(operators(labels0), thr + margin, best[2] - margin)]
             if not len(labels0):
                 continue
@@ -216,7 +202,6 @@ def _angle_constants(fam: GFrameFamily, tol: Tolerance, rows: np.ndarray):
     bases for ``d3``, so each partition gets the same floats however
     ``rows`` was screened.
     """
-    n = fam.ambient_dim
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     a2 = d3 = np.inf
     for owner in _owned_columns(fam, rows):
@@ -228,9 +213,7 @@ def _angle_constants(fam: GFrameFamily, tol: Tolerance, rows: np.ndarray):
         elif rl > 0:
             overlap = np.linalg.svd(o_right.conj().T @ o_left, compute_uv=False)
             a2 = min(a2, max(0.0, 1.0 - float(overlap[0]) ** 2))
-        if rl + rr > n:
-            d3 = min(d3, 0.0)
-        elif rl + rr > 0:
+        if rl + rr > 0:
             mix = np.hstack([o_left, o_right])
             d3 = min(d3, float(np.linalg.svd(mix, compute_uv=False)[-1]) ** 2)
     return float(a2), float(d3)
@@ -240,8 +223,8 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
     """The :func:`weaving_riesz_check` report, and with ``angles`` the
     :func:`equivalence_constants` report (else ``None``), from one sweep.
 
-    Both members are g-Riesz bases, so the sweep takes the weaving screen
-    either way."""
+    Both members must be g-Riesz bases: ``ValueError`` names the first that
+    is not.  ``riesz_low``/``riesz_up`` are ``common_lower``/``common_upper``."""
     if fam.m != 2:
         raise ValueError("the Riesz weaving check is defined for two-member families")
     members = [riesz_bounds(fr, tol) for fr in fam.frames]
@@ -249,7 +232,7 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
         if not rb.is_basis:
             raise ValueError(f"member {j} is not a g-Riesz basis")
     total = _check_budget(budget, "Riesz weaving check needs", 2, fam.n_indices)
-    best, kept = _riesz_sweep(fam, tol, members)
+    best, kept = _riesz_sweep(fam, members)
     best_low, labels_low, best_up, labels_up = best
     report = WeavingRieszReport(
         woven=best_low > tol.frame_rtol * best_up,
@@ -261,7 +244,10 @@ def _riesz_pair_reports(fam: GFrameFamily, tol: Tolerance, budget: int, angles: 
     )
     if not angles:
         return report, None
-    return report, _equivalence_report(fam, best_low, best_up, *_angle_constants(fam, tol, kept))
+    a2, d3 = _angle_constants(fam, tol, kept)
+    return report, EquivalenceConstants(
+        riesz_low=report.common_lower, riesz_up=report.common_upper, a2=a2, d3=d3, e4=a2
+    )
 
 
 def weaving_riesz_check(
@@ -384,30 +370,16 @@ def equivalence_constants(
     of the concatenated orthonormal range bases.  Partitions whose
     denominator form vanishes identically contribute no constraint.
 
-    ``riesz_low``/``riesz_up`` come from the same weaving SVDs as
-    :func:`weaving_riesz_check`, so on a pair of g-Riesz bases they are the
-    same floats as its ``common_lower``/``common_upper``.
+    Both members must be g-Riesz bases, as for :func:`weaving_riesz_check`:
+    ``ValueError`` names the first that is not.  ``riesz_low``/``riesz_up``
+    are that check's ``common_lower``/``common_upper``, from the same sweep.
 
     Two screens skip work that cannot change a reported float; their
     proofs and rounding margins are in ``_riesz_sweep``.  The angle
     quantities are computed only on partitions that can attain ``a2`` and
-    ``d3``.  On a square pair (``c == n``, both members past ``lower >
-    frame_rtol * upper``) a weaving after the first 64 takes the weaving SVD
-    only if a Cholesky test on its GEMM operator, within a margin of its
-    frame operator, cannot prove it inside the running bounds and above
-    the angle threshold.  A member with
-    ``lower <= frame_rtol * upper`` (redundant or rank deficient) turns
-    both screens off, and ``c != n`` the weaving screen.
+    ``d3``, and a weaving after the first 64 takes the weaving SVD only if
+    a Cholesky test on its GEMM operator, within a margin of its frame
+    operator, cannot prove it inside the running bounds and above the angle
+    threshold.
     """
-    if fam.m != 2:
-        raise ValueError("equivalence constants are defined for two-member families")
-    _check_budget(budget, "equivalence constants need", 2, fam.n_indices, "partitions")
-    members = [riesz_bounds(fr, tol) for fr in fam.frames]
-    (low, _, up, _), kept = _riesz_sweep(fam, tol, members)
-    return _equivalence_report(fam, low, up, *_angle_constants(fam, tol, kept))
-
-
-def _equivalence_report(fam, low, up, a2, d3) -> EquivalenceConstants:
-    # More coefficients than ambient dimensions force a kernel.
-    low = 0.0 if fam.coeff_dim > fam.ambient_dim else max(low, 0.0)
-    return EquivalenceConstants(riesz_low=low, riesz_up=up, a2=a2, d3=d3, e4=a2)
+    return _riesz_pair_reports(fam, tol, budget, angles=True)[1]

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .gframe import GFrame, _gram_terms, frame_bounds, frame_operator, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance, _integers, hermitian_extremes, rank
+from .linalg import DEFAULT_TOL, Tolerance, _integers, _reals, hermitian_extremes, rank
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -62,13 +62,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when exhaustive enumeration would exceed the partition budget."""
 
 
-def _check_budget(
-    budget: int, needs: str = "", m: int = 1, big_n: int = 0, unit: str = "weavings"
-) -> int:
+def _check_budget(budget: int, needs: str = "", m: int = 1, big_n: int = 0) -> int:
     """Check a partition budget before any work; return ``m**big_n``.
 
     A budget that is not an integer (``bool`` included) or is below one is
-    a ``ValueError``.  A sweep of ``m**big_n`` items over budget is a
+    a ``ValueError``.  A sweep of ``m**big_n`` weavings over budget is a
     ``BudgetExceededError`` whose message starts with ``needs`` and states
     ``m^N``; without a sweep size (sampled mode) only the lower limit applies.
     """
@@ -78,7 +76,7 @@ def _check_budget(
     total = m**big_n
     if total > budget:
         raise BudgetExceededError(
-            f"{needs} {m}^{big_n} = {total} {unit}, budget is {budget}"
+            f"{needs} {m}^{big_n} = {total} weavings, budget is {budget}"
         )
     return total
 
@@ -676,7 +674,11 @@ def _resolve_universal(
     tol: Tolerance,
 ) -> tuple[float, float]:
     if universal is not None:
-        return float(universal[0]), float(universal[1])
+        message = "universal must be two finite real bounds with 0 <= lower <= upper"
+        bounds = _reals(universal, message)
+        if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
+            raise ValueError(message)
+        return bounds
     rep = certify_woven(fam, "exhaustive", budget=budget, tol=tol)
     return rep.universal_lower, rep.universal_upper
 
@@ -693,7 +695,8 @@ def scaled_family(
     With ``C = min |a|^2`` and ``D = max |a|^2`` and base universal bounds
     (A, B), the scaled family is woven with bounds inside ``[A C, B D]``.
     A zero scalar collapses the lower bound and is rejected.  ``universal``
-    may pass known base bounds; otherwise they are computed exhaustively.
+    may pass known base bounds, finite reals with ``0 <= lower <= upper``;
+    otherwise they are computed exhaustively.
     """
     a = np.asarray(scalars, dtype=np.complex128)
     if a.shape != (fam.m, fam.n_indices):
@@ -745,7 +748,8 @@ def removal_bound(
     With base universal bounds (A, B) and ``D_J`` the upper bound of member
     one restricted to the dropped set, the restricted family stays woven with
     universal lower bound at least ``A - D_J`` whenever ``D_J < A``.  A
-    violated hypothesis is reported, not raised.
+    violated hypothesis is reported, not raised.  ``universal`` may pass
+    (A, B), as in :func:`scaled_family`.
     """
     if fam.m != 2:
         raise ValueError("removal analysis is defined for two-member families")
@@ -781,12 +785,15 @@ def frame_op_norm_check(
     The maximum over unit vectors f of
     ``sum_j ||R_j f||^2 - B * ||S_weaving||``, where ``R_j`` sums member j's
     Gram terms over its own group, is ``lambda_max(sum_j R_j* R_j) - B *
-    ||S_weaving||``.  ``B`` defaults to the Bessel-sum surrogate.  The
-    result should never exceed numerical noise.
+    ||S_weaving||``.  ``B``, a finite real ``>= 0``, defaults to the
+    Bessel-sum surrogate.  The result should never exceed numerical noise.
     """
     labels0 = _validate_labels(fam, p)
     n = fam.ambient_dim
-    b_upper = bessel_sum_bound(fam) if upper is None else float(upper)
+    message = "upper must be a finite real >= 0"
+    b_upper = bessel_sum_bound(fam) if upper is None else _reals((upper,), message)[0]
+    if b_upper < 0:
+        raise ValueError(message)
     s_psi = frame_operator(assemble_weaving(fam, p))
     norm_psi = hermitian_extremes(s_psi)[1]
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gweave.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _reals,
     hermitian_extremes,
     op_norm,
     pinv,
@@ -34,6 +35,21 @@ class TestTolerance:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             Tolerance(rank_rtol=bad)
+
+
+class TestReals:
+    def test_python_and_numpy_reals_read_as_floats(self):
+        values = _reals((1, 0.5, np.int8(-3), np.float32(0.25), np.float64(2.0)), "bad")
+        assert values == (1.0, 0.5, -3.0, 0.25, 2.0)
+        assert all(type(x) is float for x in values)
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.bool_(True), "0.5", 1j, np.complex128(1), None, np.nan, -np.inf,
+                np.float32(np.inf), pytest.param(10**400, id="1e400"), [1.0]]
+    )
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(ValueError, match="^bad$"):
+            _reals((0.0, bad), "bad")
 
 
 class TestHermitianExtremes:

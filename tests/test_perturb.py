@@ -330,7 +330,12 @@ class TestPerturbationCertificate:
             else:
                 perturbation_certificate(fam, 1, (0.6,), etas=(0.1,))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    # float() would read True as 1.0 and '0.5' as 0.5.
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, -0.1, True, np.bool_(False), "0.5", 0.5 + 0j,
+         pytest.param(10**400, id="1e400")],
+    )
     @pytest.mark.parametrize("name", ["lambdas", "etas", "mus"])
     @pytest.mark.parametrize("chained", [False, True])
     def test_scalars_must_be_finite_and_nonnegative(self, bad, name, chained):
@@ -339,6 +344,11 @@ class TestPerturbationCertificate:
         certify = chained_certificate if chained else partial(perturbation_certificate, base=1)
         with pytest.raises(ValueError, match=f"{name} entries must be finite and nonnegative"):
             certify(scaled_pair(1.1), **scalars, mode=mode)
+
+    @pytest.mark.parametrize("lambdas", [np.array([0.125]), [np.float32(0.125)], [np.int64(0)]])
+    def test_numpy_scalars_accepted(self, lambdas):
+        expected = perturbation_certificate(scaled_pair(1.1), 1, lambdas=[float(lambdas[0])])
+        assert perturbation_certificate(scaled_pair(1.1), 1, lambdas=lambdas) == expected
 
     @pytest.mark.parametrize("trials", [0, -3])
     @pytest.mark.parametrize("mode", ["exact-lambda-only", "sampled-falsification"])

@@ -237,10 +237,13 @@ class TestBudget:
 
     def test_exceeded_budget_states_the_sweep_size(self):
         fam = rotated_onb_pair()
-        with pytest.raises(BudgetExceededError, match=r"2\^2 = 4 weavings, budget is 3"):
-            weaving_riesz_check(fam, budget=3)
-        with pytest.raises(BudgetExceededError, match=r"2\^2 = 4 partitions, budget is 3"):
-            equivalence_constants(fam, budget=3)
+        # One sweep serves both reports, so both state it alike.
+        for sweep in (weaving_riesz_check, equivalence_constants):
+            with pytest.raises(
+                BudgetExceededError,
+                match=r"^Riesz weaving check needs 2\^2 = 4 weavings, budget is 3$",
+            ):
+                sweep(fam, budget=3)
         with pytest.raises(BudgetExceededError, match=r"2\^2 = 4 weavings, budget is 3"):
             permutation_weave(onb_frame(2), (2, 1), budget=3)
 
@@ -438,6 +441,13 @@ def _assert_pair_matches(fam):
     )
 
 
+def _assert_not_a_basis(fam, member):
+    """Both Riesz pair reports reject ``fam`` for the same ``member``."""
+    for check in (weaving_riesz_check, equivalence_constants):
+        with pytest.raises(ValueError, match=f"^member {member} is not a g-Riesz basis$"):
+            check(fam)
+
+
 def _assert_permutation_matches(f, pi, tol=DEFAULT_TOL):
     """The identity must equal the reference loop bit for bit.  Any other
     ``pi`` must give the structural report (see ``permutation_weave``):
@@ -532,22 +542,16 @@ class TestBatchedSweepsMatchReferenceLoops:
         fam = GFrameFamily((redundant, random_frame(2, (1, 1, 1), seed=3)))
         # Labels (1, 2, 1) keep E1 twice on the left: rank 1 below min(n, 2).
         assert np.linalg.matrix_rank(synthesis_matrix(redundant)[:, [0, 2]]) == 1
-        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
-            _equivalence_reference(fam)
-        )
+        _assert_not_a_basis(fam, 1)
 
     @pytest.mark.parametrize("n, seed", [(3, 4), (3, 6), (9, 3)])
     def test_equivalence_with_rank_deficient_side(self, n, seed):
         # The second member repeats its first block, so the right side of
-        # some partitions has fewer independent columns than columns.  On
-        # these seeds a2 and d3 change if a rank-deficient side is treated
-        # as full rank; n = 9 spans four chunks.
+        # some partitions has fewer independent columns than columns.
         other = _basis((1,) * n, seed + 100)
         degenerate = GFrame(n, other.blocks[:-1] + other.blocks[:1])
         fam = GFrameFamily((_basis((1,) * n, seed), degenerate), allow_degenerate=True)
-        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
-            _equivalence_reference(fam)
-        )
+        _assert_not_a_basis(fam, 2)
 
 
 def _scaled_riesz_sequence(dims, extra, seed, decades):
@@ -566,16 +570,13 @@ def _scaled_riesz_sequence(dims, extra, seed, decades):
 
 class TestAngleScreen:
     @pytest.mark.parametrize("dims, extra, seed", [((1,) * 9, 1, 0), ((1, 2) * 4 + (1,), 2, 1)])
-    def test_matches_reference_past_one_block(self, dims, extra, seed):
-        # c < n: the angle screen applies and the weaving screen does not,
-        # so all 512 partitions take the SVD, in eight blocks of 64.
+    def test_riesz_sequences_past_one_block_are_rejected(self, dims, extra, seed):
+        # c < n: each member is a g-Riesz sequence, not a basis.
         fam = GFrameFamily(
             tuple(_scaled_riesz_sequence(dims, extra, seed + 7919 * j, 1.0) for j in range(2)),
             allow_degenerate=True,
         )
-        assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
-            _equivalence_reference(fam)
-        )
+        _assert_not_a_basis(fam, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -586,12 +587,16 @@ class TestAngleScreen:
     )
     def test_matches_reference_on_scaled_riesz_pairs(self, dims, extra, seed, decades):
         # Independent members: on some draws the screen drops partitions,
-        # and column scalings widen nu / mu until it keeps them all.
+        # and column scalings widen nu / mu until it keeps them all.  With
+        # extra > 0 (c < n) the members are g-Riesz sequences, not bases.
         dims = tuple(dims)
         fam = GFrameFamily(
             tuple(_scaled_riesz_sequence(dims, extra, seed + 7919 * j, decades) for j in range(2)),
             allow_degenerate=extra > 0,
         )
+        if extra > 0:
+            _assert_not_a_basis(fam, 1)
+            return
         assert dataclasses.astuple(equivalence_constants(fam)) == dataclasses.astuple(
             _equivalence_reference(fam)
         )
@@ -778,26 +783,33 @@ class TestSweepKeptRows:
     partition's SVD."""
 
     @pytest.mark.parametrize(
-        "fam, regime",
+        "fam",
         [
             # Both screens: most partitions skip the weaving SVD.
-            (_independent_bases((1,) * 10, 3), "some"),
-            (_independent_bases((1, 2, 1, 1, 2, 1), 8), "some"),
-            # c < n: the angle screen alone.
-            (_riesz_sequences((1,) * 9, 1, 0), "some"),
-            (_riesz_sequences((1, 2) * 4, 1, 1), "some"),
-            # A redundant member: no screen, every row is kept.
-            (GFrameFamily((GFrame(2, (E1, E2, E1)), random_frame(2, (1, 1, 1), seed=3))), "all"),
+            _independent_bases((1,) * 10, 3),
+            _independent_bases((1, 2, 1, 1, 2, 1), 8),
         ],
-        ids=["square", "square-mixed-dims", "sequence", "sequence-mixed-dims", "redundant"],
+        ids=["square", "square-mixed-dims"],
     )
-    def test_kept_rows_match_brute_force(self, fam, regime):
+    def test_kept_rows_match_brute_force(self, fam):
         members = [riesz_bounds(fr) for fr in fam.frames]
-        (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, DEFAULT_TOL, members)
+        (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, members)
         best, expected = _sweep_reference(fam)
         assert (low, tuple(low_at), up, tuple(up_at)) == best
         assert [tuple(r) for r in kept.tolist()] == expected
-        if regime == "all":
-            assert len(expected) == 2**fam.n_indices
-        else:
-            assert 0 < len(expected) < 2**fam.n_indices
+        assert 0 < len(expected) < 2**fam.n_indices
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            # c < n: g-Riesz sequences.
+            _riesz_sequences((1,) * 9, 1, 0),
+            _riesz_sequences((1, 2) * 4, 1, 1),
+            # A redundant member.
+            GFrameFamily((GFrame(2, (E1, E2, E1)), random_frame(2, (1, 1, 1), seed=3))),
+        ],
+        ids=["sequence", "sequence-mixed-dims", "redundant"],
+    )
+    def test_non_bases_never_reach_the_sweep(self, fam, monkeypatch):
+        monkeypatch.setattr(riesz, "_riesz_sweep", None)
+        _assert_not_a_basis(fam, 1)

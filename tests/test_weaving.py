@@ -560,7 +560,44 @@ class TestPreconditions:
         assert str(info.value) == message
 
 
+class TestKnownUniversalBounds:
+    """``universal=(A, B)`` passed to ``scaled_family`` and ``removal_bound``."""
+
+    @staticmethod
+    def _calls(universal):
+        fam = swapped_onb_family(3)
+        yield lambda: scaled_family(fam, np.ones((2, 3)), universal=universal)[1]
+        yield lambda: removal_bound(fam, [1], universal=universal)
+
+    @pytest.mark.parametrize(
+        "universal",
+        [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf), (True, 1.0), ("0.5", 1.0), (0.5, 1 + 0j),
+         (-0.1, 1.0), (2.0, 1.0), (0.5,), (0.1, 0.5, 1.0)],
+    )
+    def test_must_be_two_ordered_finite_reals(self, universal):
+        for call in self._calls(universal):
+            with pytest.raises(ValueError, match="^universal must be two finite real bounds"):
+                call()
+
+    def test_numpy_scalars_read_as_floats(self):
+        scaled, removal = self._calls((np.float32(0.5), np.int64(2)))
+        assert scaled() == (0.5, 2.0) and all(type(x) is float for x in scaled())
+        assert (removal().base_lower, removal().base_upper) == (0.5, 2.0)
+
+
 class TestFrameOpNormCheck:
+    @pytest.mark.parametrize("upper", [np.nan, np.inf, -1.0, True, "1.0", 1j])
+    def test_upper_must_be_a_finite_nonnegative_real(self, upper):
+        fam = GFrameFamily((onb_frame(2), onb_frame(2)))
+        with pytest.raises(ValueError, match="^upper must be a finite real >= 0$"):
+            frame_op_norm_check(fam, Partition((1, 2)), upper=upper)
+
+    def test_numpy_upper_accepted(self):
+        fam, p = noisy_family(2, (1, 1, 1), 2, seed=5), Partition((1, 2, 1))
+        assert frame_op_norm_check(fam, p, upper=np.float64(2.5)) == frame_op_norm_check(
+            fam, p, upper=2.5
+        )
+
     def test_single_member_partition(self):
         fam = noisy_family(2, (1, 1, 1), 2, seed=5)
         assert frame_op_norm_check(fam, Partition((2, 2, 2))) <= 1e-9
