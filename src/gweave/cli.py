@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -302,7 +302,9 @@ def _add_common(parser, with_seed=False, with_budget=False):
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="gweave",
         description="g-frame analysis and weaving certification",
@@ -357,8 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The parser is built once per process; each call parses into a fresh
+    namespace, so no call sees another's arguments.
+    """
+    args = build_parser().parse_args(argv)
     try:
         # Entries whose squares leave float64 end here, not in NaN bounds.
         with np.errstate(over="raise", invalid="raise"):

@@ -9,7 +9,9 @@ are byte-identical.  Parse errors carry the offending field path.
 
 from __future__ import annotations
 
+import cmath
 import json
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -41,42 +43,98 @@ def _require(payload: dict, key: str, where: str):
     return payload[key]
 
 
+def _accepted(rows, field: str) -> bool:
+    """Whether every entry of the rows is a number (``field == "real"``) or
+    an ``[re, im]`` pair of numbers; a bool is none, though ``np.array``
+    would read ``True``, ``'1.5'`` and ``None`` as numbers."""
+    scalars = chain.from_iterable(rows)
+    if field == "complex":
+        pairs = list(scalars)
+        kinds = set(map(type, pairs))
+        if not all(issubclass(t, (list, tuple)) for t in kinds) or set(map(len, pairs)) - {2}:
+            return False
+        scalars = chain.from_iterable(pairs)
+    return all(
+        issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, scalars))
+    )
+
+
 def _parse_scalar(raw, field: str, where: str) -> complex:
-    if field == "real":
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise FrameFileError(f"{where}: expected a real number, got {raw!r}")
-        raw = (raw, 0.0)
-    elif (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in raw)
-    ):
-        raise FrameFileError(f"{where}: expected an [re, im] pair, got {raw!r}")
+    if not _accepted([[raw]], field):
+        kind = "a real number" if field == "real" else "an [re, im] pair"
+        raise FrameFileError(f"{where}: expected {kind}, got {raw!r}")
+    re, im = (raw, 0.0) if field == "real" else raw
     try:
-        return complex(float(raw[0]), float(raw[1]))
+        return complex(float(re), float(im))
     except OverflowError as exc:
         # An integer past float64, not echoed: long ints may refuse to format.
         raise FrameFileError(f"{where}: integer too large for float64") from exc
 
 
+def _check_scalars(matrices, field: str) -> None:
+    """The walk: raise the first error of shape-checked ``(entries, rows,
+    where)`` matrices, a rejected entry or else a matrix's non-finite one."""
+    for entries, _, where in matrices:
+        finite = True
+        for r, row in enumerate(entries):
+            for c, raw in enumerate(row):
+                finite &= cmath.isfinite(_parse_scalar(raw, field, f"{where}[{r}][{c}]"))
+        if not finite:
+            raise FrameFileError(f"{where}: entries must be finite numbers")
+
+
+def _parse_matrices(specs, cols: int, field: str) -> list[np.ndarray]:
+    """The complex matrices of ``specs``, an iterable of ``(entries, rows,
+    where)`` that may itself raise: shapes checked in turn, then all entries
+    converted by one ``np.array`` and split by row counts.  Errors come from
+    the walk, as if each matrix were parsed entry by entry in turn."""
+    checked = []
+    try:
+        for entries, rows, where in specs:
+            if not isinstance(entries, list) or len(entries) != rows:
+                raise FrameFileError(f"{where}: expected {rows} rows")
+            # Shapes first, so no entry of a malformed matrix is converted.
+            for r, row in enumerate(entries):
+                if not isinstance(row, list) or len(row) != cols:
+                    raise FrameFileError(f"{where}[{r}]: expected {cols} entries")
+            checked.append((entries, rows, where))
+    except FrameFileError:
+        # A bad entry of an earlier matrix comes first.
+        _check_scalars(checked, field)
+        raise
+    flat = [row for entries, _, _ in checked for row in entries]
+    try:
+        values = np.array(flat, dtype=np.float64) if _accepted(flat, field) else None
+    except OverflowError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _check_scalars(checked, field)
+    values = values.astype(np.complex128) if field == "real" else values.view(np.complex128)
+    values = values.reshape(len(flat), cols)
+    stops = accumulate(rows for _, rows, _ in checked)
+    return [values[stop - rows : stop] for (_, rows, _), stop in zip(checked, stops)]
+
+
 def parse_matrix_entries(entries, rows: int, cols: int, field: str, where: str) -> np.ndarray:
-    """Parse a nested entries array into a validated complex matrix."""
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise FrameFileError(f"{where}: expected {rows} rows")
-    # Shapes first, so a file cannot claim more memory than its entries hold.
-    for r, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FrameFileError(f"{where}[{r}]: expected {cols} entries")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for r, row in enumerate(entries):
-        for c, raw in enumerate(row):
-            out[r, c] = _parse_scalar(raw, field, f"{where}[{r}][{c}]")
-    if not np.all(np.isfinite(out)):
-        raise FrameFileError(f"{where}: entries must be finite numbers")
-    return out
+    """Parse a nested entries array into a validated complex matrix, by one
+    ``np.array``; errors name the field path of the first bad entry, found
+    by the entry-by-entry walk."""
+    return _parse_matrices([(entries, rows, where)], cols, field)[0]
+
+
+def _block(item, spot: str) -> tuple:
+    """The ``(entries, rows, where)`` of a frame file's block."""
+    if not isinstance(item, dict):
+        raise FrameFileError(f"{spot}: expected an object")
+    rows = _require(item, "rows", spot)
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+        raise FrameFileError(f"{spot}.rows: expected a positive integer")
+    return _require(item, "entries", spot), rows, f"{spot}.entries"
 
 
 def frame_from_payload(payload, where: str = "frame") -> GFrame:
+    """The g-frame of a frame file's payload, all entries converted by one
+    ``np.array``; errors come from the walk, block by block."""
     if not isinstance(payload, dict):
         raise FrameFileError(f"{where}: expected an object")
     ambient = _require(payload, "ambient_dim", where)
@@ -88,18 +146,9 @@ def frame_from_payload(payload, where: str = "frame") -> GFrame:
     blocks_raw = _require(payload, "blocks", where)
     if not isinstance(blocks_raw, list) or not blocks_raw:
         raise FrameFileError(f"{where}.blocks: expected a nonempty list")
-    blocks = []
-    for b, item in enumerate(blocks_raw):
-        spot = f"{where}.blocks[{b}]"
-        if not isinstance(item, dict):
-            raise FrameFileError(f"{spot}: expected an object")
-        rows = _require(item, "rows", spot)
-        if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
-            raise FrameFileError(f"{spot}.rows: expected a positive integer")
-        entries = _require(item, "entries", spot)
-        blocks.append(parse_matrix_entries(entries, rows, ambient, field, f"{spot}.entries"))
+    specs = (_block(item, f"{where}.blocks[{b}]") for b, item in enumerate(blocks_raw))
     # The checks above leave GFrame nothing to reject.
-    return GFrame(ambient, tuple(blocks))
+    return GFrame(ambient, tuple(_parse_matrices(specs, ambient, field)))
 
 
 def _payload_from_path(path) -> dict:
@@ -161,10 +210,9 @@ def load_operators(path, n: int) -> list[np.ndarray]:
         raise FrameFileError(f"{path}.field: expected 'real' or 'complex', got {field!r}")
     if not isinstance(mats, list) or not mats:
         raise FrameFileError(f"{path}.matrices: expected a nonempty list")
-    return [
-        parse_matrix_entries(entry, n, n, field, f"{path}.matrices[{k}]")
-        for k, entry in enumerate(mats)
-    ]
+    return _parse_matrices(
+        ((entry, n, f"{path}.matrices[{k}]") for k, entry in enumerate(mats)), n, field
+    )
 
 
 def _entries_payload(block: np.ndarray, field: str):

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's fast paths: universal
 weaving bounds are recomputed by stacking synthesis matrices one partition
-at a time, and Hermitian extremes come from shifted power iteration.
+at a time, Hermitian extremes come from shifted power iteration, and frame
+and operators payloads are parsed one entry at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from gweave import (
     Partition,
     generate,
 )
+from gweave.fileio import FrameFileError
 
 
 def onb_frame(n: int) -> GFrame:
@@ -180,3 +182,83 @@ def _counting_svd(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return matrices
+
+
+def _ref_require(payload: dict, key: str, where: str):
+    if key not in payload:
+        raise FrameFileError(f"{where}: missing required field {key!r}")
+    return payload[key]
+
+
+def _ref_scalar(raw, field: str, where: str) -> complex:
+    if field == "real":
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise FrameFileError(f"{where}: expected a real number, got {raw!r}")
+        raw = (raw, 0.0)
+    elif (
+        not isinstance(raw, (list, tuple))
+        or len(raw) != 2
+        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in raw)
+    ):
+        raise FrameFileError(f"{where}: expected an [re, im] pair, got {raw!r}")
+    try:
+        return complex(float(raw[0]), float(raw[1]))
+    except OverflowError as exc:
+        raise FrameFileError(f"{where}: integer too large for float64") from exc
+
+
+def reference_matrix_entries(entries, rows: int, cols: int, field: str, where: str):
+    """Oracle for ``fileio.parse_matrix_entries``: the entry-by-entry parse
+    it replaced, with its messages and their order."""
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise FrameFileError(f"{where}: expected {rows} rows")
+    for r, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise FrameFileError(f"{where}[{r}]: expected {cols} entries")
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for r, row in enumerate(entries):
+        for c, raw in enumerate(row):
+            out[r, c] = _ref_scalar(raw, field, f"{where}[{r}][{c}]")
+    if not np.all(np.isfinite(out)):
+        raise FrameFileError(f"{where}: entries must be finite numbers")
+    return out
+
+
+def reference_frame(payload, where: str = "frame") -> GFrame:
+    """Oracle for ``fileio.frame_from_payload``, parsing block by block."""
+    if not isinstance(payload, dict):
+        raise FrameFileError(f"{where}: expected an object")
+    ambient = _ref_require(payload, "ambient_dim", where)
+    if isinstance(ambient, bool) or not isinstance(ambient, int) or ambient < 1:
+        raise FrameFileError(f"{where}.ambient_dim: expected a positive integer")
+    field = _ref_require(payload, "field", where)
+    if field not in ("real", "complex"):
+        raise FrameFileError(f"{where}.field: expected 'real' or 'complex', got {field!r}")
+    blocks_raw = _ref_require(payload, "blocks", where)
+    if not isinstance(blocks_raw, list) or not blocks_raw:
+        raise FrameFileError(f"{where}.blocks: expected a nonempty list")
+    blocks = []
+    for b, item in enumerate(blocks_raw):
+        spot = f"{where}.blocks[{b}]"
+        if not isinstance(item, dict):
+            raise FrameFileError(f"{spot}: expected an object")
+        rows = _ref_require(item, "rows", spot)
+        if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+            raise FrameFileError(f"{spot}.rows: expected a positive integer")
+        entries = _ref_require(item, "entries", spot)
+        blocks.append(reference_matrix_entries(entries, rows, ambient, field, f"{spot}.entries"))
+    return GFrame(ambient, tuple(blocks))
+
+
+def reference_operators(payload: dict, path, n: int) -> list:
+    """Oracle for ``fileio.load_operators`` on an already-read payload."""
+    mats = _ref_require(payload, "matrices", str(path))
+    field = payload.get("field", "complex")
+    if field not in ("real", "complex"):
+        raise FrameFileError(f"{path}.field: expected 'real' or 'complex', got {field!r}")
+    if not isinstance(mats, list) or not mats:
+        raise FrameFileError(f"{path}.matrices: expected a nonempty list")
+    return [
+        reference_matrix_entries(entry, n, n, field, f"{path}.matrices[{k}]")
+        for k, entry in enumerate(mats)
+    ]

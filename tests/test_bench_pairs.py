@@ -53,6 +53,11 @@ def test_all_runs_pass(tmp_path):
     assert "failed_run" not in w1
     assert w1["metrics"]["items_per_s"]["change"]["runs"] == [115.0, 116.0, 117.0, 118.0]
     assert w1["metrics"]["items_per_s"]["change_wins"] == 4
+    # Each pair shares a seed: change 110 + seed over parent 100 + seed.
+    ratio = w1["metrics"]["items_per_s"]["pair_ratio"]
+    assert ratio["runs"] == [115 / 105, 116 / 106, 117 / 107, 118 / 108]
+    assert ratio["median"] == pytest.approx((116 / 106 + 117 / 107) / 2)
+    assert ratio["q1"] < ratio["median"] < ratio["q3"]
     assert out["host"]["python"] == "stub"
 
 

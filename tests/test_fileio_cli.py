@@ -119,6 +119,12 @@ class TestRoundTrip:
         assert isinstance(load_any(swapped_family_file), GFrameFamily)
 
 
+def _row_blocks(*rows, field="real"):
+    """A 2-dim frame file payload of one-row blocks with the given entries."""
+    blocks = [{"rows": 1, "entries": [row]} for row in rows]
+    return {"ambient_dim": 2, "field": field, "blocks": blocks}
+
+
 class TestMalformedFiles:
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,6 +204,7 @@ class TestMalformedFiles:
 
     _FRAME = {"ambient_dim": 2, "field": "real", "blocks": [{"rows": 1, "entries": [[1.0, 0.0]]}]}
     _DEEP = "[" * 200_000 + "]" * 200_000
+    _BIG = 10**309  # an integer past float64
 
     @pytest.mark.parametrize(
         "command, content, where, message",
@@ -226,11 +233,62 @@ class TestMalformedFiles:
             ("weave", _DEEP, "", "JSON nested too deeply"),
             ("analyze", '{"frames": ' + _DEEP + "}", "", "JSON nested too deeply"),
             ("weave", '{"frames": ' + _DEEP + "}", "", "JSON nested too deeply"),
+            # Types np.array would coerce: True to 1.0, '1.5' to 1.5, None to nan.
+            ("analyze", _row_blocks([True, 0.0]), ".blocks[0].entries[0][0]",
+             "expected a real number, got True"),
+            ("analyze", _row_blocks([1.0, "1.5"]), ".blocks[0].entries[0][1]",
+             "expected a real number, got '1.5'"),
+            ("analyze", _row_blocks([None, 0.0]), ".blocks[0].entries[0][0]",
+             "expected a real number, got None"),
+            ("analyze", _row_blocks([[True, 0.0], [0.0, 0.0]], field="complex"),
+             ".blocks[0].entries[0][0]", "expected an [re, im] pair, got [True, 0.0]"),
+            ("analyze", _row_blocks([[1.0, 0.0], [0.0, "1.5"]], field="complex"),
+             ".blocks[0].entries[0][1]", "expected an [re, im] pair, got [0.0, '1.5']"),
+            ("analyze", _row_blocks([[None, 0.0], [0.0, 0.0]], field="complex"),
+             ".blocks[0].entries[0][0]", "expected an [re, im] pair, got [None, 0.0]"),
+            ("analyze", _row_blocks([0.0, [1.0, 0.0]]), ".blocks[0].entries[0][1]",
+             "expected a real number, got [1.0, 0.0]"),
+            ("analyze", _row_blocks([[1.0, 0.0], [0.0, 0.0, 0.0]], field="complex"),
+             ".blocks[0].entries[0][1]", "expected an [re, im] pair, got [0.0, 0.0, 0.0]"),
+            # The first integer past float64 is named.
+            ("analyze", _row_blocks([1.0, _BIG], [_BIG, 0.0]), ".blocks[0].entries[0][1]",
+             "integer too large for float64"),
+            ("analyze", _row_blocks([[0.0, 1.0], [0.0, _BIG]], [[_BIG, 0.0], [0.0, 0.0]],
+                                    field="complex"),
+             ".blocks[0].entries[0][1]", "integer too large for float64"),
+            # The first bad entry wins, a bad type or an overflow alike; a
+            # non-finite entry only after every entry of its block parsed.
+            ("analyze", _row_blocks(["x", _BIG]), ".blocks[0].entries[0][0]",
+             "expected a real number, got 'x'"),
+            ("analyze", _row_blocks([_BIG, "x"]), ".blocks[0].entries[0][0]",
+             "integer too large for float64"),
+            ("analyze", _row_blocks([[0.0, _BIG], [True, 0.0]], field="complex"),
+             ".blocks[0].entries[0][0]", "integer too large for float64"),
+            ("analyze", _row_blocks([[True, 0.0], [0.0, _BIG]], field="complex"),
+             ".blocks[0].entries[0][0]", "expected an [re, im] pair, got [True, 0.0]"),
+            ("analyze", _row_blocks([float("nan"), "x"]), ".blocks[0].entries[0][1]",
+             "expected a real number, got 'x'"),
+            ("analyze", _row_blocks([float("nan"), 0.0], ["x", 0.0]), ".blocks[0].entries",
+             "entries must be finite numbers"),
+            ("analyze", _row_blocks([1.0, 0.0], ["x", 0.0], [0.0]),
+             ".blocks[1].entries[0][0]", "expected a real number, got 'x'"),
+            ("analyze", {**_FRAME, "blocks": [{"rows": 1, "entries": [["x", 0.0]]},
+                                              {"entries": []}]},
+             ".blocks[0].entries[0][0]", "expected a real number, got 'x'"),
+            ("analyze", _row_blocks([1.0, 0.0], [1.0]), ".blocks[1].entries[0]",
+             "expected 2 entries"),
         ],
         ids=["real-entry", "ambient-dim-0", "ambient-dim-bool", "field", "no-blocks",
              "block-not-object", "rows-0", "family-for-frame", "member-not-object",
              "one-member", "members-differ", "deep-analyze", "deep-weave",
-             "deep-frames-analyze", "deep-frames-weave"],
+             "deep-frames-analyze", "deep-frames-weave",
+             "real-true", "real-string", "real-null", "complex-true", "complex-string",
+             "complex-null", "real-pair", "complex-triple", "real-overflow-first",
+             "complex-overflow-first", "real-type-before-overflow",
+             "real-overflow-before-type", "complex-overflow-before-type",
+             "complex-type-before-overflow", "real-type-before-nan",
+             "nan-block-before-type-block", "type-block-before-short-row",
+             "type-block-before-missing-rows", "short-row-in-second-block"],
     )
     def test_frame_file_errors_exit_2(self, tmp_path, capsys, command, content, where, message):
         # A nesting past the recursion limit used to escape as a
@@ -624,8 +682,24 @@ class TestCertifyCommand:
             ('{"field": "real", "matrices": []}', ".matrices", "expected a nonempty list"),
             ('{"field": "real", "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}',
              ".matrices[0]", "expected 2 rows"),
+            ('{"field": "real", "matrices": [[[1, true], [0, 1]]]}', ".matrices[0][0][1]",
+             "expected a real number, got True"),
+            ('{"field": "real", "matrices": [[[1, 0], [0, 1]], [[null, 0], [0, 1]]]}',
+             ".matrices[1][0][0]", "expected a real number, got None"),
+            ('{"matrices": [[[[1, 0], [0, 0]], [[0, 0], ["1.5", 0]]]]}', ".matrices[0][1][1]",
+             "expected an [re, im] pair, got ['1.5', 0]"),
+            ('{"matrices": [[[[1, 0], [0, 0]], [[0, 0], [true, 0]]]]}', ".matrices[0][1][1]",
+             "expected an [re, im] pair, got [True, 0]"),
+            ('{"matrices": [[[[1, 0], [0, 0]], [[0, 0], [null, 0]]]]}', ".matrices[0][1][1]",
+             "expected an [re, im] pair, got [None, 0]"),
+            (f'{{"field": "real", "matrices": [[[1, {10**309}], [{10**309}, 1]]]}}',
+             ".matrices[0][0][1]", "integer too large for float64"),
+            ('{"field": "real", "matrices": [[[1, "x"], [0, 1]], [[1]]]}',
+             ".matrices[0][0][1]", "expected a real number, got 'x'"),
         ],
-        ids=["invalid-json", "non-object", "no-matrices", "bad-field", "empty-list", "wrong-size"],
+        ids=["invalid-json", "non-object", "no-matrices", "bad-field", "empty-list", "wrong-size",
+             "real-true", "real-null", "complex-string", "complex-true", "complex-null",
+             "overflow-first", "type-before-wrong-size"],
     )
     def test_operators_file_errors_exit_2(self, frame_file, tmp_path, capsys, text, where, message):
         ops = tmp_path / "ops.json"
@@ -1073,6 +1147,64 @@ class TestModuleEntryPoint:
         done = subprocess.run([sys.executable, "-m", "gweave.cli", "--version"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, f"gweave {__version__}\n", "")
+
+
+class TestOneParserPerProcess:
+    """``main`` reuses one parser; no call may see another's arguments."""
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(gweave.cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = "import gweave.cli; print(gweave.cli.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "0\n")
+
+    def test_one_parser_serves_every_call(self, frame_file):
+        assert main(["analyze", str(frame_file)]) == 0
+        assert gweave.cli.build_parser() is gweave.cli.build_parser()
+
+    def test_defaults_after_a_sampled_call(self, swapped_family_file, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["weave", str(swapped_family_file), "--mode", "sampled", "--seed", "7",
+                     "--budget", "64", "--json", str(a)]) == 1
+        assert main(["weave", str(swapped_family_file), "--json", str(b)]) == 1
+        first, second = (json.loads(path.read_text()) for path in (a, b))
+        assert first["report"]["mode"] == "sampled"
+        assert (first["tool"]["seed"], first["tool"]["budget"]) == (7, 64)
+        assert second["report"]["mode"] == "exhaustive"
+        assert second["report"]["seed"] is None
+        assert "seed" not in second["tool"]
+        assert second["tool"]["budget"] == DEFAULT_BUDGET
+
+    def test_valid_call_after_a_usage_error(self, frame_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["weave", str(frame_file), "--mode", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gweave weave ")
+        assert "invalid choice: 'bogus'" in err
+        assert main(["analyze", str(frame_file)]) == 0
+        out, err = capsys.readouterr()
+        assert "frame_bounds:" in out and err == ""
+
+    def test_valid_call_after_version(self, frame_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"gweave {__version__}\n"
+        assert main(["analyze", str(frame_file)]) == 0
+        assert "frame_bounds:" in capsys.readouterr().out
+
+    def test_budget_env_read_per_call(self, swapped_family_file, tmp_path, monkeypatch):
+        reports = []
+        for budget in ("8", "100"):
+            monkeypatch.setenv("GWEAVE_BUDGET", budget)
+            out = tmp_path / f"{budget}.json"
+            assert main(["weave", str(swapped_family_file), "--json", str(out)]) == 1
+            reports.append(json.loads(out.read_text())["tool"]["budget"])
+        assert reports == [8, 100]
 
 
 class TestNumericFailureExit:

@@ -20,11 +20,12 @@ the protocol; per workload the seeds, which side went first, every run's
 correctness and failed calls, and per end-to-end metric of
 ``BENCHMARK.json`` (read from the change checkout) every run's value, the
 medians, quartiles and IQR of each side, the ratio of the medians, the
-pairs the change won and lost, and whether the change stays within the
-metric's bound; per benchmark call the median over runs of each run's
-median seconds; and the host, Python, numpy and BLAS of the first run.
-Quartiles are numpy's linear percentiles.  Runs are sequential, one
-process at a time, so a host with two processors is enough.
+quartiles of the per-pair ratios change/parent, the pairs the change won
+and lost, and whether the change stays within the metric's bound; per
+benchmark call the median over runs of each run's median seconds; and
+the host, Python, numpy and BLAS of the first run.  Quartiles are numpy's
+linear percentiles.  Runs are sequential, one process at a time, so a
+host with two processors is enough.
 
 A run that exits non-zero ends its workload's pairs.  It is listed with
 its side, seed, exit code and the last lines of its stderr, beside any run
@@ -50,6 +51,8 @@ PROTOCOL = (
     "the tree; the first side alternates from pair to pair, the parent first in the "
     "first pair of each workload. Values are the last stdout line of each run. Times "
     "are perfbench's scaled seconds. Quartiles are numpy's linear percentiles. "
+    "pair_ratio: the quartiles of change/parent within each pair, which share a "
+    "seed, so instance-to-instance spread cancels out of them. "
     "change_worse_by is change/parent - 1 for a lower-is-better metric and 1 - "
     "change/parent otherwise; within_bound: change_worse_by <= bound. "
     "change_iqr_within_bound: the change's interquartile range is at most the "
@@ -106,6 +109,7 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": p, "change": c,
         "change_over_parent": ratio, "change_worse_by": worse_by,
+        "pair_ratio": quartiles([b / a for a, b in zip(parent, change)]),
         "change_wins": wins, "change_losses": losses,
         "within_bound": worse_by <= metric["bound"],
         "change_iqr_within_bound": c["iqr"] <= metric["bound"] * p["median"],
