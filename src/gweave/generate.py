@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame
-from .linalg import _integers
+from .linalg import _integers, _reals
 from .weaving import GFrameFamily, Partition
 
 __all__ = ["GenSpec", "KINDS", "generate", "random_partition"]
@@ -29,8 +29,8 @@ class GenSpec:
     positive eigenvalue per ambient dimension).  The riesz-basis and g-orthonormal
     kinds need block dimensions summing to the ambient dimension.  The
     perturbed kind produces a two-member family: a base frame plus a copy
-    with entrywise complex Gaussian noise of scale ``noise_scale`` (finite,
-    nonnegative; checked for every kind).
+    with entrywise complex Gaussian noise of scale ``noise_scale`` (a finite,
+    nonnegative real; checked for every kind).
     """
 
     ambient_dim: int
@@ -68,22 +68,21 @@ class GenSpec:
         if self.kind == "prescribed-spectrum":
             if self.spectrum is None:
                 raise ValueError("prescribed-spectrum needs a spectrum")
-            spec = tuple(float(x) for x in self.spectrum)
+            spec = tuple(self.spectrum)
             if len(spec) != self.ambient_dim:
                 raise ValueError(
                     f"spectrum must have {self.ambient_dim} entries, got {len(spec)}"
                 )
-            if not all(np.isfinite(spec)):
-                raise ValueError("spectrum entries must be finite")
+            spec = _reals(spec, "spectrum entries must be finite reals")
             if any(x <= 0 for x in spec):
                 raise ValueError("spectrum entries must be positive")
             object.__setattr__(self, "spectrum", spec)
         elif self.spectrum is not None:
             raise ValueError(f"spectrum is only meaningful for prescribed-spectrum")
-        if not np.isfinite(self.noise_scale):
-            raise ValueError("noise_scale must be finite")
-        if self.noise_scale < 0:
+        (noise,) = _reals((self.noise_scale,), "noise_scale must be finite and real")
+        if noise < 0:
             raise ValueError("noise_scale must be nonnegative")
+        object.__setattr__(self, "noise_scale", noise)
 
 
 def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

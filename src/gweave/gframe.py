@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _integers, as_matrix, rank
+from .linalg import DEFAULT_TOL, Tolerance, _complex_array, _integers, as_matrix, rank
 
 __all__ = [
     "DegenerateGFrameError",
@@ -93,7 +93,8 @@ class CoefficientVector:
     def __post_init__(self):
         segs = []
         for i, raw in enumerate(tuple(self.segments)):
-            s = np.asarray(raw, dtype=np.complex128)
+            message = f"segment {i + 1}: entries must be numbers, not bool, str or bytes"
+            s = _complex_array(raw, message)
             if s.ndim != 1 or s.size == 0:
                 raise ValueError(f"segment {i + 1}: expected a nonempty 1-D vector")
             if not np.all(np.isfinite(s)):
@@ -113,7 +114,7 @@ class CoefficientVector:
 
     @classmethod
     def from_stacked(cls, dims, vec) -> "CoefficientVector":
-        v = np.asarray(vec, dtype=np.complex128)
+        v = _complex_array(vec, "entries must be numbers, not bool, str or bytes")
         if v.ndim != 1 or v.size != sum(dims):
             raise ValueError(f"expected a flat vector of length {sum(dims)}")
         return cls(tuple(np.split(v, np.cumsum(dims)[:-1])))

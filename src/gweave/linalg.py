@@ -25,6 +25,34 @@ __all__ = [
 ]
 
 
+def _complex_array(a, message: str) -> np.ndarray:
+    """``a`` as a complex128 array; ``ValueError(message)`` if the dtype numpy
+    infers for ``a`` is bool, string, bytes or object (``np.asarray(a,
+    dtype=complex)`` reads True as 1 and '0.5' as 0.5).  Numpy infers a
+    number dtype for a list mixing bools and numbers, such as float64 for
+    ``[[True, 2.0]]``, so such a list is read as numbers."""
+    a = np.asarray(a)
+    if a.dtype.kind in "bSUO":
+        raise ValueError(message)
+    return a.astype(np.complex128, copy=False)
+
+
+def _reals(values, message: str) -> tuple[float, ...]:
+    """``values`` as Python floats; ``ValueError(message)`` unless each is a
+    Python or numpy integer or float, not a ``bool``, and finite (``float()``
+    reads True as 1.0 and '0.5' as 0.5)."""
+    values = tuple(values)
+    real = (int, float, np.integer, np.floating)
+    if all(isinstance(x, real) and not isinstance(x, bool) for x in values):
+        try:
+            floats = tuple(float(x) for x in values)
+        except OverflowError:  # an int past the float range
+            floats = (np.inf,)
+        if all(math.isfinite(x) for x in floats):
+            return floats
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds shared by every spectral decision.
@@ -47,7 +75,8 @@ class Tolerance:
 
     def __post_init__(self):
         for name in ("rank_rtol", "frame_rtol", "eq_atol"):
-            value = float(getattr(self, name))
+            raw = getattr(self, name)
+            (value,) = _reals((raw,), f"{name} must be a finite real, got {raw!r}")
             if not (0.0 < value <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {value!r}")
             object.__setattr__(self, name, value)
@@ -59,11 +88,12 @@ DEFAULT_TOL = Tolerance()
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 array and validate its entries.
 
-    Raises ``ValueError`` for empty or non-2-D input and for NaN/Inf
+    Raises ``ValueError`` for entries that are not numbers (see
+    :func:`_complex_array`), for empty or non-2-D input and for NaN/Inf
     entries.  The returned array may share memory with the input; callers
     that store it long-term should copy.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = _complex_array(a, "matrix entries must be numbers, not bool, str or bytes")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
@@ -135,22 +165,6 @@ def _integers(values, message: str) -> tuple[int, ...]:
     if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
         raise ValueError(message)
     return tuple(int(x) for x in values)
-
-
-def _reals(values, message: str) -> tuple[float, ...]:
-    """``values`` as Python floats; ``ValueError(message)`` unless each is a
-    Python or numpy integer or float, not a ``bool``, and finite (``float()``
-    reads True as 1.0 and '0.5' as 0.5)."""
-    values = tuple(values)
-    real = (int, float, np.integer, np.floating)
-    if all(isinstance(x, real) and not isinstance(x, bool) for x in values):
-        try:
-            floats = tuple(float(x) for x in values)
-        except OverflowError:  # an int past the float range
-            floats = (np.inf,)
-        if all(math.isfinite(x) for x in floats):
-            return floats
-    raise ValueError(message)
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, tol: Tolerance):

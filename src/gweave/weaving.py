@@ -21,7 +21,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .gframe import GFrame, _gram_terms, frame_bounds, frame_operator, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance, _integers, _reals, hermitian_extremes, rank
+from .linalg import DEFAULT_TOL, Tolerance, _complex_array, _integers, _reals
+from .linalg import hermitian_extremes, rank
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -416,15 +417,17 @@ def _search_side(grams: np.ndarray, envelopes, lower: bool) -> tuple:
     """One exhaustive bound by branch and bound: ``(low, low_at)`` if
     ``lower``, else ``(up, up_at)``, keyed by 0-based label rows.
 
-    ``envelopes`` are ``_envelopes(grams)``.  The result is that of folding
-    every weaving's spectrum in code order (:func:`_fold_extremes`); the
-    proof is in :func:`certify_woven`.
+    ``envelopes`` are ``_envelopes(grams)``; the lower side takes ``SH`` or
+    zero after the seeds.  The result is that of folding every weaving's
+    spectrum in code order; the proof is in :func:`certify_woven`.
     """
     big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
     sh, sk = envelopes
     suffix = sh if lower else sk
     w = np.linalg.eigvalsh(_frame_operators(grams, _seed_weavings(grams, suffix, lower)))
     seed = max(float(w[:, 0].min()), 0.0) if lower else float(w[:, -1].max())
+    if lower and np.linalg.eigvalsh(sh[0])[0] <= 0.0:  # not positive at the root: test S alone
+        suffix = np.zeros_like(sh)
     eye = np.eye(n)
     delta = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.linalg.eigvalsh(sk[0])[-1]
     rows = max(1, _BATCH_ENTRIES // n**2)
@@ -441,12 +444,9 @@ def _search_side(grams: np.ndarray, envelopes, lower: bool) -> tuple:
         s = grams[0, j] if k == 0 else parents[r] + grams[k, j]
         labels, k = np.column_stack((labels[r], j)), k + 1
         if lower:
-            floor = (min(seed, best[0]) + delta) * eye
-            keep = ~_factors(s + sh[k] - floor)
-            if k < big_n:
-                keep[keep] = ~_factors(s[keep] - floor)
+            keep = ~_factors(s + suffix[k] - (min(seed, best[0]) + delta) * eye)
         else:
-            keep = ~_factors((max(seed, best[2]) - delta) * eye - (s + sk[k]))
+            keep = ~_factors((max(seed, best[2]) - delta) * eye - (s + suffix[k]))
         if k < big_n and keep.any():
             stack.append((k, s[keep], labels[keep], 0))
         elif keep.any():
@@ -473,23 +473,23 @@ def certify_woven(
     own search (:func:`_search_side`): after the spectra of two seed weavings
     of its side (:func:`_seed_weavings`), a depth-first search over label
     prefixes, in code order, drops whole subtrees of weavings proven unable to
-    move the bound.  With ``S`` a prefix's sum over the indices ``< k`` and
-    ``SH``, ``SK`` the suffix sums of :func:`_envelopes`, the upper search
-    drops the prefix if Cholesky factors ``(up - delta) I - (S + SK[k])``,
-    ``up`` the largest ``lambda_max`` so far or of a seed; the lower search if
-    Cholesky factors ``S + SH[k] - (low + delta) I`` or ``S - (low + delta)
-    I``, ``low`` the least ``max(lambda_min, 0)`` so far or of a seed.  At ``k
-    = N`` both suffix sums are zero: one side of sampled mode's skip rule
-    below, per weaving, on the exact sum, with floor ``low`` and the larger
-    ``delta`` below.  The weavings left take ``eigvalsh`` and are folded in
-    code order.  Prefix sums extend term by term in index order, so a weaving's
-    sum is the sequential sum of its terms bit for bit.  A seed's spectrum is
-    computed as a weaving's is, so ``low`` and ``up`` never pass the true
-    bounds, and the first weaving attaining each is never dropped; the fold,
-    which starts empty, finds it.  That holds without sampled mode's
-    ``frame_rtol * up`` in the floor, so the two searches are independent.
-    Batches hold at most ``2**13`` entries, and a search keeps one batch per
-    index.
+    move the bound, by one Cholesky test per prefix.  With ``S`` a prefix's
+    sum over the indices ``< k`` and ``SH``, ``SK`` the suffix sums of
+    :func:`_envelopes`, the upper search drops the prefix if Cholesky factors
+    ``(up - delta) I - (S + SK[k])``, ``up`` the largest ``lambda_max`` so far
+    or of a seed; the lower search if it factors ``S + L[k] - (low + delta)
+    I``, ``low`` the least ``max(lambda_min, 0)`` so far or of a seed, ``L =
+    SH`` if ``lambda_min(SH[0]) > 0`` and else 0, as ``S <= S_sigma``.  At ``k
+    = N`` both are zero: one side of sampled mode's skip rule below, per
+    weaving, on the exact sum, with floor ``low`` and the larger ``delta``
+    below.  The weavings left take ``eigvalsh`` and are folded in code order.
+    Prefix sums extend term by term in index order, so a weaving's sum is the
+    sequential sum of its terms bit for bit.  A seed's spectrum is computed as
+    a weaving's is, so ``low`` and ``up`` never pass the true bounds, and the
+    first weaving attaining each is never dropped; the fold, which starts
+    empty, finds it.  That holds without sampled mode's ``frame_rtol * up`` in
+    the floor, so the two searches are independent.  Batches hold at most
+    ``2**13`` entries, and a search keeps one batch per index.
 
     The lower side folds ``max(lambda_min, 0)``, so once the fold holds 0
     no weaving can move it (only a strictly smaller value would), and the
@@ -698,7 +698,7 @@ def scaled_family(
     may pass known base bounds, finite reals with ``0 <= lower <= upper``;
     otherwise they are computed exhaustively.
     """
-    a = np.asarray(scalars, dtype=np.complex128)
+    a = _complex_array(scalars, "scalars must be numbers, not bool, str or bytes")
     if a.shape != (fam.m, fam.n_indices):
         raise ValueError(
             f"scalars must have shape (m, N) = ({fam.m}, {fam.n_indices}), got {a.shape}"

@@ -78,6 +78,31 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError, match="noise_scale must be finite"):
             GenSpec(2, (1, 1), kind, seed=0, noise_scale=bad)
 
+    @pytest.mark.parametrize(
+        "spectrum", [(True, "2.0", 1.5), (1.0, "2.0", 1.5), (1.0, 2.0, np.bool_(True)),
+                     (1.0, 2.0, None), (1.0, 2.0, 1j), (1.0, 2.0, 10**400)],
+        ids=["bool-and-str", "str", "numpy-bool", "none", "complex", "int-past-float"],
+    )
+    def test_spectrum_entries_must_be_reals(self, spectrum):
+        with pytest.raises(ValueError, match="^spectrum entries must be finite"):
+            GenSpec(3, (1, 1, 1), "prescribed-spectrum", 0, spectrum=spectrum)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.1", None, 0.1 + 0j])
+    @pytest.mark.parametrize("kind", ["perturbed", "parseval"])
+    def test_noise_scale_must_be_a_real(self, bad, kind):
+        with pytest.raises(ValueError, match="^noise_scale must be finite"):
+            GenSpec(2, (1, 1), kind, seed=0, noise_scale=bad)
+
+    def test_numpy_reals_read_as_floats(self):
+        spec = GenSpec(2, (1, 1), "prescribed-spectrum", 0, spectrum=(np.float32(1.5), np.int64(2)),
+                       noise_scale=np.float64(0.25))
+        assert spec.spectrum == (1.5, 2.0) and spec.noise_scale == 0.25
+        assert all(type(x) is float for x in (*spec.spectrum, spec.noise_scale))
+
+    def test_spectrum_length_checked_before_entries(self):
+        with pytest.raises(ValueError, match="^spectrum must have 3 entries, got 2"):
+            GenSpec(3, (1, 1, 1), "prescribed-spectrum", 0, spectrum=(True, "2.0"))
+
 
 class TestGenerate:
     def test_parseval_bounds(self):

@@ -57,6 +57,16 @@ class TestGFrameModel:
         f = GFrame(np.int64(2), (E1,))
         assert f.ambient_dim == 2 and type(f.ambient_dim) is int
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [([[True, False]], [[0.0, 1.0]]), ([[1.0, 0.0]], [["0", "1.0"]]),
+         ([[True, False]], [["0", "1.0"]]), ([[1.0, None]],)],
+        ids=["bool-block", "str-block", "bool-then-str", "none-entry"],
+    )
+    def test_blocks_must_hold_numbers(self, blocks):
+        with pytest.raises(ValueError, match="^matrix entries must be numbers, not bool"):
+            GFrame(2, blocks)
+
     def test_needs_blocks(self):
         with pytest.raises(ValueError):
             GFrame(2, ())
@@ -82,6 +92,22 @@ class TestCoefficientVector:
         assert all(
             np.array_equal(a, b) for a, b in zip(c.segments, back.segments)
         )
+
+    @pytest.mark.parametrize(
+        "segments, index",
+        [(([True], ["2.5"]), 1), ((np.ones(1), ["2.5"]), 2), ((np.ones(1), [b"1"]), 2),
+         ((np.ones(2, dtype=bool),), 1), (([1.0, None],), 1)],
+        ids=["bool-then-str", "str", "bytes", "bool-array", "none"],
+    )
+    def test_segments_must_hold_numbers(self, segments, index):
+        with pytest.raises(ValueError) as info:
+            CoefficientVector(segments)
+        assert str(info.value) == f"segment {index}: entries must be numbers, not bool, str or bytes"
+
+    @pytest.mark.parametrize("vec", [[True, False, True], ["1", "0", "2.5"], [1.0, 2.0, None]])
+    def test_from_stacked_must_hold_numbers(self, vec):
+        with pytest.raises(ValueError, match="^entries must be numbers, not bool, str or bytes$"):
+            CoefficientVector.from_stacked((1, 2), vec)
 
     def test_matches(self):
         f = GFrame(2, (E1, np.ones((2, 2))))
@@ -287,8 +313,11 @@ class TestApplyOperator:
             (np.diag([1.0, 0.0]), "operator is singular at the working tolerance"),
             # Coercion comes first: a non-finite operator of the wrong shape.
             (np.full((3, 3), np.nan), "matrix entries must be finite (no NaN/Inf)"),
+            # Coercion comes first: entries that are not numbers.
+            (np.eye(2, dtype=bool), "matrix entries must be numbers, not bool, str or bytes"),
+            ([["1", "0"], ["0", "1"]], "matrix entries must be numbers, not bool, str or bytes"),
         ],
-        ids=["shape", "singular", "non-finite"],
+        ids=["shape", "singular", "non-finite", "bool", "str"],
     )
     def test_messages(self, t, message):
         with pytest.raises(ValueError) as exc:

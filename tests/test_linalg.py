@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from gweave.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _complex_array,
     _reals,
+    as_matrix,
     hermitian_extremes,
     op_norm,
     pinv,
@@ -36,6 +38,17 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(rank_rtol=bad)
 
+    @pytest.mark.parametrize("name", ["rank_rtol", "frame_rtol", "eq_atol"])
+    @pytest.mark.parametrize("bad", ["1e-3", True, np.bool_(True), None, 1e-3 + 0j, np.nan, np.inf])
+    def test_rejects_non_reals(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real, got "):
+            Tolerance(**{name: bad})
+
+    def test_numpy_reals_read_as_floats(self):
+        tol = Tolerance(np.float32(0.0009765625), np.float64(1e-12), np.int64(0) + 1e-9)
+        assert (tol.rank_rtol, tol.frame_rtol, tol.eq_atol) == (2.0**-10, 1e-12, 1e-9)
+        assert all(type(x) is float for x in (tol.rank_rtol, tol.frame_rtol, tol.eq_atol))
+
 
 class TestReals:
     def test_python_and_numpy_reals_read_as_floats(self):
@@ -50,6 +63,50 @@ class TestReals:
     def test_rejects_everything_else(self, bad):
         with pytest.raises(ValueError, match="^bad$"):
             _reals((0.0, bad), "bad")
+
+
+class TestComplexArray:
+    """One rule for library arrays: the dtype numpy infers must be a number's."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[1, 2]], [[0.5, -1.0]], [[1j, 2.0]], np.eye(2, dtype=np.float32), np.arange(3),
+         [[True, 2.0]], [[True, 2]]],
+        ids=["int", "float", "complex", "float32", "int-array", "bool-and-float",
+             "bool-and-int"],
+    )
+    def test_numbers_read_as_complex(self, a):
+        got = _complex_array(a, "bad")
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.asarray(a, dtype=np.complex128))
+
+    def test_complex_input_is_not_copied(self):
+        a = np.eye(2, dtype=np.complex128)
+        assert _complex_array(a, "bad") is a
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[True, False]], np.ones((2, 2), dtype=bool), [["0", "1.0"]], [[b"1"]],
+         [[None, 1.0]], [[1.0, "2"]], [[True, "2"]], np.array([[1.0]], dtype=object)],
+        ids=["bool", "bool-array", "str", "bytes", "none", "float-and-str", "bool-and-str",
+             "object-array"],
+    )
+    def test_rejects_bool_str_bytes_and_object(self, a):
+        with pytest.raises(ValueError, match="^bad$"):
+            _complex_array(a, "bad")
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: as_matrix([[True, False]]), lambda: as_matrix([["0", "1.0"]]),
+         lambda: hermitian_extremes([["2", "0"], ["0", "1"]]),
+         lambda: hermitian_extremes(np.eye(2, dtype=bool)),
+         lambda: singular_extremes([[b"1"]]), lambda: rank([[None]])],
+        ids=["as-matrix-bool", "as-matrix-str", "hermitian-str", "hermitian-bool",
+             "singular-bytes", "rank-object"],
+    )
+    def test_matrix_entry_points(self, call):
+        with pytest.raises(ValueError, match="^matrix entries must be numbers, not bool"):
+            call()
 
 
 class TestHermitianExtremes:

@@ -550,9 +550,18 @@ class TestPreconditions:
             (lambda fam: removal_bound(GFrameFamily(fam.frames + fam.frames[:1]), (1,)),
              "removal analysis is defined for two-member families"),
             (lambda fam: removal_bound(fam, (3,)), "indices must lie in 1..2"),
+            (lambda fam: scaled_family(fam, [[True, "2"], [1, 1]]),
+             "scalars must be numbers, not bool, str or bytes"),
+            (lambda fam: scaled_family(fam, np.ones((2, 2), dtype=bool)),
+             "scalars must be numbers, not bool, str or bytes"),
+            (lambda fam: scaled_family(fam, [["1", "2"], ["1", "1"]]),
+             "scalars must be numbers, not bool, str or bytes"),
+            (lambda fam: scaled_family(fam, [[1.0, None], [1, 1]]),
+             "scalars must be numbers, not bool, str or bytes"),
         ],
         ids=["mode", "restrict-below", "restrict-above", "removal-three-members",
-             "removal-above"],
+             "removal-above", "scalars-bool-and-str", "scalars-bool", "scalars-str",
+             "scalars-none"],
     )
     def test_rejected_with_message(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -1356,6 +1365,19 @@ def _searched(fam: GFrameFamily) -> tuple:
     return max(low, 0.0), max(up, 0.0), _partition_of(low_at), _partition_of(up_at)
 
 
+def _tested_stacks(monkeypatch) -> list:
+    """Wrap ``weaving._factors`` to record every stack the searches test by
+    Cholesky; returns the list that the wrapper fills."""
+    stacks, factors = [], gweave.weaving._factors
+
+    def recording(a):
+        stacks.append(a.copy())
+        return factors(a)
+
+    monkeypatch.setattr(gweave.weaving, "_factors", recording)
+    return stacks
+
+
 def _bounds_and_witnesses(rep: WeavingReport) -> tuple:
     return rep.universal_lower, rep.universal_upper, rep.witness_lower, rep.witness_upper
 
@@ -1456,7 +1478,7 @@ class TestBranchAndBound:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        m=st.integers(2, 3),
+        m=st.integers(2, 4),
         dims=st.lists(st.integers(1, 3), min_size=2, max_size=12),
         n=st.integers(1, 5),
         noise=st.sampled_from([0.03, 0.2, 0.6]),
@@ -1479,6 +1501,57 @@ class TestBranchAndBound:
         assert certify_woven(fam) == expected
         assert _searched(fam) == _bounds_and_witnesses(expected)
         assert expected.witness_lower.labels == expected.witness_upper.labels == (1,) * big_n
+
+    # Duplicate members: nothing can be dropped and lambda_min(SH[0]) > 0,
+    # so each side tests each prefix of each length once, sum_{k=1..N} m**k
+    # matrices in all; a second lower test against S alone would add
+    # sum_{k<N} m**k.
+    @pytest.mark.parametrize("m, big_n", [(2, 8), (3, 5)])
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_one_test_per_prefix(self, monkeypatch, m, big_n, lower):
+        f = random_frame(3, (1, 2) * (big_n // 2) + (1,) * (big_n % 2), seed=big_n)
+        grams = _gram_tensor(GFrameFamily((f,) * m))
+        envelopes = _envelopes(grams)
+        assert np.linalg.eigvalsh(envelopes[0][0])[0] > 0
+        stacks = _tested_stacks(monkeypatch)
+        _search_side(grams, envelopes, lower)
+        assert all(len(s) for s in stacks)
+        assert sum(map(len, stacks)) == sum(m**k for k in range(1, big_n + 1))
+
+    # The lower side tests S + L[k] - (low + delta) I, with L = SH where
+    # lambda_min(SH[0]) > 0 and L = 0 elsewhere.  The first batch holds the
+    # m prefixes of length 1, G_0j + L[1] - c I.
+    @pytest.mark.parametrize(
+        "make, takes_sh",
+        [
+            (lambda: generate(GenSpec(3, (1,) * 8, "perturbed", 5)), True),
+            (lambda: GFrameFamily(tuple(
+                generate(GenSpec(3, (1, 2, 1, 1, 2), "parseval", seed)) for seed in range(3)
+            )), False),
+            (lambda: _relabelled_riesz_family(8, reverse=True), False),
+            (swapped_onb_family, False),
+        ],
+        ids=["perturbed-pair", "three-parseval", "reversed-riesz", "swapped-onb"],
+    )
+    def test_lower_envelope_choice(self, monkeypatch, make, takes_sh):
+        fam = make()
+        expected = _certify_reference(fam)
+        assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
+        grams = _gram_tensor(fam)
+        sh, sk = _envelopes(grams)
+        assert (np.linalg.eigvalsh(sh[0])[0] > 0) == takes_sh
+        n = fam.ambient_dim
+        suffix = sh[1] if takes_sh else np.zeros((n, n))
+        stacks = _tested_stacks(monkeypatch)
+        _search_side(grams, (sh, sk), True)
+        shift = stacks[0] - grams[0] - suffix
+        c = -shift[0, 0, 0].real
+        assert c > 0
+        assert np.allclose(shift, -c * np.eye(n), rtol=0, atol=1e-12 * np.linalg.norm(sk[0], 2))
+        if np.linalg.norm(sh[1], 2) > 0:  # the other choice tests other matrices
+            rest = stacks[0] - grams[0] - (np.zeros((n, n)) if takes_sh else sh[1])
+            assert not np.allclose(rest, rest[0, 0, 0] * np.eye(n), rtol=0, atol=1e-6)
 
     # Every seed fails; the weavings that fail are exactly singular, so the
     # lower side ends at the first of them.
