@@ -330,29 +330,31 @@ def _inside_bounds(s: np.ndarray, low: float, up: float) -> np.ndarray:
 
 
 def _envelopes(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix sums ``SH[k]`` and ``SK[k]`` over ``i >= k`` of matrix bounds
-    ``H_i <= G_ij <= K_i`` (Loewner order) on each index's Gram terms; shape
-    ``(N + 1, n, n)`` each, ``SH[N] = SK[N] = 0``.
+    """Matrix bounds ``H_i <= G_ij <= K_i`` (Loewner order) on each index's
+    Gram terms; shape ``(N, n, n)`` each.
 
     With ``M_i = mean_j G_ij`` and ``E_ij = G_ij - M_i = E_ij^+ - E_ij^-``
     (positive and negative parts from one ``eigh``), ``K_i = M_i + sum_j
     E_ij^+`` and ``H_i = M_i - sum_j E_ij^-``.  Every part is positive
     semidefinite, so ``G_ij = M_i + E_ij^+ - E_ij^- <= M_i + E_ij^+ <= K_i``
-    and ``G_ij >= M_i - E_ij^- >= H_i``.  Summed over ``i >= k``: a prefix
-    sum ``S`` over the indices ``< k`` and any completion ``S_sigma`` of it
-    satisfy ``S + SH[k] <= S_sigma <= S + SK[k]``, and ``S <= S_sigma``
-    since Gram terms are semidefinite.  This is a matrix form of the
-    paper's pairwise-difference condition: for ``m = 2``, ``K_i`` and
-    ``H_i`` are the mean plus and minus half of ``|G_i1 - G_i2|``.
+    and ``G_ij >= M_i - E_ij^- >= H_i``.  Summed over the indices not yet
+    fixed (:func:`_suffix_sums`, in any order): a prefix sum ``S`` over the
+    fixed indices and any completion ``S_sigma`` of it satisfy ``S + sum
+    H_i <= S_sigma <= S + sum K_i``, and ``S <= S_sigma`` since Gram terms
+    are semidefinite.  This is a matrix form of the paper's
+    pairwise-difference condition: for ``m = 2``, ``K_i`` and ``H_i`` are
+    the mean plus and minus half of ``|G_i1 - G_i2|``.
     """
     mean = grams.mean(axis=1)
     w, v = np.linalg.eigh(grams - mean[:, None])
     vh = v.conj().swapaxes(-1, -2)
     pos, neg = (((v * np.maximum(x, 0.0)[..., None, :]) @ vh).sum(axis=1) for x in (w, -w))
-    zero = np.zeros_like(mean[:1])
-    return tuple(
-        np.concatenate((np.cumsum(t[::-1], axis=0)[::-1], zero)) for t in (mean - neg, mean + pos)
-    )
+    return mean - neg, mean + pos
+
+
+def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+    """``T[k] = sum_{p >= k} terms[p]``, shape ``(N + 1, n, n)``, ``T[N] = 0``."""
+    return np.concatenate((np.cumsum(terms[::-1], axis=0)[::-1], np.zeros_like(terms[:1])))
 
 
 def _partition_of(labels0) -> Partition:
@@ -393,7 +395,8 @@ def _seed_weavings(grams: np.ndarray, suffix: np.ndarray, lower: bool) -> np.nda
     eigenvalue.  One search starts from each index's member of smallest
     (largest) trace, the other from a greedy dive that fixes one index at a
     time by ``lambda_min(S + G_kj + suffix[k + 1])`` (``lambda_max``), with
-    ``suffix`` the side's envelope ``SH`` (``SK``) of :func:`_envelopes`.
+    ``suffix`` the side's suffix sums ``SH`` (``SK``) in index order
+    (:func:`_suffix_sums` of :func:`_envelopes`).
     """
     big_n = len(grams)
     at = np.arange(big_n)
@@ -417,43 +420,93 @@ def _search_side(grams: np.ndarray, envelopes, lower: bool) -> tuple:
     """One exhaustive bound by branch and bound: ``(low, low_at)`` if
     ``lower``, else ``(up, up_at)``, keyed by 0-based label rows.
 
-    ``envelopes`` are ``_envelopes(grams)``; the lower side takes ``SH`` or
-    zero after the seeds.  The result is that of folding every weaving's
-    spectrum in code order; the proof is in :func:`certify_woven`.
+    ``envelopes`` are ``_envelopes(grams)``.  The seeds
+    (:func:`_seed_weavings`) take the side's suffix sums in index order;
+    :func:`_walk` then fixes the indices in decreasing ``f* (K_i - H_i) f``
+    (a stable sort), ``f`` the extreme eigenvector of seed row 0, but for
+    the lower side's index-order cases.  The result is that of folding
+    every weaving's spectrum in code order; the proof and the cases are in
+    :func:`certify_woven`.
     """
     big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
-    sh, sk = envelopes
-    suffix = sh if lower else sk
-    w = np.linalg.eigvalsh(_frame_operators(grams, _seed_weavings(grams, suffix, lower)))
+    h, k = envelopes
+    terms = h if lower else k
+    suffix = _suffix_sums(terms)
+    s = _frame_operators(grams, _seed_weavings(grams, suffix, lower))
+    w = np.linalg.eigvalsh(s)
     seed = max(float(w[:, 0].min()), 0.0) if lower else float(w[:, -1].max())
-    if lower and np.linalg.eigvalsh(sh[0])[0] <= 0.0:  # not positive at the root: test S alone
-        suffix = np.zeros_like(sh)
+    if lower and np.linalg.eigvalsh(suffix[0])[0] <= 0.0:  # not positive at the root: test S alone
+        terms = np.zeros_like(h)
+    top = np.linalg.eigvalsh(_suffix_sums(k)[0])[-1]
+    delta = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * top
+    index = order = np.arange(big_n)
+    if not (lower and seed == 0.0):
+        f = np.linalg.eigh(s[0])[1][:, 0 if lower else -1]
+        order = np.argsort(-np.einsum("a,iab,b->i", f.conj(), k - h, f).real, kind="stable")
+    best = _walk(grams, terms, lower, order, seed, delta)
+    if lower and best[0] == 0.0 and (order != index).any():
+        best = _walk(grams, terms, lower, index, 0.0, delta)
+    return best
+
+
+def _walk(grams: np.ndarray, terms: np.ndarray, lower: bool, order: np.ndarray,
+          bound: float, delta: float) -> tuple:
+    """The depth-first search of :func:`_search_side`, fixing the indices in
+    ``order``: ``(best, best_at)``, the side's bound and the
+    lexicographically smallest label row attaining it.
+
+    ``terms`` are the side's per-index envelopes, summed in ``order`` for
+    the suffix ``T``; ``bound`` is the seeds' value.  A batch takes whole
+    parents, prefix sums ``P`` over the first ``k`` indices of ``order``,
+    and tests all their children by one broadcast add, ``P + (G_kj + T[k +
+    1] - cI)`` with ``c = low + delta`` on the lower side, ``(cI - (G_kj +
+    T[k + 1])) - P`` with ``c = up - delta`` on the upper; a child is
+    dropped if Cholesky factors its matrix.  Prefix sums and labels are
+    formed for the children kept; the first term is taken as is, not added
+    to 0, so ``-0.0`` entries stay.  A full row kept takes ``eigvalsh`` of
+    its sequential sum in index order: its prefix sum when ``order`` is the
+    index order, else its sum formed again (:func:`_frame_operators`).  The
+    lower side ends once its fold holds 0.
+    """
+    big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
+    ordered, in_order = grams[order], bool((order == np.arange(big_n)).all())
+    fixed = ordered + _suffix_sums(terms[order])[1:, None]  # G_kj + T[k + 1]
     eye = np.eye(n)
-    delta = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.linalg.eigvalsh(sk[0])[-1]
-    rows = max(1, _BATCH_ENTRIES // n**2)
-    best = (np.inf, None, -np.inf, None)
-    # (k, prefix sums over the indices < k, their labels, next child): the
-    # children of row r are the codes r * m + j, visited from `next child` on.
-    stack = [(0, None, np.zeros((1, 0), dtype=np.int64), 0)]
+    take = max(1, _BATCH_ENTRIES // (m * n**2))
+    best, best_at = (np.inf if lower else -np.inf), None
+    # (k, prefix sums over the first k searched indices, their labels, next parent)
+    stack = [(0, np.zeros((1, n, n), dtype=complex), np.zeros((1, 0), dtype=np.int64), 0)]
     while stack:
-        k, parents, labels, start = stack.pop()
-        stop = min(start + rows, len(labels) * m)
-        if stop < len(labels) * m:
-            stack.append((k, parents, labels, stop))
-        r, j = np.divmod(np.arange(start, stop), m)
-        s = grams[0, j] if k == 0 else parents[r] + grams[k, j]
-        labels, k = np.column_stack((labels[r], j)), k + 1
+        k, sums, labels, start = stack.pop()
+        stop = min(start + take, len(labels))
+        if stop < len(labels):
+            stack.append((k, sums, labels, stop))
         if lower:
-            keep = ~_factors(s + suffix[k] - (min(seed, best[0]) + delta) * eye)
+            tested = sums[start:stop, None] + (fixed[k] - (min(bound, best) + delta) * eye)
         else:
-            keep = ~_factors((max(seed, best[2]) - delta) * eye - (s + suffix[k]))
-        if k < big_n and keep.any():
-            stack.append((k, s[keep], labels[keep], 0))
-        elif keep.any():
-            best = _fold_extremes(best, np.linalg.eigvalsh(s[keep]), labels[keep])
-            if lower and best[0] == 0.0:  # only a strictly smaller value moves the fold
+            tested = ((max(bound, best) - delta) * eye - fixed[k]) - sums[start:stop, None]
+        r, j = np.nonzero(~_factors(tested.reshape(-1, n, n)).reshape(-1, m))
+        if not len(r):
+            continue
+        r += start
+        kept = np.column_stack((labels[r], j))
+        s = ordered[0, j] if k == 0 else sums[r] + ordered[k, j]  # not 0 + G: keeps -0.0
+        if k + 1 < big_n:
+            stack.append((k + 1, s, kept, 0))
+        else:
+            rows = np.empty_like(kept)
+            rows[:, order] = kept
+            w = np.linalg.eigvalsh(s if in_order else _frame_operators(grams, rows))
+            values = np.maximum(w[:, 0], 0.0) if lower else w[:, -1]
+            x = float(values.min() if lower else values.max())
+            if x == best or (x < best if lower else x > best):
+                ties = rows[values == x]
+                if x == best:
+                    ties = np.vstack((ties, best_at))
+                best, best_at = x, ties[np.lexsort(ties.T[::-1])[0]]
+            if lower and best == 0.0:  # only a strictly smaller value moves the fold
                 break
-    return best[:2] if lower else best[2:]
+    return best, best_at
 
 
 def certify_woven(
@@ -472,29 +525,42 @@ def certify_woven(
     in code order (:func:`_fold_extremes`), bit for bit.  Each bound takes its
     own search (:func:`_search_side`): after the spectra of two seed weavings
     of its side (:func:`_seed_weavings`), a depth-first search over label
-    prefixes, in code order, drops whole subtrees of weavings proven unable to
-    move the bound, by one Cholesky test per prefix.  With ``S`` a prefix's
-    sum over the indices ``< k`` and ``SH``, ``SK`` the suffix sums of
-    :func:`_envelopes`, the upper search drops the prefix if Cholesky factors
-    ``(up - delta) I - (S + SK[k])``, ``up`` the largest ``lambda_max`` so far
-    or of a seed; the lower search if it factors ``S + L[k] - (low + delta)
+    prefixes drops whole subtrees of weavings proven unable to move the
+    bound, by one Cholesky test per prefix.  Each side fixes the indices in
+    its own order, decreasing ``f* (K_i - H_i) f`` with ``f`` the extreme
+    eigenvector of its first seed weaving, so that it branches first where
+    its envelopes are loosest (variable ordering in branch and bound).  With
+    ``S`` a prefix's sum over the first ``k`` indices of that order and
+    ``SH``, ``SK`` the suffix sums of :func:`_envelopes` over the rest, in
+    that order, the upper search drops the prefix if Cholesky factors ``(up
+    - delta) I - (S + SK[k])``, ``up`` the largest ``lambda_max`` so far or
+    of a seed; the lower search if it factors ``S + L[k] - (low + delta)
     I``, ``low`` the least ``max(lambda_min, 0)`` so far or of a seed, ``L =
-    SH`` if ``lambda_min(SH[0]) > 0`` and else 0, as ``S <= S_sigma``.  At ``k
-    = N`` both are zero: one side of sampled mode's skip rule below, per
-    weaving, on the exact sum, with floor ``low`` and the larger ``delta``
-    below.  The weavings left take ``eigvalsh`` and are folded in code order.
-    Prefix sums extend term by term in index order, so a weaving's sum is the
-    sequential sum of its terms bit for bit.  A seed's spectrum is computed as
-    a weaving's is, so ``low`` and ``up`` never pass the true bounds, and the
-    first weaving attaining each is never dropped; the fold, which starts
-    empty, finds it.  That holds without sampled mode's ``frame_rtol * up`` in
-    the floor, so the two searches are independent.  Batches hold at most
-    ``2**13`` entries, and a search keeps one batch per index.
+    SH`` if ``lambda_min(SH[0]) > 0`` and else 0, as ``S <= S_sigma``.  At
+    ``k = N`` both are zero: one side of sampled mode's skip rule below, per
+    weaving, with floor ``low`` and the larger ``delta`` below.  A test that
+    passes puts the computed spectrum of every completion strictly above
+    ``low`` (below ``up``), whatever order summed ``S``, so every weaving
+    attaining a bound reaches the fold.  There it takes ``eigvalsh`` of the
+    sequential sum of its terms in index order, bit for bit: its prefix sum
+    if the side searched in index order, else its sum formed again
+    (:func:`_frame_operators`); of the weavings attaining a bound
+    the fold keeps the lexicographically smallest label row, the first in
+    code order, whatever order visited them.  A seed's spectrum is computed
+    as a weaving's is, so ``low`` and ``up`` never pass the true bounds.
+    That holds without sampled mode's ``frame_rtol * up`` in the floor, so
+    the two searches are independent.  A batch tests all children of up to
+    ``2**13 / (m n**2)`` parents by one broadcast add, and a search keeps
+    one batch per index.
 
     The lower side folds ``max(lambda_min, 0)``, so once the fold holds 0
     no weaving can move it (only a strictly smaller value would), and the
-    lower search ends.  A not-woven family none of whose weavings rounds to
-    ``lambda_min <= 0`` keeps it to the end, and every subtree holding a
+    lower search ends, at the first weaving in its order that rounds to
+    ``lambda_min <= 0``.  That is the lexicographically smallest only in
+    index order, so a lower side whose seed value is 0 keeps index order,
+    and one whose fold reaches 0 in its own order searches again in index
+    order from floor 0.  A not-woven family none of whose weavings rounds
+    to ``lambda_min <= 0`` keeps it to the end, and every subtree holding a
     weaving at or below ``low`` is searched down to its leaves.
 
     The search's ``delta`` is ``1e3 * n**2 * eps * (N + m) * U``, with ``U =
@@ -508,11 +574,16 @@ def certify_woven(
     products: about ``m * n * eps * ||G_ij||`` per index, at most ``m * n**2
     * eps * U`` in all); the rounding of the ``N``-term sums of ``S``,
     ``SH`` and ``SK`` and of a weaving's own sum, about ``N * eps`` times
-    those norms, at most ``N * m * n * eps * U``; and the leaf ``eigvalsh``
-    error, a few ``n * eps * U``.  On 300 seeded families with Gram terms
-    spread over twelve decades, the prefix bounds never crossed a weaving's
-    computed spectrum by more than ``delta / 8000``; the tests allow
-    ``delta / 10``.
+    those norms, at most ``N * m * n * eps * U``, in any order of the terms,
+    as the bound ``gamma_{N-1} sum_i |x_i|`` on a recursive sum does not
+    depend on the order (Higham, sec. 4.2), so the search's order and the
+    index order of the fold both fall within it; the broadcast add of a
+    batch, two more rounded terms (``G_kj + L[k + 1] - cI``, then ``P``),
+    within the ``m >= 2`` of ``N + m``; and the leaf ``eigvalsh`` error, a
+    few ``n * eps * U``.  On 300 seeded families with Gram terms
+    spread over twelve decades, the prefix bounds in a random order of the
+    indices never crossed a weaving's computed spectrum by more than
+    ``delta / 3000``; the tests allow ``delta / 10``.
 
     Sampled mode draws ``budget`` partitions from a seeded generator and can
     only falsify: it returns ``not-woven`` with a witness, or the explicitly

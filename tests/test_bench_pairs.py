@@ -1,8 +1,10 @@
 """``tools/bench_pairs.py`` on two stub checkouts whose benchmark prints a
-result line, or exits non-zero for one seed."""
+result line, or exits non-zero for one seed.  The parent stub is a git
+repository with one commit."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 _RUN = '''import json, sys
+open("runs.log", "a").write(" ".join(sys.argv[1:]) + "\\n")
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed = int(args["--seed"])
 if seed == {fail_seed}:
@@ -25,18 +28,24 @@ print(json.dumps({{"metrics": {{"items_per_s": {{"value": {rate} + seed}}}},
 '''
 
 
-def _checkout(root: Path, rate: float, fail_seed: int | None) -> Path:
+def _checkout(root: Path, rate: float, fail_seed: int | None, git: bool = False) -> Path:
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(_RUN.format(fail_seed=fail_seed, rate=rate))
     (root / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1,
         "end_to_end": [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}],
     }))
+    if git:
+        for command in (["init", "-q"],
+                        ["-c", "user.name=stub", "-c", "user.email=stub@example.com",
+                         "-c", "commit.gpgsign=false", "commit", "-q", "--allow-empty",
+                         "-m", "stub"]):
+            subprocess.run(["git", "-C", str(root), *command], check=True, capture_output=True)
     return root
 
 
 def _run(tmp_path, fail_seed):
-    parent = _checkout(tmp_path / "parent", 100.0, None)
+    parent = _checkout(tmp_path / "parent", 100.0, None, git=True)
     change = _checkout(tmp_path / "change", 110.0, fail_seed)
     out = tmp_path / "bench.json"
     code = bench_pairs.main([str(parent), str(change), "--out", str(out),
@@ -47,6 +56,9 @@ def _run(tmp_path, fail_seed):
 def test_all_runs_pass(tmp_path):
     code, out = _run(tmp_path, fail_seed=None)
     assert code == 0
+    head = subprocess.run(["git", "-C", str(tmp_path / "parent"), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert out["parent"] == head
     w1 = out["workloads"]["w1"]
     assert w1["pairs"] == 4 and w1["seeds"] == [5, 6, 7, 8]
     assert w1["first_side"] == ["parent", "change"] * 2
@@ -81,3 +93,19 @@ def test_failed_run_is_recorded(tmp_path, fail_seed, pairs, unpaired):
         assert len(w1["metrics"]["items_per_s"]["parent"]["runs"]) == pairs
     # The next workload still runs its pairs.
     assert out["workloads"]["w2"]["pairs"] == 2
+
+
+# A parent that is not a git checkout used to be recorded by its path in
+# the commit field; now nothing runs and nothing is written.
+def test_parent_without_commit_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no repository above it
+    parent = _checkout(tmp_path / "parent", 100.0, None)
+    change = _checkout(tmp_path / "change", 110.0, None)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(parent), str(change), "--out", str(out), "--pairs", "w1:5-6"])
+    assert stop.value.code == 2
+    message = f"parent checkout {parent.resolve()}: git rev-parse HEAD failed"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (parent / "runs.log").exists() and not (change / "runs.log").exists()

@@ -45,6 +45,8 @@ from gweave.weaving import (
     _screen_operators,
     _search_side,
     _seed_weavings,
+    _suffix_sums,
+    _walk,
 )
 
 from _support import (
@@ -1350,8 +1352,10 @@ def _seed_spectra(fam: GFrameFamily) -> np.ndarray:
     """The spectra of the two lower seed weavings, then the two upper, as
     exhaustive :func:`certify_woven` computes them."""
     grams = _gram_tensor(fam)
-    sh, sk = _envelopes(grams)
-    rows = np.concatenate([_seed_weavings(grams, sh, True), _seed_weavings(grams, sk, False)])
+    h, k = _envelopes(grams)
+    rows = np.concatenate([
+        _seed_weavings(grams, _suffix_sums(h), True), _seed_weavings(grams, _suffix_sums(k), False)
+    ])
     return np.linalg.eigvalsh(_frame_operators(grams, rows))
 
 
@@ -1376,6 +1380,36 @@ def _tested_stacks(monkeypatch) -> list:
 
     monkeypatch.setattr(gweave.weaving, "_factors", recording)
     return stacks
+
+
+def _recorded_walks(monkeypatch) -> list:
+    """Wrap ``weaving._walk`` to record each walk's side, order and seed
+    bound; returns the list that the wrapper fills."""
+    walks, walk = [], gweave.weaving._walk
+
+    def recording(grams, terms, lower, order, bound, delta):
+        walks.append((lower, order.tolist(), bound))
+        return walk(grams, terms, lower, order, bound, delta)
+
+    monkeypatch.setattr(gweave.weaving, "_walk", recording)
+    return walks
+
+
+def _search_delta(grams: np.ndarray) -> float:
+    """The search's ``delta``, ``1e3 n**2 eps (N + m) lambda_max(sum_i K_i)``."""
+    big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
+    k = _envelopes(grams)[1]
+    top = np.linalg.eigvalsh(_suffix_sums(k)[0])[-1]
+    return 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * top
+
+
+def _walked(grams: np.ndarray, lower: bool, order, bound: float, zero_envelope: bool = False):
+    """One side's walk in ``order`` from the sound ``bound``, as a report
+    has it: the bound and the 1-based witness labels."""
+    h, k = _envelopes(grams)
+    terms = np.zeros_like(h) if zero_envelope else h if lower else k
+    best, best_at = _walk(grams, terms, lower, np.asarray(order), bound, _search_delta(grams))
+    return max(best, 0.0), _partition_of(best_at).labels
 
 
 def _bounds_and_witnesses(rep: WeavingReport) -> tuple:
@@ -1440,18 +1474,21 @@ class TestBranchAndBound:
     )
     def test_envelopes_bracket_every_gram_term(self, seed, m, dims, n):
         grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
-        for at_i in grams:
-            (h, _), (k, _) = _envelopes(at_i[None])
-            scale = np.linalg.norm(at_i, 2, axis=(-2, -1)).max()
-            shift = 1e2 * n * m * np.finfo(float).eps * scale * np.eye(n)
-            assert _factors(at_i - h + shift).all()
-            assert _factors(k - at_i + shift).all()
+        h, k = _envelopes(grams)
+        scale = np.linalg.norm(grams, 2, axis=(-2, -1)).max(axis=1)[:, None, None, None]
+        shift = 1e2 * n * m * np.finfo(float).eps * scale * np.eye(n)
+        assert _factors(grams - h[:, None] + shift).all()
+        assert _factors(k[:, None] - grams + shift).all()
 
-    # For a prefix over the indices < k and any completion sigma:
+    # For a prefix over the first k indices of the index order or of a
+    # random order, summed in that order, and any completion sigma, summed
+    # in index order:
     # max(lmin(S_P), lmin(S_P + SH[k])) <= lmin(S_sigma) and lmax(S_sigma)
-    # <= lmax(S_P + SK[k]), up to rounding.  The margin is a tenth of the
-    # search's delta, 1e2 n**2 (N + m) eps U; on 300 seeded draws the
-    # bounds never crossed by more than 0.12 n**2 (N + m) eps U.
+    # <= lmax(S_P + SK[k]), SH and SK the suffix sums in that order, up to
+    # rounding.  The margin is a tenth of the search's delta, 1e2 n**2 (N +
+    # m) eps U; on 300 seeded draws in index order the bounds never crossed
+    # by more than 0.12 n**2 (N + m) eps U, and on 300 in random orders by
+    # more than 0.3 n**2 (N + m) eps U.
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -1460,15 +1497,21 @@ class TestBranchAndBound:
         n=st.integers(1, 6),
         cut=st.integers(0, 8),
         completions=st.integers(0, 2**16),
+        shuffled=st.booleans(),
     )
-    def test_prefix_bounds_hold_for_every_completion(self, seed, m, dims, n, cut, completions):
+    def test_prefix_bounds_hold_for_every_completion(
+        self, seed, m, dims, n, cut, completions, shuffled
+    ):
         grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
         big_n, k = len(dims), min(cut, len(dims))
-        sh, sk = _envelopes(grams)
+        rng = np.random.default_rng(completions)
+        order = rng.permutation(big_n) if shuffled else np.arange(big_n)
+        sh, sk = (_suffix_sums(t[order]) for t in _envelopes(grams))
         margin = 1e2 * n**2 * (big_n + m) * np.finfo(float).eps * np.linalg.eigvalsh(sk[0])[-1]
-        labels = np.random.default_rng(completions).integers(0, m, size=(8, big_n))
-        labels[:, :k] = labels[0, :k]
-        prefix = _frame_operators(grams, labels[:1, :k])[0] if k else np.zeros((n, n))
+        labels = rng.integers(0, m, size=(8, big_n))
+        labels[:, order[:k]] = labels[0, order[:k]]
+        prefix = (_frame_operators(grams[order], labels[:1, order[:k]])[0] if k
+                  else np.zeros((n, n)))
         lower = max(np.linalg.eigvalsh(prefix)[0], np.linalg.eigvalsh(prefix + sh[k])[0])
         upper = np.linalg.eigvalsh(prefix + sk[k])[-1]
         w = np.linalg.eigvalsh(_frame_operators(grams, labels))
@@ -1512,15 +1555,16 @@ class TestBranchAndBound:
         f = random_frame(3, (1, 2) * (big_n // 2) + (1,) * (big_n % 2), seed=big_n)
         grams = _gram_tensor(GFrameFamily((f,) * m))
         envelopes = _envelopes(grams)
-        assert np.linalg.eigvalsh(envelopes[0][0])[0] > 0
+        assert np.linalg.eigvalsh(_suffix_sums(envelopes[0])[0])[0] > 0
         stacks = _tested_stacks(monkeypatch)
         _search_side(grams, envelopes, lower)
         assert all(len(s) for s in stacks)
         assert sum(map(len, stacks)) == sum(m**k for k in range(1, big_n + 1))
 
     # The lower side tests S + L[k] - (low + delta) I, with L = SH where
-    # lambda_min(SH[0]) > 0 and L = 0 elsewhere.  The first batch holds the
-    # m prefixes of length 1, G_0j + L[1] - c I.
+    # lambda_min(SH[0]) > 0 and L = 0 elsewhere, SH summed in the search's
+    # order.  The first batch holds the m prefixes of length 1 on the first
+    # searched index i, G_ij + L[1] - c I.
     @pytest.mark.parametrize(
         "make, takes_sh",
         [
@@ -1539,34 +1583,164 @@ class TestBranchAndBound:
         assert certify_woven(fam) == expected
         assert _searched(fam) == _bounds_and_witnesses(expected)
         grams = _gram_tensor(fam)
-        sh, sk = _envelopes(grams)
-        assert (np.linalg.eigvalsh(sh[0])[0] > 0) == takes_sh
+        h, k = _envelopes(grams)
+        assert (np.linalg.eigvalsh(_suffix_sums(h)[0])[0] > 0) == takes_sh
         n = fam.ambient_dim
-        suffix = sh[1] if takes_sh else np.zeros((n, n))
+        walks = _recorded_walks(monkeypatch)
         stacks = _tested_stacks(monkeypatch)
-        _search_side(grams, (sh, sk), True)
-        shift = stacks[0] - grams[0] - suffix
+        _search_side(grams, (h, k), True)
+        order = walks[0][1]
+        sh, first = _suffix_sums(h[order]), grams[order[0]]
+        suffix = sh[1] if takes_sh else np.zeros((n, n))
+        shift = stacks[0] - first - suffix
         c = -shift[0, 0, 0].real
         assert c > 0
-        assert np.allclose(shift, -c * np.eye(n), rtol=0, atol=1e-12 * np.linalg.norm(sk[0], 2))
+        scale = np.linalg.norm(_suffix_sums(k)[0], 2)
+        assert np.allclose(shift, -c * np.eye(n), rtol=0, atol=1e-12 * scale)
         if np.linalg.norm(sh[1], 2) > 0:  # the other choice tests other matrices
-            rest = stacks[0] - grams[0] - (np.zeros((n, n)) if takes_sh else sh[1])
+            rest = stacks[0] - first - (np.zeros((n, n)) if takes_sh else sh[1])
             assert not np.allclose(rest, rest[0, 0, 0] * np.eye(n), rtol=0, atol=1e-6)
 
+    # Each side's walk, in any order of the indices and from any sound seed
+    # bound (the exact bound, or a weaving's computed value), with the
+    # envelope or with zero on the lower side, gives the bound and the
+    # lexicographically smallest witness of the sweep that diagonalises
+    # every weaving.  A lower fold that reaches 0 ends the walk at its first
+    # such weaving in search order; from floor 0 in index order it is the
+    # lex-first, as the search's rerun takes it.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 4),
+        dims=st.lists(st.integers(1, 3), min_size=2, max_size=12),
+        n=st.integers(1, 5),
+        noise=st.sampled_from([0.03, 0.2, 0.6]),
+        order_seed=st.integers(0, 2**16),
+        tight=st.booleans(),
+        zero_envelope=st.booleans(),
+    )
+    def test_walk_in_any_order_matches_reference(self, seed, m, dims, n, noise, order_seed,
+                                                 tight, zero_envelope):
+        big_n = len(dims)
+        assume(m**big_n <= 4096)
+        fam = noisy_family(min(n, sum(dims)), tuple(dims), m, seed=seed, noise=noise)
+        expected = _certify_reference(fam)
+        grams = _gram_tensor(fam)
+        rng = np.random.default_rng(order_seed)
+        w = _reference_spectra(grams, rng.integers(0, m, size=(1, big_n)))[0]
+        for lower, bound, witness in (
+            (True, expected.universal_lower if tight else max(w[0], 0.0), expected.witness_lower),
+            (False, expected.universal_upper if tight else w[-1], expected.witness_upper),
+        ):
+            value, labels = _walked(grams, lower, rng.permutation(big_n), bound,
+                                    zero_envelope and lower)
+            assert value == (expected.universal_lower if lower else expected.universal_upper)
+            if lower and value == 0.0:
+                assert max(_reference_spectra(grams, np.array([labels]) - 1)[0, 0], 0.0) == 0.0
+                value, labels = _walked(grams, True, np.arange(big_n), 0.0, zero_envelope)
+            assert labels == witness.labels
+
+    # Families with a bound attained by many weavings, bit for bit: the
+    # witnesses are the lex-first ones in every order, though the walk may
+    # reach them last.  The Riesz pairs tie at 0 on the lower side, which
+    # the search settles in index order.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GFrameFamily((random_frame(3, (1, 2) * 5, seed=10),) * 2),
+            lambda: GFrameFamily((random_frame(2, (1, 2, 1, 1, 2, 1), seed=6),) * 3),
+            swapped_onb_family,
+            lambda: _relabelled_riesz_family(6, reverse=True),
+            lambda: _relabelled_riesz_family(7, reverse=False),
+        ],
+        ids=["duplicate-pair", "duplicate-three", "swapped-onb", "reversed-riesz",
+             "permuted-riesz"],
+    )
+    def test_tie_families_keep_lex_first_witnesses(self, make):
+        fam = make()
+        expected = _certify_reference(fam)
+        assert certify_woven(fam) == expected
+        assert _searched(fam) == _bounds_and_witnesses(expected)
+        grams = _gram_tensor(fam)
+        big_n = fam.n_indices
+        w = _reference_spectra(grams, np.array(list(product(range(fam.m), repeat=big_n))))
+        ties = ((np.maximum(w[:, 0], 0.0) == expected.universal_lower).sum(),
+                (w[:, -1] == expected.universal_upper).sum())
+        assert max(ties) > 1
+        orders = [np.arange(big_n)[::-1], np.random.default_rng(big_n).permutation(big_n)]
+        for order in orders:
+            assert _walked(grams, False, order, expected.universal_upper) == (
+                expected.universal_upper, expected.witness_upper.labels
+            )
+            if expected.universal_lower > 0.0:
+                assert _walked(grams, True, order, expected.universal_lower) == (
+                    expected.universal_lower, expected.witness_lower.labels
+                )
+
+    # Duplicate members with real Gram terms whose imaginary parts are
+    # -0.0: every leaf ties and reaches the fold, in code order of the walk.
+    # Each takes eigvalsh of its sequential sum in index order, signed zeros
+    # included; in index order that is its prefix sum, formed no second time.
+    @pytest.mark.parametrize("reverse", [False, True], ids=["index-order", "reversed"])
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_leaves_take_their_sequential_sums(self, monkeypatch, lower, reverse):
+        f = random_frame(3, (1, 2, 1, 2, 1, 1), seed=4)
+        grams = _gram_tensor(GFrameFamily((f,) * 2)).real.astype(complex)
+        grams.view(np.float64)[..., 1::2] = -0.0
+        big_n, m = grams.shape[:2]
+        order = np.arange(big_n)[::-1] if reverse else np.arange(big_n)
+        rows = np.empty((m**big_n, big_n), dtype=np.int64)
+        rows[:, order] = list(product(range(m), repeat=big_n))
+        expected = _frame_operators(grams, rows)
+        w = np.linalg.eigvalsh(expected)
+        bound = max(w[:, 0].min(), 0.0) if lower else w[:, -1].max()
+        h, k = _envelopes(grams)
+        delta = _search_delta(grams)
+        seen, resums, eigvalsh = [], [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+        monkeypatch.setattr(gweave.weaving, "_frame_operators",
+                            lambda g, r: resums.append(len(r)) or _frame_operators(g, r))
+        _walk(grams, h if lower else k, lower, order, bound, delta)
+        assert np.concatenate(seen).tobytes() == expected.tobytes()
+        assert sum(resums) == (m**big_n if reverse else 0)
+
+    # The lower seeds pass, so the lower side searches in its critical
+    # order, where its fold reaches 0.  The weaving found first in that order
+    # need not be the lex-first that rounds to lambda_min <= 0, so the side
+    # searches again in index order from floor 0: the report is the sweep's.
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _duplicate_block_family(6, 11), lambda: _relabelled_riesz_family(4, reverse=True)],
+        ids=["duplicate-block", "reversed-riesz"],
+    )
+    def test_lower_fold_at_zero_reruns_in_index_order(self, monkeypatch, make):
+        fam = make()
+        expected = _certify_reference(fam)
+        assert expected.status == "not-woven" and expected.universal_lower == 0.0
+        walks = _recorded_walks(monkeypatch)
+        assert certify_woven(fam) == expected
+        lower = [(order, bound) for side, order, bound in walks if side]
+        index = list(range(fam.n_indices))
+        assert len(lower) == 2
+        assert lower[0][0] != index and lower[0][1] > 0.0
+        assert lower[1] == (index, 0.0)
+
     # Every seed fails; the weavings that fail are exactly singular, so the
-    # lower side ends at the first of them.
+    # lower side keeps index order and ends at the first of them.
     @pytest.mark.parametrize(
         "make",
         [swapped_onb_family, _late_failure_family,
          lambda: _single_failure_family((1, 0, 1, 1, 0, 0, 1, 0, 1, 1))],
         ids=["swapped-onb", "late-failure", "single-failure"],
     )
-    def test_not_woven_families(self, make):
+    def test_not_woven_families(self, monkeypatch, make):
         fam = make()
         expected = _certify_reference(fam)
         assert expected.status == "not-woven"
         assert _failing_seeds(fam).all()
+        walks = _recorded_walks(monkeypatch)
         assert certify_woven(fam) == expected
+        assert [order for lower, order, _ in walks if lower] == [list(range(fam.n_indices))]
         assert _searched(fam) == _bounds_and_witnesses(expected)
 
 

@@ -15,6 +15,9 @@ pair, the parent first in the first pair of each workload.  ``--trace
 WORKLOAD:SEED`` adds one ``--trace 1`` run per side, whose per-layer
 metrics are stored beside the pairs.
 
+``PARENT`` must be a git checkout: if ``git rev-parse HEAD`` fails there,
+the tool exits 2 before any run, naming the directory.
+
 The output holds what was compared, the parent's commit, the command and
 the protocol; per workload the seeds, which side went first, every run's
 correctness and failed calls, and per end-to-end metric of
@@ -189,13 +192,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commit = subprocess.run(["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
+                            capture_output=True, text=True)
+    if commit.returncode != 0:
+        parser.error(f"parent checkout {checkouts['parent']}: git rev-parse HEAD failed: "
+                     + commit.stderr.strip())
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["parent"],
-                            capture_output=True, text=True)
     out = {
         "what": args.what,
-        "parent": commit.stdout.strip() if commit.returncode == 0 else str(checkouts["parent"]),
+        "parent": commit.stdout.strip(),
         "command": COMMAND.format(seconds=seconds),
         "protocol": PROTOCOL,
         "notes": args.note,
