@@ -333,23 +333,40 @@ def _envelopes(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrix bounds ``H_i <= G_ij <= K_i`` (Loewner order) on each index's
     Gram terms; shape ``(N, n, n)`` each.
 
-    With ``M_i = mean_j G_ij`` and ``E_ij = G_ij - M_i = E_ij^+ - E_ij^-``
-    (positive and negative parts from one ``eigh``), ``K_i = M_i + sum_j
-    E_ij^+`` and ``H_i = M_i - sum_j E_ij^-``.  Every part is positive
-    semidefinite, so ``G_ij = M_i + E_ij^+ - E_ij^- <= M_i + E_ij^+ <= K_i``
-    and ``G_ij >= M_i - E_ij^- >= H_i``.  Summed over the indices not yet
-    fixed (:func:`_suffix_sums`, in any order): a prefix sum ``S`` over the
-    fixed indices and any completion ``S_sigma`` of it satisfy ``S + sum
-    H_i <= S_sigma <= S + sum K_i``, and ``S <= S_sigma`` since Gram terms
-    are semidefinite.  This is a matrix form of the paper's
-    pairwise-difference condition: for ``m = 2``, ``K_i`` and ``H_i`` are
-    the mean plus and minus half of ``|G_i1 - G_i2|``.
+    The members are folded pairwise in member order, ``H_i = L(...L(G_i1,
+    G_i2)..., G_im)`` and ``K_i`` likewise with ``U``, where, with ``D^+``
+    and ``D^-`` the positive and negative parts of ``D = D^+ - D^-`` (both
+    semidefinite), ``L(A, B) = A - (A - B)^+ = B - (A - B)^-`` is ``<= A``
+    and ``<= B``, and ``U(A, B) = A + (A - B)^- = B + (A - B)^+`` is ``>=
+    A`` and ``>= B``.  By induction ``H_i`` lies below and ``K_i`` above
+    every member.  Each step takes one batched ``eigh`` of ``(H - G_ij, G_ij
+    - K)`` and keeps the positive parts; the first, where ``H = K = G_i1``,
+    takes one of ``G_i1 - G_i2`` alone.  For ``m = 2`` the fold is the
+    mean ``M_i`` minus and plus ``|G_i1 - G_i2| / 2``, as ``G_i1 - (G_i1 -
+    G_i2)^+ = M_i - |G_i1 - G_i2| / 2``; for scalars it is the least and
+    greatest member.  The Loewner order has no meet: two Hermitian matrices
+    have a greatest lower bound only if they are comparable (Kadison,
+    *Proc. AMS* 2, 1951), so there is no unique best envelope, and the
+    fold is one sound choice among many, cheap and exact for scalars; a
+    different member order can give another.
+
+    Summed over the indices not yet fixed (:func:`_suffix_sums`, in any
+    order): a prefix sum ``S`` over the fixed indices and any completion
+    ``S_sigma`` of it satisfy ``S + sum H_i <= S_sigma <= S + sum K_i``,
+    and ``S <= S_sigma`` since Gram terms are semidefinite.  This is a
+    matrix form of the paper's pairwise-difference condition.
     """
-    mean = grams.mean(axis=1)
-    w, v = np.linalg.eigh(grams - mean[:, None])
-    vh = v.conj().swapaxes(-1, -2)
-    pos, neg = (((v * np.maximum(x, 0.0)[..., None, :]) @ vh).sum(axis=1) for x in (w, -w))
-    return mean - neg, mean + pos
+    h = k = grams[:, 0]
+    for j in range(1, grams.shape[1]):
+        g = grams[:, j]
+        if j == 1:
+            w, v = np.linalg.eigh(h - g)
+            w = np.stack((w, -w))  # g - k = -(h - g): one eigh serves both
+        else:
+            w, v = np.linalg.eigh(np.stack((h - g, g - k)))
+        pos = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        h, k = h - pos[0], k + pos[1]
+    return h, k
 
 
 def _suffix_sums(terms: np.ndarray) -> np.ndarray:
@@ -393,22 +410,24 @@ def _seed_weavings(grams: np.ndarray, suffix: np.ndarray, lower: bool) -> np.nda
     <G_ij f, f>`` (argmax for the upper side), until ``sigma`` repeats, at
     most ``N`` steps.  In exact arithmetic no step worsens the extreme
     eigenvalue.  One search starts from each index's member of smallest
-    (largest) trace, the other from a greedy dive that fixes one index at a
-    time by ``lambda_min(S + G_kj + suffix[k + 1])`` (``lambda_max``), with
-    ``suffix`` the side's suffix sums ``SH`` (``SK``) in index order
-    (:func:`_suffix_sums` of :func:`_envelopes`).
+    (largest) trace, the other from each index's member of smallest
+    (largest) ``<G_ij g, g>``, ``g`` the extreme eigenvector of the side's
+    root envelope sum ``suffix[0]`` (``sum_i H_i`` or ``sum_i K_i``,
+    :func:`_suffix_sums` of :func:`_envelopes`), from one ``eigh``: the
+    direction in which the envelopes put the side's bound.
     """
     big_n = len(grams)
     at = np.arange(big_n)
     side, pick = (0, np.argmin) if lower else (-1, np.argmax)
-    s, dive, rows = np.zeros_like(grams[0, 0]), [], []
-    for k in range(big_n):
-        dive.append(int(pick(np.linalg.eigvalsh(s + grams[k] + suffix[k + 1])[:, side])))
-        s = s + grams[k, dive[-1]]
-    for labels in (pick(np.einsum("imaa->im", grams).real, axis=1), np.array(dive)):
+
+    def members(f):  # each index's member of extreme <G_ij f, f>
+        return pick(np.einsum("a,imab,b->im", f.conj(), grams, f).real, axis=1)
+
+    rows = []
+    for labels in (pick(np.einsum("imaa->im", grams).real, axis=1),
+                   members(np.linalg.eigh(suffix[0])[1][:, side])):
         for _ in range(big_n):
-            f = np.linalg.eigh(grams[at, labels].sum(axis=0))[1][:, side]
-            step = pick(np.einsum("a,imab,b->im", f.conj(), grams, f).real, axis=1)
+            step = members(np.linalg.eigh(grams[at, labels].sum(axis=0))[1][:, side])
             if np.array_equal(step, labels):
                 break
             labels = step
@@ -422,10 +441,11 @@ def _search_side(grams: np.ndarray, envelopes, lower: bool) -> tuple:
 
     ``envelopes`` are ``_envelopes(grams)``.  The seeds
     (:func:`_seed_weavings`) take the side's suffix sums in index order;
-    :func:`_walk` then fixes the indices in decreasing ``f* (K_i - H_i) f``
-    (a stable sort), ``f`` the extreme eigenvector of seed row 0, but for
-    the lower side's index-order cases.  The result is that of folding
-    every weaving's spectrum in code order; the proof and the cases are in
+    :func:`_walk` then fixes the indices in decreasing ``sum_r f_r* (K_i -
+    H_i) f_r`` (a stable sort), ``f_r`` the extreme eigenvector of seed row
+    ``r``, both from one batched ``eigh``, but for the lower side's
+    index-order cases.  The result is that of folding every weaving's
+    spectrum in code order; the proof and the cases are in
     :func:`certify_woven`.
     """
     big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
@@ -441,8 +461,8 @@ def _search_side(grams: np.ndarray, envelopes, lower: bool) -> tuple:
     delta = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * top
     index = order = np.arange(big_n)
     if not (lower and seed == 0.0):
-        f = np.linalg.eigh(s[0])[1][:, 0 if lower else -1]
-        order = np.argsort(-np.einsum("a,iab,b->i", f.conj(), k - h, f).real, kind="stable")
+        f = np.linalg.eigh(s)[1][..., 0 if lower else -1]
+        order = np.argsort(-np.einsum("ra,iab,rb->i", f.conj(), k - h, f).real, kind="stable")
     best = _walk(grams, terms, lower, order, seed, delta)
     if lower and best[0] == 0.0 and (order != index).any():
         best = _walk(grams, terms, lower, index, 0.0, delta)
@@ -461,35 +481,42 @@ def _walk(grams: np.ndarray, terms: np.ndarray, lower: bool, order: np.ndarray,
     and tests all their children by one broadcast add, ``P + (G_kj + T[k +
     1] - cI)`` with ``c = low + delta`` on the lower side, ``(cI - (G_kj +
     T[k + 1])) - P`` with ``c = up - delta`` on the upper; a child is
-    dropped if Cholesky factors its matrix.  Prefix sums and labels are
-    formed for the children kept; the first term is taken as is, not added
-    to 0, so ``-0.0`` entries stay.  A full row kept takes ``eigvalsh`` of
-    its sequential sum in index order: its prefix sum when ``order`` is the
-    index order, else its sum formed again (:func:`_frame_operators`).  The
-    lower side ends once its fold holds 0.
+    dropped if Cholesky factors its matrix.  The shifted terms of every
+    ``k`` are formed once per value of ``c``.  Prefix sums and label rows
+    are formed for the children kept; the first term is taken as is, not
+    added to 0, so ``-0.0`` entries stay.  A full row kept takes
+    ``eigvalsh`` of its sequential sum in index order: its prefix sum when
+    ``order`` is the index order, else its sum formed again
+    (:func:`_frame_operators`).  The lower side ends once its fold holds 0.
     """
     big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
     ordered, in_order = grams[order], bool((order == np.arange(big_n)).all())
     fixed = ordered + _suffix_sums(terms[order])[1:, None]  # G_kj + T[k + 1]
     eye = np.eye(n)
+
+    def shifted(c):  # G_kj + T[k + 1] - (c + delta) I, or (c - delta) I - (G_kj + T[k + 1])
+        return fixed - (c + delta) * eye if lower else (c - delta) * eye - fixed
+
     take = max(1, _BATCH_ENTRIES // (m * n**2))
-    best, best_at = (np.inf if lower else -np.inf), None
-    # (k, prefix sums over the first k searched indices, their labels, next parent)
-    stack = [(0, np.zeros((1, n, n), dtype=complex), np.zeros((1, 0), dtype=np.int64), 0)]
+    best, best_at, shift = (np.inf if lower else -np.inf), None, shifted(bound)
+    # (k, prefix sums over the first k searched indices, their label rows, next
+    # parent); entry p of a row is the label of the p-th searched index, 0 from k.
+    stack = [(0, np.zeros((1, n, n), dtype=complex), np.zeros((1, big_n), dtype=np.int64), 0)]
     while stack:
         k, sums, labels, start = stack.pop()
         stop = min(start + take, len(labels))
         if stop < len(labels):
             stack.append((k, sums, labels, stop))
         if lower:
-            tested = sums[start:stop, None] + (fixed[k] - (min(bound, best) + delta) * eye)
+            tested = sums[start:stop, None] + shift[k]
         else:
-            tested = ((max(bound, best) - delta) * eye - fixed[k]) - sums[start:stop, None]
+            tested = shift[k] - sums[start:stop, None]
         r, j = np.nonzero(~_factors(tested.reshape(-1, n, n)).reshape(-1, m))
         if not len(r):
             continue
         r += start
-        kept = np.column_stack((labels[r], j))
+        kept = labels[r]
+        kept[:, k] = j
         s = ordered[0, j] if k == 0 else sums[r] + ordered[k, j]  # not 0 + G: keeps -0.0
         if k + 1 < big_n:
             stack.append((k + 1, s, kept, 0))
@@ -504,6 +531,8 @@ def _walk(grams: np.ndarray, terms: np.ndarray, lower: bool, order: np.ndarray,
                 if x == best:
                     ties = np.vstack((ties, best_at))
                 best, best_at = x, ties[np.lexsort(ties.T[::-1])[0]]
+                if best < bound if lower else best > bound:
+                    shift = shifted(best)
             if lower and best == 0.0:  # only a strictly smaller value moves the fold
                 break
     return best, best_at
@@ -527,9 +556,10 @@ def certify_woven(
     of its side (:func:`_seed_weavings`), a depth-first search over label
     prefixes drops whole subtrees of weavings proven unable to move the
     bound, by one Cholesky test per prefix.  Each side fixes the indices in
-    its own order, decreasing ``f* (K_i - H_i) f`` with ``f`` the extreme
-    eigenvector of its first seed weaving, so that it branches first where
-    its envelopes are loosest (variable ordering in branch and bound).  With
+    its own order, decreasing ``sum_r f_r* (K_i - H_i) f_r`` with ``f_r``
+    the extreme eigenvector of its seed weaving ``r``, so that it branches
+    first where its envelopes are loosest along the directions in which the
+    seeds put its bound (variable ordering in branch and bound).  With
     ``S`` a prefix's sum over the first ``k`` indices of that order and
     ``SH``, ``SK`` the suffix sums of :func:`_envelopes` over the rest, in
     that order, the upper search drops the prefix if Cholesky factors ``(up
@@ -567,12 +597,22 @@ def certify_woven(
     lambda_max(SK[0])`` at least every weaving's ``lambda_max``.  For a
     semidefinite term ``|g_ab| <= sqrt(g_aa g_bb)``, so the entrywise
     absolute values of a weaving's terms sum to a matrix of norm at most
-    ``tr S_sigma <= n U``, and each ``||K_i||``, ``||H_i|| <= m ||K_i||``
-    likewise.  ``delta`` then covers: the backward error of a completed
-    Cholesky, about ``n**2 * eps`` times the tested matrix's norm, at most
-    ``2 U``; the rounding of the envelopes (a mean, one ``eigh`` and its
-    products: about ``m * n * eps * ||G_ij||`` per index, at most ``m * n**2
-    * eps * U`` in all); the rounding of the ``N``-term sums of ``S``,
+    ``tr S_sigma <= n U``, and those of the ``K_i`` to one of norm at most
+    ``tr SK[0] <= n U``.  With ``g_i = max_j ||G_ij|| <= ||K_i||``, the fold
+    of :func:`_envelopes` keeps ``lambda_max(H) <= g_i`` and lowers
+    ``lambda_min(H)`` by at most ``g_i`` a step, and raises ``lambda_max(K)``
+    by at most ``g_i`` a step, so ``||H_i|| <= (m - 1) ||K_i||``, and step
+    ``j`` of its ``m - 1`` takes the ``eigh`` of a difference of norm at
+    most ``j g_i``.  ``delta`` then covers: the backward error of a
+    completed Cholesky, about ``n**2 * eps`` times the tested matrix's norm,
+    at most ``2 U``; the rounding of the envelopes, about ``n * eps`` times
+    that norm per step (an ``eigh`` and the product of its positive part),
+    where each step's result lies below (above) both its inputs up to its
+    own error, so the errors add: about ``m (m - 1) / 2 * n * eps *
+    ||K_i||`` per index and at most ``m (m - 1) / 2 * n**2 * eps * U`` in
+    all, which the ``1e3 m`` of ``1e3 (N + m)`` covers while ``m < 2000``
+    (with ``N >= 2``, any ``m > 1000`` exceeds the default budget of
+    ``10**6`` weavings); the rounding of the ``N``-term sums of ``S``,
     ``SH`` and ``SK`` and of a weaving's own sum, about ``N * eps`` times
     those norms, at most ``N * m * n * eps * U``, in any order of the terms,
     as the bound ``gamma_{N-1} sum_i |x_i|`` on a recursive sum does not
@@ -583,7 +623,8 @@ def certify_woven(
     few ``n * eps * U``.  On 300 seeded families with Gram terms
     spread over twelve decades, the prefix bounds in a random order of the
     indices never crossed a weaving's computed spectrum by more than
-    ``delta / 3000``; the tests allow ``delta / 10``.
+    ``delta / 3000``, and by ``delta / 9000`` on 300 more with the folded
+    envelopes (``m = 2, 3``); the tests allow ``delta / 10``.
 
     Sampled mode draws ``budget`` partitions from a seeded generator and can
     only falsify: it returns ``not-woven`` with a witness, or the explicitly
