@@ -41,7 +41,9 @@ from gweave.weaving import (
     _gram_tensor,
     _inside_bounds,
     _label_blocks,
+    _NormScreen,
     _partition_of,
+    _row_screen,
     _screen_operators,
     _search_side,
     _seed_weavings,
@@ -1018,14 +1020,21 @@ def _counting_sums(monkeypatch) -> list:
 
 
 def _recording_screen(monkeypatch) -> list:
-    """Patch ``weaving._inside_bounds`` to record the mask of each call."""
-    screen, masks = _inside_bounds, []
+    """Patch ``weaving._row_screen`` so that each screen it builds records
+    the mask of each call: the decision of the norm test and the Cholesky
+    tests together."""
+    row_screen, masks = _row_screen, []
 
-    def recording(*args):
-        masks.append(screen(*args))
-        return masks[-1]
+    def recording(grams):
+        inside = row_screen(grams)
 
-    monkeypatch.setattr(gweave.weaving, "_inside_bounds", recording)
+        def recorded(*args):
+            masks.append(inside(*args))
+            return masks[-1]
+
+        return recorded
+
+    monkeypatch.setattr(gweave.weaving, "_row_screen", recording)
     return masks
 
 
@@ -1255,6 +1264,174 @@ class TestSampledScreen:
         matrices = _counting_eigvalsh(monkeypatch)
         assert certify_woven(fam, mode="sampled", budget=2**9, seed=seed) == expected
         assert sum(matrices) < 2**9
+
+
+def _lower_hermitian(a: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices that LAPACK reads from ``a``'s lower triangles."""
+    h = np.tril(a) + np.tril(a, -1).conj().swapaxes(-1, -2)
+    diag = np.arange(a.shape[-1])
+    h[..., diag, diag] = h[..., diag, diag].real
+    return h
+
+
+def _unpacked(z: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian matrices of ``_NormScreen``'s packed columns."""
+    r, c = np.tril_indices(n, -1)
+    h = np.zeros((len(z), n, n), dtype=np.result_type(z, 1j))
+    h[:, np.arange(n), np.arange(n)] = z[:, :n]
+    h[:, r, c] = z[:, n : n + len(r)] + 1j * z[:, n + len(r) :]
+    h[:, c, r] = h[:, r, c].conj()
+    return h
+
+
+def _norm_bounds(grams: np.ndarray, floor: float, up: float) -> tuple[float, float]:
+    """``(c_lo, c_up)``: the bounds ``_row_screen`` hands the norm test."""
+    _, mu = _screen_operators(grams)
+    low, up = floor + mu, up - mu
+    delta = 1e3 * grams.shape[-1] ** 2 * np.finfo(float).eps * up
+    return low + delta, up - delta
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    return np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
+
+
+def _counting_cholesky_rows(monkeypatch) -> list:
+    """Patch ``weaving._inside_bounds`` to record the stack size of each call."""
+    inside_bounds, rows = _inside_bounds, []
+
+    def counting(s, low, up):
+        rows.append(len(s))
+        return inside_bounds(s, low, up)
+
+    monkeypatch.setattr(gweave.weaving, "_inside_bounds", counting)
+    return rows
+
+
+def _cholesky_screen(grams: np.ndarray):
+    """The row screen without the norm test: the Cholesky tests on every row."""
+    operators, mu = _screen_operators(grams)
+    return lambda rows, low, up: _inside_bounds(operators(rows), low + mu, up - mu)
+
+
+class TestNormScreen:
+    """The weighted-norm test proves rows inside the bounds without a
+    factorization; the rows it leaves take the Cholesky tests."""
+
+    # Gram terms over twelve decades, the members pulled towards member 1 by
+    # ``spread`` so that the test proves many rows, and bounds at the rows'
+    # extreme computed eigenvalues (k = 0) or at the next ones inside.  A
+    # bound equal to a row's eigenvalue must not prove that row.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 4),
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=24),
+        n=st.integers(1, 6),
+        spread=st.sampled_from([1.0, 0.1, 1e-3]),
+        draws=st.integers(0, 2**16),
+        k=st.sampled_from([0, 1, 8]),
+    )
+    def test_proven_rows_lie_inside(self, seed, m, dims, n, spread, draws, k):
+        grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
+        grams = grams[:, :1] + spread * (grams - grams[:, :1])
+        rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
+        w = np.linalg.eigvalsh(_frame_operators(grams, rows))
+        floor, up = np.sort(w[:, 0])[k], np.sort(w[:, -1])[-1 - k]
+        assume(floor < up)
+        proven = _NormScreen(grams).proven(rows, *_norm_bounds(grams, floor, up))
+        assert (w[proven, 0] > floor).all() and (w[proven, -1] < up).all()
+
+    # Each allowance against its error, in extended precision: phi against
+    # the residual and loss of orthogonality of eigh, zeta against the
+    # rounding of the packed Z, and mu against the distance from the exact
+    # sum of the computed centre and offsets to the sequential sums.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 4),
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=24),
+        n=st.integers(1, 6),
+        draws=st.integers(0, 2**16),
+    )
+    def test_allowances_within_a_tenth(self, seed, m, dims, n, draws):
+        grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
+        rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
+        screen, (_, mu) = _NormScreen(grams), _screen_operators(grams)
+        centre = _lower_hermitian(grams.mean(axis=1).sum(axis=0)).astype(np.clongdouble)
+        v = screen.v.astype(np.clongdouble)
+        orthogonality = _frobenius(v.conj().T @ v - np.eye(n))
+        residual = _frobenius(centre @ v - v * screen.lam.astype(np.longdouble))
+        assert orthogonality * screen.rho + (1 + orthogonality) * residual <= screen.phi(0.0) / 10
+
+        offsets = (rows[:, :, None] == np.arange(1, m)).reshape(len(rows), -1) - 1 / m
+        diffs = _lower_hermitian(grams[:, 1:] - grams[:, :1]).reshape(-1, n, n).astype(np.clongdouble)
+        offsets = offsets.astype(np.longdouble)
+        exact = np.einsum("rk,kab->rab", offsets, v.conj().T @ diffs @ v)
+        assert _frobenius(_unpacked(screen.rotated(rows), n) - exact).max() <= screen.zeta / 10
+
+        exact = centre + np.einsum("rk,kab->rab", offsets, diffs)
+        summed = _lower_hermitian(_frame_operators(grams, rows))
+        assert np.abs(summed - exact).max() <= mu / 10
+
+    def test_rotated_reuses_one_buffer(self):
+        grams = _gram_tensor(_scaled_random_family(5, 3, [1, 2, 3, 1, 2], 4))
+        screen = _NormScreen(grams)
+        rows = np.random.default_rng(5).integers(0, 3, size=(256, 5))
+        first = screen.rotated(rows)
+        assert np.shares_memory(screen.rotated(rows[:32]), first)
+
+    # The woven family of the sampled benchmark (a frame of 48 rank-one
+    # blocks in C^8 and a noisy copy of it), at its budget: the norm test
+    # leaves at most a fifth of the screened rows to Cholesky (2-17% on
+    # these seeds, all of them before), and the same rows as the Cholesky
+    # tests alone are summed exactly.
+    @pytest.mark.parametrize("s", [0, 1000, 2000, 3000])
+    def test_most_rows_skip_cholesky(self, s, monkeypatch):
+        fam = generate(GenSpec(8, (1,) * 48, "perturbed", s))
+        masks, summed = _recording_screen(monkeypatch), _counting_sums(monkeypatch)
+        cholesky = _counting_cholesky_rows(monkeypatch)
+        rep = certify_woven(fam, mode="sampled", budget=2**16, seed=s)
+        assert rep.status == "sampled-no-counterexample"
+        assert sum(cholesky) <= sum(map(len, masks)) / 5
+        with_norm = list(summed)
+        summed.clear()
+        monkeypatch.setattr(gweave.weaving, "_row_screen", _cholesky_screen)
+        assert certify_woven(fam, mode="sampled", budget=2**16, seed=s) == rep
+        assert summed == with_norm
+
+    # Two independent Parseval members: a typical row's weighted norm is
+    # above 1 at the sampled bounds, so no row takes the GEMM.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gate_keeps_independent_members_off_the_gemm(self, seed, monkeypatch):
+        fam = GFrameFamily(tuple(
+            generate(GenSpec(8, (1,) * 48, "parseval", 2 * seed + j)) for j in range(2)
+        ))
+        rotated, calls = _NormScreen.rotated, []
+        monkeypatch.setattr(_NormScreen, "rotated", lambda self, rows: calls.append(len(rows)) or rotated(self, rows))
+        cholesky = _counting_cholesky_rows(monkeypatch)
+        rep = certify_woven(fam, mode="sampled", budget=2**16, seed=seed)
+        assert rep.status == "sampled-no-counterexample"
+        assert calls == [] and sum(cholesky) == 2**16 - _BLOCK_FIRST
+
+
+# Sampled mode against the sweep that diagonalises every drawn row, on
+# planted families whose weavings spread little against their bounds: the
+# norm test proves most rows on nearly every draw of these shapes.
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(2, 4),
+    big_n=st.integers(16, 48),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([None, 1e-6]),
+    decades=st.sampled_from([0, 3]),
+    sample_seed=st.integers(0, 2**16),
+)
+def test_sampled_matches_reference_with_the_norm_test(m, big_n, n, seed, scale, decades, sample_seed):
+    fam = _planted_family(m, big_n, n, seed, scale, decades)
+    kw = {"mode": "sampled", "budget": 2**12, "seed": sample_seed}
+    assert certify_woven(fam, **kw) == _certify_reference(fam, **kw)
 
 
 @settings(max_examples=30, deadline=None)
