@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gframe import GFrame
-from .linalg import _integers, _reals
+from .linalg import _integers, _reals, _seed
 from .weaving import GFrameFamily, Partition
 
 __all__ = ["GenSpec", "KINDS", "generate", "random_partition"]
@@ -30,7 +30,8 @@ class GenSpec:
     kinds need block dimensions summing to the ambient dimension.  The
     perturbed kind produces a two-member family: a base frame plus a copy
     with entrywise complex Gaussian noise of scale ``noise_scale`` (a finite,
-    nonnegative real; checked for every kind).
+    nonnegative real; checked for every kind).  ``seed`` is an integer ``>=
+    0``.
     """
 
     ambient_dim: int
@@ -44,7 +45,7 @@ class GenSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         (n,) = _integers((self.ambient_dim,), "ambient_dim must be an integer")
-        (seed,) = _integers((self.seed,), "seed must be an integer")
+        seed = _seed(self.seed)
         if n < 1:
             raise ValueError("ambient_dim must be >= 1")
         object.__setattr__(self, "ambient_dim", n)
@@ -134,8 +135,10 @@ def generate(spec: GenSpec) -> GFrame | GFrameFamily:
 
 
 def random_partition(n_indices: int, m: int, seed: int) -> Partition:
-    """Uniform random label vector, deterministic in the seed."""
+    """Uniform random label vector, deterministic in the seed, an integer
+    ``>= 0``."""
     n_indices, m = _integers((n_indices, m), "n_indices and m must be integers")
+    seed = _seed(seed)
     if n_indices < 1:
         raise ValueError("n_indices must be >= 1")
     if m < 1:

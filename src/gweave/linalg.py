@@ -167,6 +167,15 @@ def _integers(values, message: str) -> tuple[int, ...]:
     return tuple(int(x) for x in values)
 
 
+def _seed(seed) -> int:
+    """``seed`` as a Python int; ``ValueError`` naming it unless it is an
+    integer (:func:`_integers`) and ``>= 0``, as numpy's generators need."""
+    (seed,) = _integers((seed,), "seed must be an integer")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _rank_from_singular_values(s: np.ndarray, shape, tol: Tolerance):
     """The rank rule of :func:`rank` on singular values already at hand.
 

@@ -37,7 +37,7 @@ from .gframe import (
     frame_bounds,
     synthesis_matrix,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _integers, _reals, as_matrix, op_norm
+from .linalg import DEFAULT_TOL, Tolerance, _integers, _reals, _seed, as_matrix, op_norm
 from .weaving import GFrameFamily, _gram_tensor
 
 __all__ = [
@@ -277,6 +277,8 @@ def _certificate(
     ``pairs[0][0]`` and subtracts each pair's closeness term.  Both modes
     use one synthesis matrix ``T_j`` per member: exact mode takes the norms
     of the differences, sampled mode tests each pair on ``u_j = T_j g``.
+    In either mode ``trials >= 1`` and ``seed >= 0`` must be integers (else
+    ``ValueError``).
     """
     lambdas = _as_scalars(lambdas, len(pairs), "lambdas")
     etas = _as_scalars(etas, len(pairs), "etas")
@@ -292,6 +294,7 @@ def _certificate(
             "use sampled-falsification for nonzero eta/mu"
         )
     trials, seed = _integers((trials, seed), "trials and seed must be integers")
+    seed = _seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     lowers, uppers = _member_bounds(fam)

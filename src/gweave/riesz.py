@@ -20,15 +20,14 @@ from .weaving import (
     DEFAULT_BUDGET,
     GFrameFamily,
     Partition,
+    _RowScreen,
     _SCREEN_ROWS,
     _check_budget,
     _envelopes,
     _fold_extremes,
     _gram_tensor,
-    _inside_bounds,
     _label_blocks,
     _partition_of,
-    _screen_operators,
     _search_side,
 )
 
@@ -158,14 +157,17 @@ def _riesz_sweep(fam: GFrameFamily, members):
 
     *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 rows in
     code order.  Each ``T`` is square, so ``s(T)**2`` are the eigenvalues
-    of ``S = T T*``, and after the first block a partition is skipped by
-    sampled mode's row screen (:func:`certify_woven`) with the running
-    ``(low, up)`` and the floor ``thr(low)``, whose Cholesky margin also
-    covers the rounding of the Gram terms (about ``n eps up``) and the
-    SVD's error in ``s_min**2`` (about ``2 eps up``).  A skipped
-    partition's computed ``s_min**2`` lies above ``thr(low) >= low`` and
-    its ``s_max**2`` below ``up``, so it moves no bound and would not have
-    been stored.  The other partitions take one batched SVD of their ``T``
+    of ``S = T T*``, and after the first block a partition is skipped if
+    the row screen of sampled mode and :func:`span_criterion`
+    (``_RowScreen.inside``, proofs in :func:`certify_woven`) proves it
+    inside ``(thr(low), up)``, ``(low, up)`` the running bounds.  Its
+    margins also cover the rounding of the Gram terms (about ``n eps up``)
+    and the SVD's error in ``s_min**2`` (about ``2 eps up``).  Its norm
+    test runs only while its gate is open, which the data decide; on the
+    benchmark's pairs it stays shut at this floor, and the Cholesky tests
+    decide every row.  A skipped partition's computed ``s_min**2`` lies
+    above ``thr(low) >= low`` and its ``s_max**2`` below ``up``, so it
+    moves no bound and would not have been stored.  The other partitions take one batched SVD of their ``T``
     and are folded in code order, so reports are those of a sweep that
     takes every SVD, bit for bit.  SVDs are per matrix, so the block size
     changes no bit of a result.
@@ -173,12 +175,12 @@ def _riesz_sweep(fam: GFrameFamily, members):
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
     mu2, nu2 = min(rb.lower for rb in members), max(rb.upper for rb in members)
     ratio, slack = (1 + 1e-6) * nu2 / mu2, 1e3 * fam.ambient_dim * np.finfo(float).eps * nu2
-    operators, margin = _screen_operators(_gram_tensor(fam))
+    inside = _RowScreen(_gram_tensor(fam)).inside
     best = (np.inf, None, -np.inf, None)
     stored = []
     for labels0 in _label_blocks(2, fam.n_indices, _SCREEN_ROWS):
         if best[1] is not None:
-            labels0 = labels0[~_inside_bounds(operators(labels0), thr + margin, best[2] - margin)]
+            labels0 = labels0[~inside(labels0, thr, best[2])]
             if not len(labels0):
                 continue
         owner = _owned_columns(fam, labels0)
@@ -262,9 +264,9 @@ def weaving_riesz_check(
     weavings keep a positive lower Riesz constant, every weaving is a
     g-Riesz basis and the pair is woven.  Witnesses are the first partition
     in lexicographic order that attains each bound.  After the first block
-    of 64, each weaving that a Cholesky test on sampled mode's GEMM operator
-    proves unable to move either bound skips its SVD (see ``_riesz_sweep``),
-    which changes no reported float.
+    of 64, each weaving that the row screen shared with sampled
+    :func:`~gweave.weaving.certify_woven` proves unable to move either bound
+    skips its SVD (see ``_riesz_sweep``), which changes no reported float.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=False)[0]
 
@@ -378,8 +380,8 @@ def equivalence_constants(
     proofs and rounding margins are in ``_riesz_sweep``.  The angle
     quantities are computed only on partitions that can attain ``a2`` and
     ``d3``, and a weaving after the first 64 takes the weaving SVD only if
-    a Cholesky test on its GEMM operator, within a margin of its frame
-    operator, cannot prove it inside the running bounds and above the angle
-    threshold.
+    the row screen shared with sampled
+    :func:`~gweave.weaving.certify_woven` cannot prove it inside the running
+    bounds and above the angle threshold.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=True)[1]

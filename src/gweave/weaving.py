@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .gframe import GFrame, _gram_terms, frame_bounds, frame_operator, synthesis_matrix
-from .linalg import DEFAULT_TOL, Tolerance, _complex_array, _integers, _reals
+from .linalg import DEFAULT_TOL, Tolerance, _complex_array, _integers, _reals, _seed
 from .linalg import hermitian_extremes, rank
 
 __all__ = [
@@ -273,58 +273,43 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
     return s
 
 
-def _screen_operators(grams: np.ndarray):
-    """``(operators, mu)``: ``operators(rows)`` is the stack ``S' = sum_i
-    G_i0 + X @ D`` for the 0-based label rows ``rows``, within ``mu`` of
-    their sequential sums (:func:`_frame_operators`) in spectral norm.  A
-    returned stack is valid until the next call, which reuses its memory.
+class _RowScreen:
+    """The one proof that label rows' computed spectra lie inside bounds,
+    for every walk that screens rows: sampled :func:`certify_woven`,
+    :func:`span_criterion` and the Riesz sweep.  Built once per family
+    from the Gram tensor; the proofs and margins are in
+    :func:`certify_woven`.
 
-    ``X`` holds each row's 0/1 indicators of the labels ``j >= 1``, shape
-    ``(rows, N (m - 1))``, and ``D`` the differences ``G_ij - G_i0`` viewed
-    as float64, shape ``(N (m - 1), 2 n**2)``: one real GEMM per stack.
-    ``mu = 1e3 * n**2 * eps * (N + m) * g``, ``g`` the largest entry of
-    ``sum_ij |G_ij|``; the derivation is in :func:`certify_woven`.
-    """
-    big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
-    base = grams[:, 0].sum(axis=0)
-    diffs = (grams[:, 1:] - grams[:, :1]).reshape(big_n * (m - 1), n * n).view(np.float64)
-    mu = 1e3 * n**2 * np.finfo(float).eps * (big_n + m) * np.abs(grams).sum(axis=(0, 1)).max()
-    # One buffer, grown to the most rows asked for: a fresh stack per call
-    # made glibc trim its heap top after each block and fault it in again.
-    stack = np.empty((0, 2 * n * n))
-
-    def operators(rows: np.ndarray) -> np.ndarray:
-        nonlocal stack
-        if len(rows) > len(stack):
-            stack = np.empty((len(rows), 2 * n * n))
-        x = (rows[:, :, None] == np.arange(1, m)).reshape(len(rows), -1).astype(np.float64)
-        s = np.matmul(x, diffs, out=stack[: len(rows)]).view(np.complex128).reshape(-1, n, n)
-        s += base
-        return s
-
-    return operators, mu
-
-
-class _NormScreen:
-    """A weighted-norm test of label rows against bounds ``c_lo < c_up``,
-    without a factorization (see :func:`certify_woven`).
-
-    The centre ``C = sum_i mean_j G_ij`` is diagonalised once, ``C = V
-    Lambda V*`` (``lam``, ``v``).  ``w`` holds the differences ``V* (G_ij -
-    G_i0) V``, ``j >= 1``, each Hermitian from its lower triangle, as the
-    kernels read it, and packed into ``n**2`` real columns: the diagonal's
-    real parts, then the strict lower triangle's real and imaginary parts.
-    ``variance`` is each column's variance over uniformly drawn rows and
-    ``zeta`` the allowance for the rounding of :meth:`rotated`.
+    ``x`` is a block of rows' 0/1 indicators of the labels ``j >= 1``,
+    shape ``(rows, N (m - 1))``, and ``d`` the differences ``G_ij - G_i0``
+    viewed as float64, shape ``(N (m - 1), 2 n**2)``.  The Cholesky tests
+    take ``S' = sum_i G_i0 + x @ d`` (:meth:`operators`), within ``mu`` of
+    each row's sequential sum (:func:`_frame_operators`).  The norm test
+    diagonalises the centre ``C = sum_i mean_j G_ij = V Lambda V*`` once
+    (``lam``, ``v``) and takes ``Z = (x - 1/m) @ w`` (:meth:`rotated`),
+    ``w`` the differences ``V* (G_ij - G_i0) V``, each Hermitian from its
+    lower triangle, as the kernels read it, and packed into ``n**2`` real
+    columns: the diagonal's real parts, then the strict lower triangle's
+    real and imaginary parts.  ``variance`` is each column's variance over
+    uniformly drawn rows, ``zeta`` the allowance for the rounding of ``Z``
+    and :meth:`phi` that for ``eigh``.  Each GEMM writes into its own
+    buffer, grown to the most rows asked for and valid until its next call:
+    a fresh stack per call made glibc trim its heap top after each block
+    and fault it in again.
     """
 
     def __init__(self, grams: np.ndarray):
         big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
-        self.m, self.n = m, n
+        self.m, self.n, self.eye = m, n, np.eye(n)
+        self.scale = 1e3 * n**2 * np.finfo(float).eps
+        self.mu = self.scale * (big_n + m) * np.abs(grams).sum(axis=(0, 1)).max()
+        self.base = grams[:, 0].sum(axis=0)
+        diffs = grams[:, 1:] - grams[:, :1]
+        self.d = diffs.reshape(big_n * (m - 1), n * n).view(np.float64)
         self.lam, self.v = np.linalg.eigh(grams.mean(axis=1).sum(axis=0))
         self.rho = np.abs(self.lam).max()
         diag, self.tril = np.arange(n), np.tril_indices(n, -1)
-        diffs = np.tril(grams[:, 1:] - grams[:, :1])
+        diffs = np.tril(diffs)
         diffs += np.tril(diffs, -1).conj().swapaxes(-1, -2)
         diffs[..., diag, diag] = diffs[..., diag, diag].real
         w = self.v.conj().T @ diffs @ self.v
@@ -333,77 +318,79 @@ class _NormScreen:
         self.variance = ((w**2).sum(axis=1) / m - w.sum(axis=1) ** 2 / m**2).sum(axis=0)
         self.w = w.reshape(-1, n * n)
         self.zeta = 1e3 * (big_n * m + n * n) * np.finfo(float).eps * np.linalg.norm(self.w, axis=1).sum()
-        self._z = np.empty((0, n * n))
+        self._s, self._z = np.empty((0, 2 * n * n)), np.empty((0, n * n))
         self._key = self._weights = None
 
     def phi(self, c: float) -> float:
         """The allowance for ``eigh``'s residual and loss of orthogonality
         at bound ``c``, and for the rounding of ``g``."""
-        return 1e3 * self.n**2 * np.finfo(float).eps * (self.rho + abs(c))
+        return self.scale * (self.rho + abs(c))
 
-    def weights(self, c_lo: float, c_up: float) -> tuple[np.ndarray | None, bool]:
+    def operators(self, x: np.ndarray) -> np.ndarray:
+        """The stack ``S' = sum_i G_i0 + x @ d``: one real GEMM."""
+        if len(x) > len(self._s):
+            self._s = np.empty((len(x), 2 * self.n**2))
+        s = np.matmul(x, self.d, out=self._s[: len(x)]).view(np.complex128).reshape(-1, self.n, self.n)
+        s += self.base
+        return s
+
+    def rotated(self, x: np.ndarray) -> np.ndarray:
+        """``Z = (x - 1/m) @ w``: one real GEMM."""
+        if len(x) > len(self._z):
+            self._z = np.empty((len(x), self.n**2))
+        return np.matmul(x - 1 / self.m, self.w, out=self._z[: len(x)])
+
+    def weights(self, c_lo: float, c_up: float) -> np.ndarray | None:
         """Per side, each packed column's weight, ``1 / g_k**2`` on the
-        diagonal and ``2 / (g_k g_l)`` off it (``None`` if some ``g <=
-        0``), and whether the expected weighted norm of a uniformly drawn
-        row is below 1 on both sides; kept for the last bounds asked for."""
+        diagonal and ``2 / (g_k g_l)`` off it, with ``g = lam - c_lo -
+        phi(c_lo) - zeta`` below and ``g = c_up - lam - phi(c_up) - zeta``
+        above; ``None``, the gate shut, unless every ``g > 0`` and the
+        expected weighted norm of a uniformly drawn row is below 1 on both
+        sides.  Kept for the last bounds asked for."""
         if self._key != (c_lo, c_up):
             g = np.array([self.lam - c_lo - self.phi(c_lo), c_up - self.lam - self.phi(c_up)]) - self.zeta
-            weights, typical = None, False
+            weights = None
             if (g > 0).all():
                 with np.errstate(over="ignore", invalid="ignore"):
                     off = 2 / (g[:, self.tril[0]] * g[:, self.tril[1]])
                     weights = np.concatenate([1 / g**2, off, off], axis=1)
-                    typical = bool((weights @ self.variance < 1).all())
-            self._key, self._weights = (c_lo, c_up), (weights, typical)
+                    if not (weights @ self.variance < 1).all():
+                        weights = None
+            self._key, self._weights = (c_lo, c_up), weights
         return self._weights
 
-    def rotated(self, rows: np.ndarray) -> np.ndarray:
-        """``Z = (x - 1/m) @ w`` for the 0-based label rows ``rows``, ``x``
-        their 0/1 indicators of the labels ``j >= 1``: one real GEMM into
-        one buffer, grown to the most rows asked for and valid until the
-        next call."""
-        if len(rows) > len(self._z):
-            self._z = np.empty((len(rows), self.n**2))
-        offsets = (rows[:, :, None] == np.arange(1, self.m)).reshape(len(rows), -1) - 1 / self.m
-        return np.matmul(offsets, self.w, out=self._z[: len(rows)])
+    def inside(self, rows: np.ndarray, low: float, up: float) -> np.ndarray:
+        """Per 0-based label row, whether its sequential sum's computed
+        spectrum is proven to lie in ``(low, up)``.
 
-    def proven(self, rows: np.ndarray, c_lo: float, c_up: float) -> np.ndarray:
-        """Per row, whether ``sum_kl |Z_kl|**2 / (g_k g_l) < 1`` on both sides."""
-        weights = self.weights(c_lo, c_up)[0]
+        With ``c_lo = low + mu + delta'`` and ``c_up = up - mu - delta'``,
+        ``delta' = 1e3 * n**2 * eps * (up - mu)``, a row is proven while the
+        gate is open by ``sum_kl |Z_kl|**2 w_kl < 1 - 1e3 * n**2 * eps`` on
+        both sides, and otherwise by the Cholesky tests (:meth:`_factored`).
+        The indicators are expanded once per call.
+        """
+        low, up = low + self.mu, up - self.mu
+        c_lo, c_up = low + self.scale * up, up - self.scale * up
+        x = (rows[:, :, None] == np.arange(1, self.m)).reshape(len(rows), -1).astype(np.float64)
+        weights = self.weights(c_lo, c_up)
         if weights is None:
-            return np.zeros(len(rows), dtype=bool)
+            return self._factored(x, c_lo, c_up)
         with np.errstate(over="ignore"):
-            norms = np.square(z := self.rotated(rows), out=z) @ weights.T
-        return (norms < 1 - 1e3 * self.n**2 * np.finfo(float).eps).all(axis=1)
-
-
-def _row_screen(grams: np.ndarray):
-    """``inside(rows, low, up)``: per 0-based label row, whether its
-    sequential sum's computed spectrum is proven to lie in ``(low, up)``.
-
-    With ``c_lo = low + mu + delta'`` and ``c_up = up - mu - delta'``,
-    ``delta'`` the ``delta`` of ``up - mu``, a row is proven by
-    :class:`_NormScreen` while the expected weighted norm is below 1 on both
-    sides, and otherwise by :func:`_inside_bounds` on its GEMM operator
-    (:func:`_screen_operators`) with bounds ``low + mu`` and ``up - mu``;
-    see :func:`certify_woven`.
-    """
-    operators, mu = _screen_operators(grams)
-    norm = _NormScreen(grams)
-    scale = 1e3 * grams.shape[-1] ** 2 * np.finfo(float).eps
-
-    def inside(rows: np.ndarray, low: float, up: float) -> np.ndarray:
-        low, up = low + mu, up - mu
-        c_lo, c_up = low + scale * up, up - scale * up
-        if not norm.weights(c_lo, c_up)[1]:
-            return _inside_bounds(operators(rows), low, up)
-        proven = norm.proven(rows, c_lo, c_up)
+            norms = np.square(z := self.rotated(x), out=z) @ weights.T
+        proven = (norms < 1 - self.scale).all(axis=1)
         rest = np.flatnonzero(~proven)
         if len(rest):
-            proven[rest] = _inside_bounds(operators(rows[rest]), low, up)
+            proven[rest] = self._factored(x[rest], c_lo, c_up)
         return proven
 
-    return inside
+    def _factored(self, x: np.ndarray, c_lo: float, c_up: float) -> np.ndarray:
+        """Per row, whether Cholesky factors both ``S' - c_lo I`` and ``c_up
+        I - S'``, the upper side tested only on the rows that pass the lower."""
+        s = self.operators(x)
+        ok = _factors(s - c_lo * self.eye)
+        # Most stacks pass whole: test them without gathering a copy.
+        ok[ok] = _factors(c_up * self.eye - (s if ok.all() else s[ok]))
+        return ok
 
 
 def _factors(a: np.ndarray) -> np.ndarray:
@@ -415,19 +402,6 @@ def _factors(a: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         return ~np.isnan(_umath_linalg.cholesky_lo(a)[..., -1, -1])
-
-
-def _inside_bounds(s: np.ndarray, low: float, up: float) -> np.ndarray:
-    """Per operator ``S`` of the stack ``s``, whether Cholesky factors both
-    ``S - (low + delta) I`` and ``(up - delta) I - S``, with ``delta = 1e3 *
-    n**2 * eps * up`` (see :func:`certify_woven`).  The upper side is tested
-    only on the operators that pass the lower side."""
-    eye = np.eye(s.shape[-1])
-    delta = 1e3 * s.shape[-1] ** 2 * np.finfo(float).eps * up
-    inside = _factors(s - (low + delta) * eye)
-    # Most stacks pass whole: test them without gathering a copy.
-    inside[inside] = _factors((up - delta) * eye - (s if inside.all() else s[inside]))
-    return inside
 
 
 def _envelopes(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -584,14 +558,13 @@ def _walk(grams: np.ndarray, terms: np.ndarray, lower: bool, order: np.ndarray,
     T[k + 1])) - P`` with ``c = up - delta`` on the upper; a child is
     dropped if Cholesky factors its matrix.  The shifted terms of every
     ``k`` are formed once per value of ``c``.  Prefix sums and label rows
-    are formed for the children kept; the first term is taken as is, not
-    added to 0, so ``-0.0`` entries stay.  A full row kept takes
-    ``eigvalsh`` of its sequential sum in index order: its prefix sum when
-    ``order`` is the index order, else its sum formed again
-    (:func:`_frame_operators`).  The lower side ends once its fold holds 0.
+    are formed for the children kept; the sums feed only Cholesky tests.  A
+    full row kept takes ``eigvalsh`` of its sequential sum in index order,
+    formed again from its label row (:func:`_frame_operators`).  The lower
+    side ends once its fold holds 0.
     """
     big_n, m, n = grams.shape[0], grams.shape[1], grams.shape[-1]
-    ordered, in_order = grams[order], bool((order == np.arange(big_n)).all())
+    ordered = grams[order]
     fixed = ordered + _suffix_sums(terms[order])[1:, None]  # G_kj + T[k + 1]
     eye = np.eye(n)
 
@@ -618,13 +591,12 @@ def _walk(grams: np.ndarray, terms: np.ndarray, lower: bool, order: np.ndarray,
         r += start
         kept = labels[r]
         kept[:, k] = j
-        s = ordered[0, j] if k == 0 else sums[r] + ordered[k, j]  # not 0 + G: keeps -0.0
         if k + 1 < big_n:
-            stack.append((k + 1, s, kept, 0))
+            stack.append((k + 1, sums[r] + ordered[k, j], kept, 0))
         else:
             rows = np.empty_like(kept)
             rows[:, order] = kept
-            w = np.linalg.eigvalsh(s if in_order else _frame_operators(grams, rows))
+            w = np.linalg.eigvalsh(_frame_operators(grams, rows))
             values = np.maximum(w[:, 0], 0.0) if lower else w[:, -1]
             x = float(values.min() if lower else values.max())
             if x == best or (x < best if lower else x > best):
@@ -673,10 +645,9 @@ def certify_woven(
     passes puts the computed spectrum of every completion strictly above
     ``low`` (below ``up``), whatever order summed ``S``, so every weaving
     attaining a bound reaches the fold.  There it takes ``eigvalsh`` of the
-    sequential sum of its terms in index order, bit for bit: its prefix sum
-    if the side searched in index order, else its sum formed again
-    (:func:`_frame_operators`); of the weavings attaining a bound
-    the fold keeps the lexicographically smallest label row, the first in
+    sequential sum of its terms in index order, formed again from its label
+    row (:func:`_frame_operators`) in either order; of the weavings
+    attaining a bound the fold keeps the lexicographically smallest label row, the first in
     code order, whatever order visited them.  A seed's spectrum is computed
     as a weaving's is, so ``low`` and ``up`` never pass the true bounds.
     That holds without sampled mode's ``frame_rtol * up`` in the floor, so
@@ -734,16 +705,17 @@ def certify_woven(
     are cut); a block holds at most 256 ``n x n`` complex operators, with
     ``N (m - 1)`` indicator floats and the norm test's ``n**2`` floats a
     row, and the Cholesky tests' two temporaries.  ``budget`` and ``seed``
-    must be integers, not ``bool``, and ``budget >= 1`` (else
-    ``ValueError``).
+    must be integers, not ``bool``, with ``budget >= 1`` and ``seed >= 0``
+    (else ``ValueError``), in either mode.
 
     After the first block, a row is skipped, counted and not folded, if
-    the norm test below proves it inside, or else if Cholesky factors
-    both ``S' - (floor + mu + delta') I`` and ``(up - mu - delta') I -
-    S'`` (:func:`_row_screen`), with ``(low, up)`` the bounds so far,
-    ``floor = max(low, frame_rtol * up)``, ``delta'`` the ``delta = 1e3 *
-    n**2 * eps * up`` of ``up - mu``, and ``S' = sum_i G_i0 + X @ D`` from one GEMM
-    (:func:`_screen_operators`) within ``mu`` of the row's sequential sum
+    the row screen (:class:`_RowScreen`, which :func:`span_criterion` and
+    the Riesz sweep share) proves it inside ``(floor, up)``: by the norm
+    test below, or else if Cholesky factors both ``S' - (floor + mu +
+    delta') I`` and ``(up - mu - delta') I - S'``, with ``(low, up)`` the
+    bounds so far, ``floor = max(low, frame_rtol * up)``, ``delta'`` the
+    ``delta = 1e3 * n**2 * eps * up`` of ``up - mu``, and ``S' = sum_i G_i0
+    + X @ D`` from one GEMM within ``mu`` of the row's sequential sum
     ``S``.  The other rows are summed exactly and take ``eigvalsh``, per
     matrix, so their floats do not depend on which rows are left; the first
     failing one ends the run, counted at its position in its block, and a
@@ -781,7 +753,7 @@ def certify_woven(
     entries of ``S' - S`` stayed below ``2e-4 mu``; the tests allow ``mu /
     10``.
 
-    The norm test (:class:`_NormScreen`) proves most rows of a woven family
+    The norm test proves most rows of a woven family
     inside without a factorization, by congruence (Sylvester's law of
     inertia in Ostrowski's quantitative form, *PNAS* 45, 1959).  With the
     centre ``C = sum_i mean_j G_ij`` and one ``eigh``, ``C V = V Lambda``,
@@ -835,11 +807,14 @@ def certify_woven(
     alone, and with the gate within host noise of them (0.97-1.08x).  On
     the woven ``m2-N48-n8-d1`` benchmark shape (instance seeds 0-31) it
     leaves 0.3-17% of the screened rows to the Cholesky tests, and the
-    same rows as before take exact sums.
+    same rows as before take exact sums.  The gate reads only the data and
+    the bounds, so it serves every walk: the Riesz sweep's floor is its
+    angle threshold, at which the gate stays shut on the benchmark's pairs,
+    so their rows take the Cholesky tests alone.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    seed = None if seed is None else _integers((seed,), "seed must be an integer")[0]
+    seed = None if seed is None else _seed(seed)
     m, big_n = fam.m, fam.n_indices
     if mode == "exhaustive":
         checked = _check_budget(budget, "exhaustive certification needs", m, big_n)
@@ -863,8 +838,8 @@ def certify_woven(
             if low_at is not None:
                 # Built at the second block: a family that fails in its first
                 # block never pays for it.
-                screen = screen or _row_screen(grams)
-                at = at[~screen(rows, max(low, tol.frame_rtol * up), up)]
+                screen = screen or _RowScreen(grams)
+                at = at[~screen.inside(rows, max(low, tol.frame_rtol * up), up)]
             if len(at):
                 w = np.linalg.eigvalsh(_frame_operators(grams, rows[at]))
                 bad = w[:, 0] <= tol.frame_rtol * w[:, -1]
@@ -903,10 +878,10 @@ def span_criterion(
     Rank is decided as :func:`~gweave.linalg.rank` decides it, on the
     singular values of the weaving's synthesis matrix.  Label blocks
     (:func:`_label_blocks`, at least 64 rows and up to ``2**13`` operator
-    entries) take sampled mode's row screen (:func:`_row_screen`: the norm
-    test of :func:`certify_woven` while its gate is open, then the Cholesky
-    tests on the rows it leaves) with
-    floor ``s U`` and upper bound ``2 U``: ``s = (rank_rtol * maxdim)**2 +
+    entries) take the row screen of sampled mode and the Riesz sweep
+    (:class:`_RowScreen`: the norm test of :func:`certify_woven` while its
+    gate is open, then the Cholesky tests on the rows it leaves) with floor
+    ``s U`` and upper bound ``2 U``: ``s = (rank_rtol * maxdim)**2 +
     1e3 * n * eps`` (the rank threshold squared, plus singular-value
     rounding) and ``U = lambda_max(sum_ij G_ij)``, at least every
     weaving's ``lambda_max`` since ``S_sigma <= sum_j S_j``.  A
@@ -920,7 +895,7 @@ def span_criterion(
     m, big_n, n = fam.m, fam.n_indices, fam.ambient_dim
     _check_budget(budget, "span check needs", m, big_n)
     grams = _gram_tensor(fam)
-    inside = _row_screen(grams)
+    inside = _RowScreen(grams).inside
     up = np.linalg.eigvalsh(grams.sum(axis=(0, 1)))[-1]
     floor = ((tol.rank_rtol * max(n, fam.coeff_dim)) ** 2 + 1e3 * n * np.finfo(float).eps) * up
     for labels0 in _label_blocks(m, big_n, max(_SCREEN_ROWS, _BATCH_ENTRIES // n**2)):

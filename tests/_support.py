@@ -20,6 +20,7 @@ from gweave import (
     generate,
 )
 from gweave.fileio import FrameFileError
+from gweave.weaving import _RowScreen
 
 
 def onb_frame(n: int) -> GFrame:
@@ -182,6 +183,34 @@ def _counting_svd(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return matrices
+
+
+def _recording_screen(monkeypatch) -> list:
+    """Patch ``_RowScreen.inside`` so that every screen records the mask of
+    each call: the decision of the norm test and the Cholesky tests
+    together."""
+    inside, masks = _RowScreen.inside, []
+
+    def recorded(self, *args):
+        masks.append(inside(self, *args))
+        return masks[-1]
+
+    monkeypatch.setattr(_RowScreen, "inside", recorded)
+    return masks
+
+
+def _counting_gemm_rows(monkeypatch, gemm: str) -> list:
+    """Patch ``_RowScreen``'s GEMM ``gemm`` (``"operators"``, which feeds the
+    Cholesky tests, or ``"rotated"``, the norm test's) to record the row
+    count of each call."""
+    gemm_product, rows = getattr(_RowScreen, gemm), []
+
+    def counting(self, x):
+        rows.append(len(x))
+        return gemm_product(self, x)
+
+    monkeypatch.setattr(_RowScreen, gemm, counting)
+    return rows
 
 
 def _ref_require(payload: dict, key: str, where: str):

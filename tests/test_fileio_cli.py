@@ -453,6 +453,23 @@ class TestWeaveCommand:
         assert err.startswith("error: ")
         assert str(tmp_path) in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("weave", "{family}", "--mode", "sampled"),
+            ("certify", "{family}", "--theorem", "pw", "--lam", "0.1"),
+            ("certify", "{family}", "--theorem", "pw", "--lam", "0.1", "--mode", "sampled"),
+            ("generate", "--kind", "parseval", "--n", "2", "--dims", "1,1", "--out", "{out}"),
+        ],
+        ids=["weave", "certify-exact", "certify-sampled", "generate"],
+    )
+    def test_negative_seed_exit_2(self, copies_family_file, tmp_path, capsys, command):
+        paths = {"{family}": str(copies_family_file), "{out}": str(tmp_path / "g.json")}
+        code = main([paths.get(arg, arg) for arg in command] + ["--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "g.json").exists()
+
     def test_sampled_determinism(self, swapped_family_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["weave", str(swapped_family_file), "--mode", "sampled",

@@ -42,6 +42,13 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError, match=field):
             GenSpec(**{**args, field: value})
 
+    # numpy's SeedSequence rejects a negative seed with a message that
+    # names no field.
+    @pytest.mark.parametrize("kind", ["parseval", "perturbed"])
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            GenSpec(2, (1, 1), kind, seed=-1)
+
     def test_numpy_integer_size_and_seed_accepted(self):
         spec = GenSpec(np.int64(2), (1, 1), "parseval", seed=np.uint32(7))
         assert (spec.ambient_dim, spec.seed) == (2, 7)
@@ -163,6 +170,13 @@ class TestRandomPartition:
     def test_non_integer_sizes_rejected(self, n_indices, m):
         with pytest.raises(ValueError, match="integers"):
             random_partition(n_indices, m, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer")]
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_partition(3, 2, seed=seed)
 
     def test_numpy_integer_sizes_accepted(self):
         assert random_partition(np.int64(6), np.int32(3), seed=9) == random_partition(6, 3, seed=9)

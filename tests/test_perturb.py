@@ -374,6 +374,15 @@ class TestPerturbationCertificate:
         with pytest.raises(ValueError, match="trials and seed must be integers"):
             certify(scaled_pair(1.1), lambdas=(0.05,), mode="sampled-falsification", **kw)
 
+    # numpy's generators reject a negative seed with a message that names
+    # no field; the exact mode takes none, but is given one.
+    @pytest.mark.parametrize("mode", ["exact-lambda-only", "sampled-falsification"])
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_negative_seed_rejected(self, mode, chained):
+        certify = chained_certificate if chained else partial(perturbation_certificate, base=1)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            certify(scaled_pair(1.1), lambdas=(0.05,), mode=mode, seed=-1)
+
     def test_numpy_integer_trials_and_seed_accepted(self):
         kw = dict(lambdas=(0.05,), mode="sampled-falsification")
         expected = perturbation_certificate(scaled_pair(1.1), 1, trials=20, seed=3, **kw)

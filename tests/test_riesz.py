@@ -27,7 +27,9 @@ from gweave.linalg import DEFAULT_TOL, Tolerance, _rank_from_singular_values
 from gweave.riesz import EquivalenceConstants, PermutationWeaveReport, WeavingRieszReport
 
 from _support import (
+    _counting_gemm_rows,
     _counting_svd,
+    _recording_screen,
     ill_conditioned_basis,
     onb_frame,
     random_frame,
@@ -642,6 +644,17 @@ def _independent_bases(dims, seed):
     return GFrameFamily((_basis(dims, seed), _basis(dims, seed + 7919)))
 
 
+def _rotated_basis_pair(n, seed, angle):
+    """An orthonormal basis of ``C**n`` in 1-dim blocks and its image under
+    ``exp(i angle H)``, ``H`` a seeded Hermitian matrix of norm 1."""
+    base = generate(GenSpec(n, (1,) * n, "g-orthonormal", seed))
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    u = (v * np.exp(1j * angle * w / np.abs(w).max())) @ v.conj().T
+    return GFrameFamily((base, apply_operator(base, u)))
+
+
 class TestRieszProperties:
     @settings(max_examples=30, deadline=None)
     @given(dims=_square_dims, seed=st.integers(0, 2**16))
@@ -720,15 +733,45 @@ class TestWeavingScreen:
         # Only the failing rows of such a block take the SVD; the rest are
         # proven strictly inside the running bounds.
         fam = _independent_bases((1,) * 9, seed)
-        screen, masks = riesz._inside_bounds, []
-
-        def recording(*args):
-            masks.append(screen(*args))
-            return masks[-1]
-
-        monkeypatch.setattr(riesz, "_inside_bounds", recording)
+        masks = _recording_screen(monkeypatch)
         _assert_pair_matches(fam)
         assert any(0 < mask.sum() < len(mask) for mask in masks)
+
+    # The angle threshold of two independent bases lies far above the
+    # centre's smallest eigenvalue, so the gate stays shut: every screened
+    # weaving takes the Cholesky tests alone, and the norm GEMM never runs.
+    @pytest.mark.parametrize("seed", range(3))
+    def test_independent_bases_never_run_the_norm_gemm(self, seed, monkeypatch):
+        rotated = _counting_gemm_rows(monkeypatch, "rotated")
+        cholesky = _counting_gemm_rows(monkeypatch, "operators")
+        _assert_pair_matches(_independent_bases((1,) * 9, seed))
+        assert rotated == [] and sum(cholesky) > 0
+
+    # An orthonormal basis and its image under a unitary near the identity:
+    # both members are orthonormal, so the angle threshold stays at the
+    # running lower bound, below the centre I.  Its data keep the gate shut
+    # (a typical weaving's expected weighted norm is about 2.7 at n = 10),
+    # so the test opens it, and the norm test then proves some weavings of
+    # each sweep: the reports and the kept rows must still be the sweep's.
+    @pytest.mark.parametrize("seed", range(3))
+    def test_norm_test_in_the_sweep_matches_reference(self, seed, monkeypatch):
+        fam = _rotated_basis_pair(10, seed, angle=0.1)
+        init = weaving._RowScreen.__init__
+
+        def opened(self, grams):
+            init(self, grams)
+            self.variance = np.zeros_like(self.variance)  # no expected norm to pass
+
+        monkeypatch.setattr(weaving._RowScreen, "__init__", opened)
+        rotated = _counting_gemm_rows(monkeypatch, "rotated")
+        cholesky = _counting_gemm_rows(monkeypatch, "operators")
+        _assert_pair_matches(fam)
+        members = [riesz_bounds(fr) for fr in fam.frames]
+        (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, members)
+        best, expected = _sweep_reference(fam)
+        assert (low, tuple(low_at), up, tuple(up_at)) == best
+        assert [tuple(r) for r in kept.tolist()] == expected
+        assert sum(rotated) > sum(cholesky) > 0
 
     @pytest.mark.parametrize("tied", ["lower", "upper"])
     @pytest.mark.parametrize("rel", [0.0, 1e-14])

@@ -39,12 +39,9 @@ from gweave.weaving import (
     _factors,
     _frame_operators,
     _gram_tensor,
-    _inside_bounds,
     _label_blocks,
-    _NormScreen,
     _partition_of,
-    _row_screen,
-    _screen_operators,
+    _RowScreen,
     _search_side,
     _seed_weavings,
     _suffix_sums,
@@ -52,7 +49,9 @@ from gweave.weaving import (
 )
 
 from _support import (
+    _counting_gemm_rows,
     _counting_svd,
+    _recording_screen,
     brute_universal_bounds,
     exhaustive_family_partitions,
     independent_family,
@@ -220,6 +219,15 @@ class TestCertifyWoven:
         fam = noisy_family(2, (1, 1, 1), 2, seed=0)
         with pytest.raises(ValueError, match=f"{message} must be an integer"):
             certify_woven(fam, mode=mode, **{"budget": 64, "seed": 1, **kw})
+
+    # numpy's generators reject a negative seed with a message that names
+    # no field; exhaustive mode takes none, but reports the one it is given.
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-(2**40))])
+    def test_rejects_negative_seed(self, mode, seed):
+        fam = noisy_family(2, (1, 1, 1), 2, seed=0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -"):
+            certify_woven(fam, mode=mode, budget=64, seed=seed)
 
     @pytest.mark.parametrize("budget", [True, 10.5])
     def test_other_sweeps_reject_non_integer_budget(self, budget):
@@ -1019,23 +1027,9 @@ def _counting_sums(monkeypatch) -> list:
     return rows
 
 
-def _recording_screen(monkeypatch) -> list:
-    """Patch ``weaving._row_screen`` so that each screen it builds records
-    the mask of each call: the decision of the norm test and the Cholesky
-    tests together."""
-    row_screen, masks = _row_screen, []
-
-    def recording(grams):
-        inside = row_screen(grams)
-
-        def recorded(*args):
-            masks.append(inside(*args))
-            return masks[-1]
-
-        return recorded
-
-    monkeypatch.setattr(gweave.weaving, "_row_screen", recording)
-    return masks
+def _indicators(rows: np.ndarray, m: int) -> np.ndarray:
+    """The 0/1 indicators of the labels ``j >= 1`` that ``_RowScreen`` takes."""
+    return (rows[:, :, None] == np.arange(1, m)).reshape(len(rows), -1).astype(np.float64)
 
 
 def _tied_family(seed: int, rel: float, tied: str, big_n: int = 15) -> GFrameFamily:
@@ -1199,20 +1193,21 @@ class TestSampledScreen:
     def test_screen_operators_within_a_tenth_of_mu(self, seed, m, dims, n, draws):
         grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
         rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
-        operators, mu = _screen_operators(grams)
-        assert np.abs(operators(rows) - _frame_operators(grams, rows)).max() <= mu / 10
+        screen = _RowScreen(grams)
+        got = screen.operators(_indicators(rows, m))
+        assert np.abs(got - _frame_operators(grams, rows)).max() <= screen.mu / 10
 
     def test_screen_operators_reuse_one_stack(self):
         # Each call writes into the buffer of the last, grown when a call
         # asks for more rows; every returned stack must still be exact to mu.
         grams = _gram_tensor(_scaled_random_family(5, 3, [1, 2, 3, 1, 2], 4))
-        operators, mu = _screen_operators(grams)
+        screen = _RowScreen(grams)
         rng = np.random.default_rng(5)
         for size in (16, 256, 32):
             rows = rng.integers(0, 3, size=(size, 5))
-            got = operators(rows)
+            got = screen.operators(_indicators(rows, 3))
             assert got.shape == (size, 4, 4)
-            assert np.abs(got - _frame_operators(grams, rows)).max() <= mu / 10
+            assert np.abs(got - _frame_operators(grams, rows)).max() <= screen.mu / 10
 
     # Every block scaled by 2**64 or 2**-64 scales every Gram term by a
     # power of two, exactly: a margin relative to the Gram terms makes the
@@ -1233,8 +1228,9 @@ class TestSampledScreen:
         assert counts[1] == counts[0]
 
     # On these seeds the first block passes with low <= frame_rtol * up and
-    # the second lies inside [low, up] with failing rows: a screen floored
-    # at low alone would skip them, the floor frame_rtol * up keeps them.
+    # the second lies inside (low, up) with failing rows: a screen floored
+    # at low alone would skip some of them, the floor frame_rtol * up keeps
+    # them all.
     @pytest.mark.parametrize("seed", [100, 138])
     def test_gate_keeps_failing_rows_inside_the_bounds(self, seed):
         fam, rtol = _gate_family(seed), DEFAULT_TOL.frame_rtol
@@ -1244,9 +1240,13 @@ class TestSampledScreen:
         w = np.linalg.eigvalsh(first)
         low, up = w[:, 0].min(), w[:, -1].max()
         assert (w[:, 0] > rtol * w[:, -1]).all() and low <= rtol * up
-        assert _inside_bounds(second, low, up).all()
         w = np.linalg.eigvalsh(second)
-        assert (w[:, 0] <= rtol * w[:, -1]).any()
+        assert (w[:, 0] > low).all() and (w[:, -1] < up).all()
+        failing = w[:, 0] <= rtol * w[:, -1]
+        assert failing.any()
+        screen = _RowScreen(grams)
+        assert screen.inside(rows[_BLOCK_FIRST:], low, up)[failing].any()
+        assert not screen.inside(rows[_BLOCK_FIRST:], rtol * up, up)[failing].any()
 
         rep = certify_woven(fam, mode="sampled", budget=2**10, seed=seed)
         assert rep.status == "not-woven"
@@ -1275,7 +1275,7 @@ def _lower_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def _unpacked(z: np.ndarray, n: int) -> np.ndarray:
-    """The Hermitian matrices of ``_NormScreen``'s packed columns."""
+    """The Hermitian matrices of ``_RowScreen``'s packed columns."""
     r, c = np.tril_indices(n, -1)
     h = np.zeros((len(z), n, n), dtype=np.result_type(z, 1j))
     h[:, np.arange(n), np.arange(n)] = z[:, :n]
@@ -1284,44 +1284,22 @@ def _unpacked(z: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _norm_bounds(grams: np.ndarray, floor: float, up: float) -> tuple[float, float]:
-    """``(c_lo, c_up)``: the bounds ``_row_screen`` hands the norm test."""
-    _, mu = _screen_operators(grams)
-    low, up = floor + mu, up - mu
-    delta = 1e3 * grams.shape[-1] ** 2 * np.finfo(float).eps * up
-    return low + delta, up - delta
-
-
 def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
-
-
-def _counting_cholesky_rows(monkeypatch) -> list:
-    """Patch ``weaving._inside_bounds`` to record the stack size of each call."""
-    inside_bounds, rows = _inside_bounds, []
-
-    def counting(s, low, up):
-        rows.append(len(s))
-        return inside_bounds(s, low, up)
-
-    monkeypatch.setattr(gweave.weaving, "_inside_bounds", counting)
-    return rows
-
-
-def _cholesky_screen(grams: np.ndarray):
-    """The row screen without the norm test: the Cholesky tests on every row."""
-    operators, mu = _screen_operators(grams)
-    return lambda rows, low, up: _inside_bounds(operators(rows), low + mu, up - mu)
 
 
 class TestNormScreen:
     """The weighted-norm test proves rows inside the bounds without a
     factorization; the rows it leaves take the Cholesky tests."""
 
-    # Gram terms over twelve decades, the members pulled towards member 1 by
-    # ``spread`` so that the test proves many rows, and bounds at the rows'
-    # extreme computed eigenvalues (k = 0) or at the next ones inside.  A
-    # bound equal to a row's eigenvalue must not prove that row.
+    # The whole screen, on Gram terms over twelve decades, the members
+    # pulled towards member 1 by ``spread`` so that the norm test proves
+    # many rows, and bounds at the rows' extreme computed eigenvalues (k =
+    # 0) or at the next ones inside: a floor above the least lambda_min, as
+    # the Riesz sweep's threshold is.  A bound equal to a row's eigenvalue
+    # must not prove that row.  The gate is forced open (no expected norm
+    # to pass, so the norm test runs wherever every g > 0) or shut (the
+    # Cholesky tests alone).
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -1331,15 +1309,21 @@ class TestNormScreen:
         spread=st.sampled_from([1.0, 0.1, 1e-3]),
         draws=st.integers(0, 2**16),
         k=st.sampled_from([0, 1, 8]),
+        gate=st.sampled_from(["open", "shut"]),
     )
-    def test_proven_rows_lie_inside(self, seed, m, dims, n, spread, draws, k):
+    def test_proven_rows_lie_inside(self, seed, m, dims, n, spread, draws, k, gate):
         grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
         grams = grams[:, :1] + spread * (grams - grams[:, :1])
         rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
         w = np.linalg.eigvalsh(_frame_operators(grams, rows))
         floor, up = np.sort(w[:, 0])[k], np.sort(w[:, -1])[-1 - k]
         assume(floor < up)
-        proven = _NormScreen(grams).proven(rows, *_norm_bounds(grams, floor, up))
+        screen = _RowScreen(grams)
+        if gate == "open":
+            screen.variance = np.zeros_like(screen.variance)
+        else:
+            screen.weights = lambda c_lo, c_up: None
+        proven = screen.inside(rows, floor, up)
         assert (w[proven, 0] > floor).all() and (w[proven, -1] < up).all()
 
     # Each allowance against its error, in extended precision: phi against
@@ -1357,7 +1341,7 @@ class TestNormScreen:
     def test_allowances_within_a_tenth(self, seed, m, dims, n, draws):
         grams = _gram_tensor(_scaled_random_family(seed, m, dims, n))
         rows = np.random.default_rng(draws).integers(0, m, size=(64, len(dims)))
-        screen, (_, mu) = _NormScreen(grams), _screen_operators(grams)
+        screen = _RowScreen(grams)
         centre = _lower_hermitian(grams.mean(axis=1).sum(axis=0)).astype(np.clongdouble)
         v = screen.v.astype(np.clongdouble)
         orthogonality = _frobenius(v.conj().T @ v - np.eye(n))
@@ -1368,18 +1352,19 @@ class TestNormScreen:
         diffs = _lower_hermitian(grams[:, 1:] - grams[:, :1]).reshape(-1, n, n).astype(np.clongdouble)
         offsets = offsets.astype(np.longdouble)
         exact = np.einsum("rk,kab->rab", offsets, v.conj().T @ diffs @ v)
-        assert _frobenius(_unpacked(screen.rotated(rows), n) - exact).max() <= screen.zeta / 10
+        rotated = screen.rotated(_indicators(rows, m))
+        assert _frobenius(_unpacked(rotated, n) - exact).max() <= screen.zeta / 10
 
         exact = centre + np.einsum("rk,kab->rab", offsets, diffs)
         summed = _lower_hermitian(_frame_operators(grams, rows))
-        assert np.abs(summed - exact).max() <= mu / 10
+        assert np.abs(summed - exact).max() <= screen.mu / 10
 
     def test_rotated_reuses_one_buffer(self):
         grams = _gram_tensor(_scaled_random_family(5, 3, [1, 2, 3, 1, 2], 4))
-        screen = _NormScreen(grams)
-        rows = np.random.default_rng(5).integers(0, 3, size=(256, 5))
-        first = screen.rotated(rows)
-        assert np.shares_memory(screen.rotated(rows[:32]), first)
+        screen = _RowScreen(grams)
+        x = _indicators(np.random.default_rng(5).integers(0, 3, size=(256, 5)), 3)
+        first = screen.rotated(x)
+        assert np.shares_memory(screen.rotated(x[:32]), first)
 
     # The woven family of the sampled benchmark (a frame of 48 rank-one
     # blocks in C^8 and a noisy copy of it), at its budget: the norm test
@@ -1390,13 +1375,14 @@ class TestNormScreen:
     def test_most_rows_skip_cholesky(self, s, monkeypatch):
         fam = generate(GenSpec(8, (1,) * 48, "perturbed", s))
         masks, summed = _recording_screen(monkeypatch), _counting_sums(monkeypatch)
-        cholesky = _counting_cholesky_rows(monkeypatch)
+        cholesky = _counting_gemm_rows(monkeypatch, "operators")
         rep = certify_woven(fam, mode="sampled", budget=2**16, seed=s)
         assert rep.status == "sampled-no-counterexample"
         assert sum(cholesky) <= sum(map(len, masks)) / 5
         with_norm = list(summed)
         summed.clear()
-        monkeypatch.setattr(gweave.weaving, "_row_screen", _cholesky_screen)
+        # The gate shut: the Cholesky tests on every row.
+        monkeypatch.setattr(_RowScreen, "weights", lambda self, c_lo, c_up: None)
         assert certify_woven(fam, mode="sampled", budget=2**16, seed=s) == rep
         assert summed == with_norm
 
@@ -1407,9 +1393,8 @@ class TestNormScreen:
         fam = GFrameFamily(tuple(
             generate(GenSpec(8, (1,) * 48, "parseval", 2 * seed + j)) for j in range(2)
         ))
-        rotated, calls = _NormScreen.rotated, []
-        monkeypatch.setattr(_NormScreen, "rotated", lambda self, rows: calls.append(len(rows)) or rotated(self, rows))
-        cholesky = _counting_cholesky_rows(monkeypatch)
+        calls = _counting_gemm_rows(monkeypatch, "rotated")
+        cholesky = _counting_gemm_rows(monkeypatch, "operators")
         rep = certify_woven(fam, mode="sampled", budget=2**16, seed=seed)
         assert rep.status == "sampled-no-counterexample"
         assert calls == [] and sum(cholesky) == 2**16 - _BLOCK_FIRST
@@ -1922,7 +1907,7 @@ class TestBranchAndBound:
     # Duplicate members with real Gram terms whose imaginary parts are
     # -0.0: every leaf ties and reaches the fold, in code order of the walk.
     # Each takes eigvalsh of its sequential sum in index order, signed zeros
-    # included; in index order that is its prefix sum, formed no second time.
+    # included, formed again from its label row in either order.
     @pytest.mark.parametrize("reverse", [False, True], ids=["index-order", "reversed"])
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
     def test_leaves_take_their_sequential_sums(self, monkeypatch, lower, reverse):
@@ -1944,7 +1929,7 @@ class TestBranchAndBound:
                             lambda g, r: resums.append(len(r)) or _frame_operators(g, r))
         _walk(grams, h if lower else k, lower, order, bound, delta)
         assert np.concatenate(seen).tobytes() == expected.tobytes()
-        assert sum(resums) == (m**big_n if reverse else 0)
+        assert sum(resums) == m**big_n
 
     # The lower seeds pass, so the lower side searches in its critical
     # order, where its fold reaches 0.  The weaving found first in that order
