@@ -17,18 +17,18 @@ import numpy as np
 from .gframe import GFrame, frame_bounds, synthesis_matrix
 from .linalg import DEFAULT_TOL, Tolerance, _integers, _rank_from_singular_values
 from .weaving import (
+    _BATCH_ENTRIES,
     DEFAULT_BUDGET,
     GFrameFamily,
     Partition,
-    _RowScreen,
-    _SCREEN_ROWS,
     _check_budget,
     _envelopes,
     _fold_extremes,
     _gram_tensor,
-    _label_blocks,
     _partition_of,
     _search_side,
+    _seed_weavings,
+    _suffix_sums,
 )
 
 __all__ = [
@@ -41,6 +41,13 @@ __all__ = [
     "permutation_weave",
     "equivalence_constants",
 ]
+
+# The Riesz sweep's candidates of least pivot, and its walk's blocks of rows.
+# On the 64 riesz-pair pair families, 2, 4 or 8 candidates and blocks of 16,
+# 32 or 64 rows sent a median of 18.5-24.5 weavings per sweep to the SVD.
+_CANDIDATES = 2
+_WALK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class RieszBounds:
@@ -149,49 +156,261 @@ def _riesz_sweep(fam: GFrameFamily, members):
     the rows with ``s_min**2 <= thr(min s_min**2)``, where ``thr(low) =
     (1 + 1e-6) (nu / mu)**2 (low + 1e3 n eps nu**2)``: the relative term
     covers rounding in ``mu`` and ``nu``, the absolute one rounding in the
-    singular values and the angle constants.  The running ``low`` only
-    falls and ``thr`` is monotone in floating point too, so ``thr`` at the
-    running ``low`` is at least ``thr`` at the final one: the pass stores
-    the rows, and their ``s_min**2``, at or below ``thr`` of the running
-    ``low``, and loses none that the final ``thr`` keeps.
+    singular values and the angle constants.  ``thr`` is monotone in
+    floating point too, so ``thr`` of any value at or above the final
+    ``low`` is at least ``thr`` of it: the pass stores the rows, and their
+    ``s_min**2``, at or below ``thr`` of the running ``low``, and loses none
+    that the final ``thr`` keeps.
 
-    *Weaving screen.*  The sweep walks :func:`_label_blocks` of 64 rows in
-    code order.  Each ``T`` is square, so ``s(T)**2`` are the eigenvalues
-    of ``S = T T*``, and after the first block a partition is skipped if
-    the row screen of sampled mode and :func:`span_criterion`
-    (``_RowScreen.inside``, proofs in :func:`certify_woven`) proves it
-    inside ``(thr(low), up)``, ``(low, up)`` the running bounds.  Its
-    margins also cover the rounding of the Gram terms (about ``n eps up``)
-    and the SVD's error in ``s_min**2`` (about ``2 eps up``).  Its norm
-    test runs only while its gate is open, which the data decide; on the
-    benchmark's pairs it stays shut at this floor, and the Cholesky tests
-    decide every row.  A skipped partition's computed ``s_min**2`` lies
-    above ``thr(low) >= low`` and its ``s_max**2`` below ``up``, so it
-    moves no bound and would not have been stored.  The other partitions take one batched SVD of their ``T``
-    and are folded in code order, so reports are those of a sweep that
-    takes every SVD, bit for bit.  SVDs are per matrix, so the block size
-    changes no bit of a result.
+    *Weaving screen.*  Each ``T`` is square, so ``s(T)**2`` are the
+    eigenvalues of ``M = T* T``, the rows and columns of ``T``'s columns in
+    the coefficient Gram ``Gc = B* B``, ``B`` the columns of both members,
+    formed once by one GEMM (:func:`_coefficient_gram`).  A weaving is
+    proven inside ``(c_lo, c_up)`` if the outer-product LDL* of both ``M -
+    c_lo I`` and ``c_up I - M``, in index order (:func:`_eliminate`), has
+    only positive pivots.  A NaN fails, and no pivot is infinite: after a
+    positive pivot ``d`` an update lowers each diagonal entry by
+    ``|x_ap|**2 / d >= 0``, so until a test fails a pivot is at most its
+    finite diagonal entry.  The leading block of ``M`` depends only
+    on the label prefix, so :func:`_pivot_tree` runs these eliminations
+    for all ``2**N`` weavings at once, sharing every step of a common
+    prefix, and each weaving gets the pivots of its own elimination, bit
+    for bit.  The shifts come from the SVDs of a few candidate weavings
+    (:func:`_candidates`), ``low0`` their least ``s_min**2`` and ``up0``
+    their largest ``s_max**2``.  Each is a value that the fold will see, so
+    the final bounds satisfy ``low <= low0`` and ``up >= up0``, and a
+    weaving proven at ``c_lo = thr(low0) + margin`` and ``c_up = up0 -
+    margin`` has computed ``s_min**2 > thr(low0) >= thr(low) >= low`` and
+    ``s_max**2 < up0 <= up``: it moves no bound, is no witness and is not
+    kept.  The weavings left are walked in code order, in blocks of
+    ``_WALK_ROWS``; once the running bounds pass the candidates', each is
+    tested again by the same elimination, on its own rows of ``Gc``, at
+    ``thr(low) + margin`` and ``up - margin``, ``(low, up)`` the running
+    bounds, which only tighten.  The rest take one batched SVD of their
+    ``T`` and are folded in code order, so reports are those of a sweep
+    that takes every SVD, bit for bit: SVDs are per matrix, so which rows
+    share a batch changes no bit of a result.
+
+    *Margin.*  ``margin = 1e3 * n**2 * eps * nu**2``.  Every weaving has
+    ``T T* <= T_1 T_1* + T_2 T_2*``, so ``||M|| <= 2 nu**2``; a lower test
+    that passes has ``0 < c_lo < 2 nu**2``, and an upper one ``0 < c_up <=
+    up0 <= 2 nu**2``, as ``M``'s diagonal is positive.  With ``u = eps /
+    2`` and ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 3), to first order: each entry of ``Gc``
+    is an ``n``-term complex inner product, within ``gamma_{n+2} (|B*|
+    |B|)_ab``, so the Hermitian matrix of the computed lower triangle on
+    ``T``'s columns is within ``gamma_{n+2} ||T||_F**2 <= n (n + 2) eps
+    nu**2`` of ``M`` in norm, and the shift rounds within ``u |M_aa - c|
+    <= 2 eps nu**2``.  An LDL* whose pivots are all positive is a
+    Cholesky ``R = D^(1/2) L*`` that completes, exact for ``A + dA`` with
+    ``|dA| <= gamma_{n+3} |L| D |L*|`` for complex entries (Higham, Thm
+    10.3), and ``|| |L| D |L*| || <= || |L| D^(1/2) ||_F**2 = tr(A + dA) <=
+    n ||A + dA||``, so ``||dA|| <= n (n + 3) eps nu**2``.  So ``M - c_lo
+    I`` proven positive definite puts ``lambda_min(M) > c_lo - (2 n**2 +
+    5 n + 2) eps nu**2``, and ``c_up I - M`` puts ``lambda_max(M)`` as far
+    below ``c_up``.  A backward stable SVD puts the computed ``s**2`` within
+    about ``4 n eps nu**2`` of ``eig(M)``, squares included, and ``c_lo``
+    and ``c_up`` themselves round within ``eps nu**2``.  In all, ``(2
+    n**2 + 9 n + 3) eps nu**2 <= 8 n**2 eps nu**2`` for ``n >= 2``, and
+    ``margin`` exceeds it 125 times.  ``margin``, ``thr``, ``Gc`` and
+    every pivot scale with ``nu**2``, so the screen's decisions do not
+    depend on the input's scale.
     """
     t_first, t_second = (synthesis_matrix(fr) for fr in fam.frames)
+    big_n, n = fam.n_indices, fam.ambient_dim
     mu2, nu2 = min(rb.lower for rb in members), max(rb.upper for rb in members)
-    ratio, slack = (1 + 1e-6) * nu2 / mu2, 1e3 * fam.ambient_dim * np.finfo(float).eps * nu2
-    inside = _RowScreen(_gram_tensor(fam)).inside
-    best = (np.inf, None, -np.inf, None)
-    stored = []
-    for labels0 in _label_blocks(2, fam.n_indices, _SCREEN_ROWS):
-        if best[1] is not None:
-            labels0 = labels0[~inside(labels0, thr, best[2])]
-            if not len(labels0):
-                continue
+    eps = np.finfo(float).eps
+    ratio, slack = (1 + 1e-6) * nu2 / mu2, 1e3 * n * eps * nu2
+    margin = 1e3 * n**2 * eps * nu2
+    gc = _coefficient_gram(fam)
+
+    def spectra(labels0):
         owner = _owned_columns(fam, labels0)
         s = np.linalg.svd(np.where(owner[:, None, :], t_second, t_first), compute_uv=False)
-        w = np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
+        return np.stack([_squares(s[:, -1]), _squares(s[:, 0])], axis=1)
+
+    def tables(x, low, up):  # the lower and upper test matrices of x at (low, up)
+        return np.stack([_shifted(x, ratio * (low + slack) + margin, True),
+                         _shifted(x, up - margin, False)], axis=2)
+
+    w = spectra(_candidates(fam, gc))
+    low0, up0 = float(w[:, 0].min()), float(w[:, 1].max())
+    with np.errstate(all="ignore"):  # a pivot that is not a number fails its test
+        codes = _leaves_under(_pivot_tree(tables(gc, low0, up0), fam.block_dims, True), big_n)
+    best = (np.inf, None, -np.inf, None)
+    stored = []
+    for first in range(0, len(codes), _WALK_ROWS):
+        labels0 = _label_rows(codes[first : first + _WALK_ROWS], big_n)
+        low, up = min(best[0], low0), max(best[2], up0)
+        if (low, up) != (low0, up0):
+            labels0 = labels0[~_all_positive(tables(gc[_gathered(fam.block_dims, labels0)], low, up))]
+            if not len(labels0):
+                continue
+        w = spectra(labels0)
         best = _fold_extremes(best, w, labels0)
-        thr = ratio * (best[0] + slack)  # only a fold moves it
-        below = w[:, 0] <= thr
+        below = w[:, 0] <= ratio * (min(best[0], low0) + slack)
         stored.append((labels0[below], w[below, 0]))
     rows, floor = (np.concatenate(x) for x in zip(*stored))
-    return best, rows[floor <= thr]
+    return best, rows[floor <= ratio * (best[0] + slack)]
+
+
+def _label_rows(codes: np.ndarray, big_n: int) -> np.ndarray:
+    """The 0-based label rows of the weavings with codes ``codes``, index 1
+    the most significant bit."""
+    return (codes[:, None] >> np.arange(big_n - 1, -1, -1)) & 1
+
+
+def _leaves_under(nodes, big_n: int) -> np.ndarray:
+    """The sorted codes of the leaves under the ``(k, codes, _)`` batches of
+    nodes ``nodes``, whose subtrees must not overlap: a node at depth ``k``
+    with code ``x`` holds the ``2**(N - k)`` codes from ``x 2**(N - k)``."""
+    starts, sizes = [], []
+    for k, codes, _ in nodes:
+        starts.append(codes << (big_n - k))
+        sizes.append(np.full(len(codes), 1 << (big_n - k)))
+    starts, sizes = np.concatenate(starts), np.concatenate(sizes)
+    at = np.argsort(starts)
+    starts, sizes = starts[at], sizes[at]
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
+def _coefficient_gram(fam: GFrameFamily) -> np.ndarray:
+    """``Gc = B* B`` of a pair, ``(2c, 2c)``: ``B`` holds the synthesis
+    columns of index 1 of member 1, then of member 2, then index 2's, and
+    so on."""
+    b = np.hstack([blk.conj().T for pair in zip(*(fr.blocks for fr in fam.frames)) for blk in pair])
+    return b.conj().T @ b
+
+
+def _shifted(x: np.ndarray, c: float, lower: bool) -> np.ndarray:
+    """``x - c I`` if ``lower``, else ``c I - x``, for matrices along the
+    leading two axes of ``x``."""
+    y = x.copy()
+    diag = np.arange(x.shape[0])
+    y[diag, diag] -= c
+    return y if lower else np.negative(y, out=y)
+
+
+def _gathered(dims, labels0: np.ndarray):
+    """The index pair that gathers each label row's ``T* T`` from
+    :func:`_coefficient_gram`, rows last: weaving ``sigma`` takes index
+    ``i``'s columns at ``2 o_i + sigma_i d_i + t``, ``o_i`` the index's
+    first synthesis column and ``t < d_i``."""
+    dims = np.asarray(dims)
+    at = np.arange(dims.sum()) + np.repeat(np.cumsum(dims) - dims, dims)
+    at = (at + np.repeat(labels0 * dims, dims, axis=1)).T
+    return at[:, None], at[None]
+
+
+def _eliminate(x: np.ndarray, p: int = 0, skip: int = 0, out=None):
+    """One outer-product LDL* step at pivot ``p`` on Hermitian matrices
+    along the leading two axes of ``x``: the pivots ``d = Re x_pp`` and the
+    Schur complements ``x_ab - (x_ap / d) conj(x_bp)`` on the rows and
+    columns from ``p + 1 + skip`` on, written to ``out`` if given.
+
+    It reads the real diagonal and the column below it, so it factors the
+    Hermitian matrix of ``x``'s lower triangle.  Each entry is one
+    elementwise expression, so a step on any subset of the rows and
+    columns that keeps the pivot gives the same floats on that subset.
+    """
+    q = p + 1 + skip
+    d = x[p, p].real
+    rest = np.multiply(x[q:, p, None] / d, x[None, q:, p].conj(), out=out)
+    return d, np.subtract(x[q:, q:], rest, out=rest)
+
+
+def _all_positive(x: np.ndarray) -> np.ndarray:
+    """Per last index of ``x`` ``(r, r, t, rows)``, whether the LDL* of
+    :func:`_eliminate` gives only positive pivots on all ``t`` of its
+    matrices; a pivot that is not a number fails."""
+    ok = np.ones(x.shape[-1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(len(x)):
+            d, x = _eliminate(x)
+            ok &= (d > 0).all(axis=0)
+    return ok
+
+
+def _pivot_tree(tables: np.ndarray, dims, prune: bool):
+    """The outer-product LDL* of every weaving's matrices, shared over label
+    prefixes.
+
+    ``tables`` ``(2c, 2c, t)`` are ``t`` Hermitian matrices over the
+    coefficient columns of both members, in :func:`_coefficient_gram`'s
+    order; weaving ``sigma``'s matrices are their rows and columns on its
+    own columns (:func:`_gathered`).  The node of a label prefix of length
+    ``k`` holds each table's Schur complement after the prefix's columns
+    were eliminated in index order (:func:`_eliminate`), on the columns of
+    both members at indices ``k`` and up.  A node branches at an index's
+    first column, one rank-one update per column: label 2 eliminates the
+    second member's columns, which follow the first member's, and label 1
+    its own, its last step skipping the second member's.  Every entry of a
+    weaving's own matrices takes the same operations as in the elimination
+    of its gathered matrices, so its pivots are that elimination's, bit for
+    bit.
+
+    Nodes lie along the last axis, so each operation runs over a batch at
+    once.  Depth first, in batches whose children hold at most
+    ``_BATCH_ENTRIES`` table entries and pivots, with at most one batch's children
+    waiting at each depth.  Yields ``(k, codes, pivots)``: nodes at depth
+    ``k`` by their prefixes' codes (index 1 the most significant bit).
+    With ``prune``, the nodes whose last index gave a pivot that is not
+    positive (NaN included) on some table, whose subtrees are not expanded,
+    and ``pivots`` is ``None``; without, every leaf, with its pivots
+    ``(columns, t, leaves)``.
+    """
+    big_n, t = len(dims), tables.shape[-1]
+    stack = [(0, np.zeros(1, dtype=np.int64), tables[..., None], np.empty((0, t, 1)), 0)]
+    while stack:
+        k, codes, x, pivots, start = stack.pop()
+        d, width = dims[k], len(x) - 2 * dims[k]
+        per_child = t * (width**2 + (0 if prune else len(pivots) + d))
+        stop = min(start + max(1, _BATCH_ENTRIES // max(2 * per_child, 1)), len(codes))
+        if stop < len(codes):
+            stack.append((k, codes, x, pivots, stop))
+        size = stop - start
+        children = np.empty((width, width, t, 2, size), dtype=complex)
+        new = np.empty((d, t, 2, size))
+        for label in (0, 1):
+            y = x[..., start:stop]
+            for step in range(d):
+                last = step == d - 1
+                new[step, :, label], y = _eliminate(
+                    y, label * d if step == 0 else 0, d if last and not label else 0,
+                    children[..., label, :] if last else None,
+                )
+        k, codes = k + 1, 2 * codes[start:stop]
+        codes = np.concatenate((codes, codes + 1))
+        x, new = children.reshape(width, width, t, 2 * size), new.reshape(d, t, 2 * size)
+        if prune:
+            ok = (new > 0).all(axis=(0, 1))
+            if not ok.all():
+                yield k, codes[~ok], None
+                codes, x = codes[ok], x[..., ok]
+        else:
+            pivots = pivots[..., start:stop]
+            pivots = np.concatenate((np.concatenate((pivots, pivots), axis=-1), new))
+            if k == big_n:
+                yield k, codes, pivots
+        if k < big_n and len(codes):
+            stack.append((k, codes, x, pivots, 0))
+
+
+def _candidates(fam: GFrameFamily, gc: np.ndarray) -> np.ndarray:
+    """Label rows whose spectra set :func:`_riesz_sweep`'s shifts: the
+    ``_CANDIDATES`` weavings with the smallest least pivot of ``T* T``
+    itself (:func:`_pivot_tree` on ``Gc``; each pivot is at least
+    ``lambda_min``), then :func:`_seed_weavings`' two upper rows."""
+    codes, least = np.empty(0, dtype=np.int64), np.empty(0)
+    with np.errstate(all="ignore"):  # NaN pivots sort last
+        for _, more, pivots in _pivot_tree(gc[..., None], fam.block_dims, False):
+            codes = np.concatenate((codes, more))
+            least = np.concatenate((least, pivots.min(axis=(0, 1))))
+            at = np.argsort(least, kind="stable")[:_CANDIDATES]
+            codes, least = codes[at], least[at]
+    grams = _gram_tensor(fam)
+    upper = _seed_weavings(grams, _suffix_sums(_envelopes(grams)[1]), lower=False)
+    return np.vstack((_label_rows(codes, fam.n_indices), upper))
 
 
 def _angle_constants(fam: GFrameFamily, tol: Tolerance, rows: np.ndarray):
@@ -263,10 +482,10 @@ def weaving_riesz_check(
     synthesis matrix and an injective weaving is automatically onto: if all
     weavings keep a positive lower Riesz constant, every weaving is a
     g-Riesz basis and the pair is woven.  Witnesses are the first partition
-    in lexicographic order that attains each bound.  After the first block
-    of 64, each weaving that the row screen shared with sampled
-    :func:`~gweave.weaving.certify_woven` proves unable to move either bound
-    skips its SVD (see ``_riesz_sweep``), which changes no reported float.
+    in lexicographic order that attains each bound.  Each weaving that LDL*
+    pivot tests on the members' coefficient Gram prove unable to move
+    either bound skips its SVD (see ``_riesz_sweep``), which changes no
+    reported float.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=False)[0]
 
@@ -379,9 +598,8 @@ def equivalence_constants(
     Two screens skip work that cannot change a reported float; their
     proofs and rounding margins are in ``_riesz_sweep``.  The angle
     quantities are computed only on partitions that can attain ``a2`` and
-    ``d3``, and a weaving after the first 64 takes the weaving SVD only if
-    the row screen shared with sampled
-    :func:`~gweave.weaving.certify_woven` cannot prove it inside the running
+    ``d3``, and a weaving takes the weaving SVD only if the LDL* pivot
+    tests on the members' coefficient Gram cannot prove it inside the
     bounds and above the angle threshold.
     """
     return _riesz_pair_reports(fam, tol, budget, angles=True)[1]

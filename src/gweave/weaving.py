@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1_000_000
-# Riesz sweeps screen label blocks of 64 weavings; span_criterion takes up to
+# span_criterion screens label blocks of at least 64 weavings, and of up to
 # _BATCH_ENTRIES operator entries if more: 64 rows ran 1.1-2.3x slower at n 2-6.
 _SCREEN_ROWS = 64
 # Sampled mode draws and checks row blocks of 16, 32, ... rows: small first
@@ -56,6 +56,9 @@ _BLOCK_FIRST, _BLOCK_CAP = 16, 256
 # batches of this size made the woven weave-exhaustive calls about 1.4x
 # faster.  2**14 entries were as fast on them (12% faster at 2**20, n = 6)
 # but raised weave-exhaustive's peak RSS by 1.3 MB; 2**12 were 22% slower.
+# The Riesz sweep's pivot trees take batches of nodes whose children hold as
+# many complex table entries: on riesz-pair, 2**14 ran 1.01-1.03x faster than
+# 2**13 but raised peak RSS by 0.9 MB.
 _BATCH_ENTRIES = 2**13
 
 
@@ -275,10 +278,9 @@ def _frame_operators(grams: np.ndarray, labels0: np.ndarray) -> np.ndarray:
 
 class _RowScreen:
     """The one proof that label rows' computed spectra lie inside bounds,
-    for every walk that screens rows: sampled :func:`certify_woven`,
-    :func:`span_criterion` and the Riesz sweep.  Built once per family
-    from the Gram tensor; the proofs and margins are in
-    :func:`certify_woven`.
+    for both walks that screen rows: sampled :func:`certify_woven` and
+    :func:`span_criterion`.  Built once per family from the Gram tensor;
+    the proofs and margins are in :func:`certify_woven`.
 
     ``x`` is a block of rows' 0/1 indicators of the labels ``j >= 1``,
     shape ``(rows, N (m - 1))``, and ``d`` the differences ``G_ij - G_i0``
@@ -315,9 +317,11 @@ class _RowScreen:
         w = self.v.conj().T @ diffs @ self.v
         r, c = self.tril
         w = np.concatenate([w[..., diag, diag].real, w[..., r, c].real, w[..., r, c].imag], axis=-1)
-        self.variance = ((w**2).sum(axis=1) / m - w.sum(axis=1) ** 2 / m**2).sum(axis=0)
         self.w = w.reshape(-1, n * n)
-        self.zeta = 1e3 * (big_n * m + n * n) * np.finfo(float).eps * np.linalg.norm(self.w, axis=1).sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # a statistic out of range shuts the gate
+            self.variance = ((w**2).sum(axis=1) / m - w.sum(axis=1) ** 2 / m**2).sum(axis=0)
+            self.zeta = 1e3 * (big_n * m + n * n) * np.finfo(float).eps * np.linalg.norm(self.w, axis=1).sum()
+        self.finite = bool(np.isfinite(self.variance).all() and np.isfinite(self.zeta))
         self._s, self._z = np.empty((0, 2 * n * n)), np.empty((0, n * n))
         self._key = self._weights = None
 
@@ -344,17 +348,22 @@ class _RowScreen:
         """Per side, each packed column's weight, ``1 / g_k**2`` on the
         diagonal and ``2 / (g_k g_l)`` off it, with ``g = lam - c_lo -
         phi(c_lo) - zeta`` below and ``g = c_up - lam - phi(c_up) - zeta``
-        above; ``None``, the gate shut, unless every ``g > 0`` and the
-        expected weighted norm of a uniformly drawn row is below 1 on both
-        sides.  Kept for the last bounds asked for."""
+        above; ``None``, the gate shut, unless ``variance`` and ``zeta`` are
+        finite, every ``g > 0``, every weight is finite and at least the
+        smallest normal float (so that it carries its relative rounding
+        alone), and the expected weighted norm of a uniformly drawn row is
+        below 1 on both sides.  Weights that overflow or underflow thus shut
+        the gate, whatever the input's scale.  Kept for the last bounds
+        asked for."""
         if self._key != (c_lo, c_up):
             g = np.array([self.lam - c_lo - self.phi(c_lo), c_up - self.lam - self.phi(c_up)]) - self.zeta
             weights = None
-            if (g > 0).all():
-                with np.errstate(over="ignore", invalid="ignore"):
+            if self.finite and (g > 0).all():
+                with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
                     off = 2 / (g[:, self.tril[0]] * g[:, self.tril[1]])
                     weights = np.concatenate([1 / g**2, off, off], axis=1)
-                    if not (weights @ self.variance < 1).all():
+                    normal = (weights >= np.finfo(float).tiny) & (weights < np.inf)
+                    if not (normal.all() and (weights @ self.variance < 1).all()):
                         weights = None
             self._key, self._weights = (c_lo, c_up), weights
         return self._weights
@@ -709,8 +718,8 @@ def certify_woven(
     (else ``ValueError``), in either mode.
 
     After the first block, a row is skipped, counted and not folded, if
-    the row screen (:class:`_RowScreen`, which :func:`span_criterion` and
-    the Riesz sweep share) proves it inside ``(floor, up)``: by the norm
+    the row screen (:class:`_RowScreen`, which :func:`span_criterion`
+    shares) proves it inside ``(floor, up)``: by the norm
     test below, or else if Cholesky factors both ``S' - (floor + mu +
     delta') I`` and ``(up - mu - delta') I - S'``, with ``(low, up)`` the
     bounds so far, ``floor = max(low, frame_rtol * up)``, ``delta'`` the
@@ -808,9 +817,11 @@ def certify_woven(
     the woven ``m2-N48-n8-d1`` benchmark shape (instance seeds 0-31) it
     leaves 0.3-17% of the screened rows to the Cholesky tests, and the
     same rows as before take exact sums.  The gate reads only the data and
-    the bounds, so it serves every walk: the Riesz sweep's floor is its
-    angle threshold, at which the gate stays shut on the benchmark's pairs,
-    so their rows take the Cholesky tests alone.
+    the bounds, so it serves both walks.  It stays shut while ``variance``
+    or ``zeta`` is not finite, or a weight overflows or falls below the
+    smallest normal float (:meth:`_RowScreen.weights`): on large or small
+    inputs the statistics leave float64 before the Gram terms do.  The
+    Riesz sweep takes a screen of its own (``riesz._riesz_sweep``).
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -878,7 +889,7 @@ def span_criterion(
     Rank is decided as :func:`~gweave.linalg.rank` decides it, on the
     singular values of the weaving's synthesis matrix.  Label blocks
     (:func:`_label_blocks`, at least 64 rows and up to ``2**13`` operator
-    entries) take the row screen of sampled mode and the Riesz sweep
+    entries) take the row screen of sampled mode
     (:class:`_RowScreen`: the norm test of :func:`certify_woven` while its
     gate is open, then the Cholesky tests on the rows it leaves) with floor
     ``s U`` and upper bound ``2 U``: ``s = (rank_rtol * maxdim)**2 +

@@ -167,6 +167,14 @@ def power_extremes(m: np.ndarray, iters: int = 2000, seed: int = 5) -> tuple[flo
     return lo, hi
 
 
+def times_power_of_two(fam: GFrameFamily, k: int) -> GFrameFamily:
+    """``fam`` with every block times ``2**k``: each Gram term times ``4**k``,
+    exactly while nothing overflows or underflows."""
+    return GFrameFamily(tuple(
+        GFrame(fr.ambient_dim, tuple(2.0**k * b for b in fr.blocks)) for fr in fam.frames
+    ), allow_degenerate=True)
+
+
 def exhaustive_family_partitions(fam: GFrameFamily):
     for labels in product(range(1, fam.m + 1), repeat=fam.n_indices):
         yield Partition(labels)

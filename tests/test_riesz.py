@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from itertools import permutations, product
 
 import numpy as np
@@ -27,14 +28,13 @@ from gweave.linalg import DEFAULT_TOL, Tolerance, _rank_from_singular_values
 from gweave.riesz import EquivalenceConstants, PermutationWeaveReport, WeavingRieszReport
 
 from _support import (
-    _counting_gemm_rows,
     _counting_svd,
-    _recording_screen,
     ill_conditioned_basis,
     onb_frame,
     random_frame,
     riesz_pair,
     rotation,
+    times_power_of_two,
 )
 
 
@@ -712,66 +712,60 @@ def _diagonal_pair(seed: int, rel: float, tied: str, n: int = 10) -> GFrameFamil
     ))
 
 
+def _recording_folds(monkeypatch) -> list:
+    """Patch the Riesz sweep's ``_fold_extremes`` to record how many
+    weavings each fold takes: those that took the weaving SVD."""
+    fold, rows = riesz._fold_extremes, []
+
+    def recording(best, w, keys):
+        rows.append(len(w))
+        return fold(best, w, keys)
+
+    monkeypatch.setattr(riesz, "_fold_extremes", recording)
+    return rows
+
+
 class TestWeavingScreen:
-    """On square pairs the weaving SVDs are screened by a Cholesky test on
-    the frame operators: the reports must equal the unscreened loops."""
+    """On square pairs the weaving SVDs are screened by LDL* pivot tests on
+    the coefficient Gram: the reports must equal the unscreened loops."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_most_weaving_svds_skipped(self, seed, monkeypatch):
         # Two independent bases, as the benchmark pairs them: 4096 weavings,
-        # of which an unscreened sweep sends every one to svd.  Screened per
-        # row, 102-130 take it (the first block's 64 among them); screened
-        # per block of 64, 576-1344 did.
+        # of which an unscreened sweep sends every one to svd.  Screened by
+        # the pivot trees, 7-52 matrices take it (the four candidates'
+        # among them); by the row screen of sampled mode, 102-130 did, and
+        # screened per block of 64, 576-1344.
         fam = GFrameFamily(tuple(_basis((1,) * 12, seed + 1000 * j) for j in range(2)))
         expected = _weaving_riesz_reference(fam)
         matrices = _counting_svd(monkeypatch)
         assert weaving_riesz_check(fam) == expected
         assert sum(matrices) - 2 <= 160
 
+    # Two independent bases: the trees prove most weavings inside the
+    # candidates' bounds, and the walk folds the rest, in code order.  No
+    # row screen of sampled mode is built.
     @pytest.mark.parametrize("seed", range(3))
-    def test_blocks_that_partly_fail_the_screen(self, seed, monkeypatch):
-        # Only the failing rows of such a block take the SVD; the rest are
-        # proven strictly inside the running bounds.
+    def test_some_but_not_all_weavings_take_the_svd(self, seed, monkeypatch):
         fam = _independent_bases((1,) * 9, seed)
-        masks = _recording_screen(monkeypatch)
+        monkeypatch.setattr(weaving._RowScreen, "__init__", None)
+        folded = _recording_folds(monkeypatch)
         _assert_pair_matches(fam)
-        assert any(0 < mask.sum() < len(mask) for mask in masks)
-
-    # The angle threshold of two independent bases lies far above the
-    # centre's smallest eigenvalue, so the gate stays shut: every screened
-    # weaving takes the Cholesky tests alone, and the norm GEMM never runs.
-    @pytest.mark.parametrize("seed", range(3))
-    def test_independent_bases_never_run_the_norm_gemm(self, seed, monkeypatch):
-        rotated = _counting_gemm_rows(monkeypatch, "rotated")
-        cholesky = _counting_gemm_rows(monkeypatch, "operators")
-        _assert_pair_matches(_independent_bases((1,) * 9, seed))
-        assert rotated == [] and sum(cholesky) > 0
+        assert 0 < sum(folded) < 2**9
 
     # An orthonormal basis and its image under a unitary near the identity:
     # both members are orthonormal, so the angle threshold stays at the
-    # running lower bound, below the centre I.  Its data keep the gate shut
-    # (a typical weaving's expected weighted norm is about 2.7 at n = 10),
-    # so the test opens it, and the norm test then proves some weavings of
-    # each sweep: the reports and the kept rows must still be the sweep's.
+    # running lower bound and every weaving lies near 1.  The reports and
+    # the kept rows must still be the sweep's.
     @pytest.mark.parametrize("seed", range(3))
-    def test_norm_test_in_the_sweep_matches_reference(self, seed, monkeypatch):
+    def test_rotated_basis_pair_matches_reference(self, seed):
         fam = _rotated_basis_pair(10, seed, angle=0.1)
-        init = weaving._RowScreen.__init__
-
-        def opened(self, grams):
-            init(self, grams)
-            self.variance = np.zeros_like(self.variance)  # no expected norm to pass
-
-        monkeypatch.setattr(weaving._RowScreen, "__init__", opened)
-        rotated = _counting_gemm_rows(monkeypatch, "rotated")
-        cholesky = _counting_gemm_rows(monkeypatch, "operators")
         _assert_pair_matches(fam)
         members = [riesz_bounds(fr) for fr in fam.frames]
         (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, members)
         best, expected = _sweep_reference(fam)
         assert (low, tuple(low_at), up, tuple(up_at)) == best
         assert [tuple(r) for r in kept.tolist()] == expected
-        assert sum(rotated) > sum(cholesky) > 0
 
     @pytest.mark.parametrize("tied", ["lower", "upper"])
     @pytest.mark.parametrize("rel", [0.0, 1e-14])
@@ -788,6 +782,135 @@ class TestWeavingScreen:
     @given(dims=_square_dims, seed=st.integers(0, 2**16))
     def test_matches_reference_on_square_pairs(self, dims, seed):
         _assert_pair_matches(_independent_bases(dims, seed))
+
+
+def _shifted_tables(x, c_lo, c_up):
+    """The Riesz sweep's lower and upper test matrices of ``x``."""
+    return np.stack([riesz._shifted(x, c_lo, True), riesz._shifted(x, c_up, False)], axis=2)
+
+
+def _own_pivots(tables):
+    """Every pivot of :func:`riesz._eliminate` run to the end on ``tables``
+    ``(c, c, t, rows)``, shape ``(c, t, rows)``."""
+    pivots = []
+    for _ in range(len(tables)):
+        d, tables = riesz._eliminate(tables)
+        pivots.append(d)
+    return np.array(pivots)
+
+
+class TestPivotTree:
+    """The shared-prefix LDL* of the Riesz sweep against each weaving's own
+    elimination on its gathered rows of the coefficient Gram."""
+
+    @staticmethod
+    def _leaves(fam, seed, prune=False):
+        # Shifts inside the weavings' spectra, so that some leaves pass and
+        # some fail on each side.
+        gc = riesz._coefficient_gram(fam)
+        top = np.linalg.eigvalsh(gc)[-1]
+        rng = np.random.default_rng(seed)
+        c_lo, c_up = top * rng.uniform(0.0, 0.2), top * rng.uniform(0.4, 0.7)
+        with np.errstate(all="ignore"):
+            batches = list(riesz._pivot_tree(_shifted_tables(gc, c_lo, c_up), fam.block_dims, prune))
+        return gc, c_lo, c_up, batches
+
+    def _leaf_pivots(self, fam, seed):
+        """Check every leaf's pivots against its own elimination; return
+        the leaves' codes and whether each passed both tests."""
+        gc, c_lo, c_up, batches = self._leaves(fam, seed)
+        big_n = fam.n_indices
+        assert {k for k, _, _ in batches} == {big_n}
+        codes = np.concatenate([codes for _, codes, _ in batches])
+        assert sorted(codes.tolist()) == list(range(2**big_n))
+        pivots = np.concatenate([p for _, _, p in batches], axis=-1)
+        labels0 = riesz._label_rows(codes, big_n)
+        gathered = gc[riesz._gathered(fam.block_dims, labels0)]
+        for r in range(0, len(codes), 97):
+            t = _reference_synthesis(fam, labels0[r])
+            np.testing.assert_allclose(gathered[..., r], t.conj().T @ t, atol=1e-12 * np.abs(gc).max())
+        with np.errstate(all="ignore"):
+            own = _own_pivots(_shifted_tables(gathered, c_lo, c_up))
+        assert np.array_equal(pivots, own, equal_nan=True)
+        return codes, (own > 0).all(axis=(0, 1))
+
+    @pytest.mark.parametrize("dims", [(1, 2, 1, 1, 2, 1), (1,) * 7, (3, 1, 2)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_leaf_pivots_are_their_own_eliminations(self, dims, seed):
+        codes, passed = self._leaf_pivots(_independent_bases(dims, seed), seed)
+        assert 0 < passed.sum() < len(codes)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dims=_square_dims, seed=st.integers(0, 2**16))
+    def test_leaf_pivots_on_mixed_dims(self, dims, seed):
+        self._leaf_pivots(_independent_bases(dims, seed), seed)
+
+    # A pruned tree stops at a node whose last index gave a pivot that is
+    # not positive: its subtree's leaves are exactly the failing ones.
+    @pytest.mark.parametrize("dims", [(1, 2, 1, 1, 2, 1), (1,) * 7])
+    def test_pruned_tree_leaves_exactly_the_failing_leaves(self, dims):
+        fam = _independent_bases(dims, 5)
+        codes, passed = self._leaf_pivots(fam, 5)
+        batches = self._leaves(fam, 5, prune=True)[-1]
+        assert all(p is None for _, _, p in batches)
+        left = riesz._leaves_under(batches, fam.n_indices)
+        assert left.tolist() == sorted(codes[~passed].tolist())
+
+    # The candidates only set the trees' shifts, so the reports and kept
+    # rows are the same whatever they are: the first row alone, the rows
+    # attaining the bounds, or the rows of the largest s_min**2 and the
+    # smallest s_max**2, which give the loosest shifts.
+    @pytest.mark.parametrize("pick", ["first", "extremes", "loosest"])
+    @pytest.mark.parametrize(
+        "fam",
+        [_independent_bases((1,) * 8, 3), _independent_bases((1, 2, 1, 1, 2, 1), 8),
+         _rotated_basis_pair(8, 0, angle=0.1)],
+        ids=["square", "square-mixed-dims", "rotated"],
+    )
+    def test_reports_do_not_depend_on_the_candidates(self, fam, pick, monkeypatch):
+        best, expected = _sweep_reference(fam)
+        rows = np.array(list(product((0, 1), repeat=fam.n_indices)))
+        if pick == "first":
+            picked = rows[:1]
+        elif pick == "extremes":
+            picked = np.array([best[1], best[3]])
+        else:
+            s = np.array([np.linalg.svd(_reference_synthesis(fam, r), compute_uv=False) for r in rows])
+            picked = rows[[np.argmax(s[:, -1]), np.argmin(s[:, 0])]]
+        monkeypatch.setattr(riesz, "_candidates", lambda fam, gc: picked)
+        members = [riesz_bounds(fr) for fr in fam.frames]
+        (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, members)
+        assert (low, tuple(low_at), up, tuple(up_at)) == best
+        assert [tuple(r) for r in kept.tolist()] == expected
+
+    # Every block times 2**k multiplies every Gram entry, pivot, shift and
+    # margin by 4**k, exactly, and the SVDs scale too.
+    @pytest.mark.parametrize("k", [200, -200])
+    @pytest.mark.parametrize("fam", [_independent_bases((1,) * 9, 0), _independent_bases((1, 2, 1, 1, 2, 1), 1)],
+                             ids=["square", "square-mixed-dims"])
+    def test_power_of_two_scaling(self, fam, k):
+        members = [riesz_bounds(fr) for fr in fam.frames]
+        (low, low_at, up, up_at), kept = riesz._riesz_sweep(fam, members)
+        scaled = times_power_of_two(fam, k)
+        members = [riesz_bounds(fr) for fr in scaled.frames]
+        (low2, low_at2, up2, up_at2), kept2 = riesz._riesz_sweep(scaled, members)
+        assert (low2, up2) == (low * 4.0**k, up * 4.0**k)
+        assert (tuple(low_at2), tuple(up_at2)) == (tuple(low_at), tuple(up_at))
+        assert np.array_equal(kept2, kept)
+
+    @pytest.mark.parametrize("k", [-500, 480])
+    def test_extreme_scales_raise_no_warning(self, k):
+        fam = _independent_bases((1, 2, 1, 1, 2, 1), 1)
+        base = weaving_riesz_check(fam)
+        scaled = times_power_of_two(fam, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = weaving_riesz_check(scaled)
+            equivalence_constants(scaled)
+        assert (rep.woven, rep.witness_lower, rep.witness_upper) == (
+            base.woven, base.witness_lower, base.witness_upper
+        )
+        assert rep.common_lower == pytest.approx(base.common_lower * 4.0**k, rel=1e-9)
 
 
 def _sweep_reference(fam, tol=DEFAULT_TOL):

@@ -27,7 +27,9 @@ from gweave import (
     span_criterion,
     synthesis_matrix,
 )
+import gweave.cli
 import gweave.weaving
+from gweave.fileio import save_family
 from gweave.generate import GenSpec, generate
 from gweave.linalg import DEFAULT_TOL, rank
 from gweave.weaving import (
@@ -59,6 +61,7 @@ from _support import (
     onb_frame,
     random_frame,
     swapped_onb_family,
+    times_power_of_two,
 )
 
 
@@ -1597,6 +1600,53 @@ def _scaled_random_family(seed: int, m: int, dims, n: int) -> GFrameFamily:
         for _ in range(m)
     )
     return GFrameFamily(members, allow_degenerate=True)
+
+
+class TestRowScreenAtExtremeScales:
+    """The row screen's norm-test statistics leave float64 on large and
+    small inputs: weights ``1 / g**2`` that overflow to 0 once opened the
+    gate and proved every row, and ``variance`` overflowed in ``__init__``.
+    Such statistics must shut the gate, silently."""
+
+    @staticmethod
+    def _perturbed():
+        return generate(GenSpec(8, (1,) * 48, "perturbed", 7))
+
+    def test_sampled_report_scales_with_the_input(self):
+        fam = self._perturbed()
+        base = certify_woven(fam, mode="sampled", budget=4096, seed=3)
+        rep = certify_woven(times_power_of_two(fam, 257), mode="sampled", budget=4096, seed=3)
+        assert (rep.status, rep.witness_lower, rep.witness_upper, rep.partitions_checked) == (
+            base.status, base.witness_lower, base.witness_upper, base.partitions_checked
+        )
+        scale = 4.0**257
+        assert rep.universal_lower == pytest.approx(scale * base.universal_lower, rel=1e-12)
+        assert rep.universal_upper == pytest.approx(scale * base.universal_upper, rel=1e-12)
+
+    def test_cli_sampled_run_is_inconclusive_not_a_numeric_failure(self, tmp_path):
+        path = tmp_path / "scaled.json"
+        save_family(times_power_of_two(self._perturbed(), 480), path)
+        argv = ["weave", str(path), "--mode", "sampled", "--seed", "3", "--budget", "4096"]
+        assert gweave.cli.main(argv) == 4
+
+    def test_tiny_input_raises_no_warning(self):
+        fam = times_power_of_two(self._perturbed(), -500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_woven(fam, mode="sampled", budget=4096, seed=3)
+        assert rep.status == "sampled-no-counterexample"
+
+    @pytest.mark.parametrize("k", [254, -500])
+    @pytest.mark.parametrize("seed", [0, 6, 7])
+    def test_span_witness_survives_scaling(self, k, seed):
+        # At 2**254 the Gram terms' weights overflowed while ``variance``
+        # did not, and seeds 6 and 7 then reported that every weaving spans.
+        fam = _planted_family(2, 10, 3, seed, 0.0, decades=0)
+        expected = _span_reference(fam)
+        assert not expected[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert span_criterion(times_power_of_two(fam, k)) == expected
 
 
 class TestBranchAndBound:
